@@ -32,7 +32,7 @@ def show(fam, lo, hi):
     log_rep = certify_log_cm(fam, cfg)
     fd_rep = certify_cm_finite_diff(fam, cfg)
     z, n, worst = log_rep.worst
-    print(f"  {type(fam).__name__:<10} log-route {log_rep.verdict:<10} "
+    print(f"  {fam.kind:<11} log-route {log_rep.verdict:<10} "
           f"(worst {worst:.3e} at z={z:.3g}, n={n}); "
           f"difference route {fd_rep.verdict}")
 
@@ -46,7 +46,7 @@ show(Symmetric(0.5), 0.8, 15.0)
 section("kernel scans: the integrand really is nonnegative")
 for fam in (TwoParam(0.5, 0.7), Majorized((3.0, 1.0), (2.0, 2.0))):
     kmin, tmin = kernel_nonneg_scan(fam)
-    print(f"  {type(fam).__name__:<10} min kernel {kmin: .3e} "
+    print(f"  {fam.kind:<11} min kernel {kmin: .3e} "
           f"at t = {tmin:.3g}")
 
 section("ordering matters in the majorization precondition")

@@ -41,10 +41,11 @@ __all__ = ["RunConfig", "main", "cmd_audit", "cmd_certify", "cmd_bounds",
 _DEFAULT_SEED = 42
 _NUDGE = 1e-9
 
+# family kinds: factory and parameter names; "[]" marks an entry list
 _FAMILY_KINDS = {
     "two-param": (TwoParam, ("a", "b")),
-    "multi-param": (MultiParam, ("a",)),
-    "majorized": (Majorized, ("a", "b")),
+    "multi-param": (MultiParam, ("a[]",)),
+    "majorized": (Majorized, ("a[]", "b[]")),
     "symmetric": (Symmetric, ("a",)),
 }
 
@@ -181,7 +182,7 @@ def _build_config(args) -> RunConfig:
     def pick(flag, key):
         return flag if flag is not None else filecfg.get(key)
 
-    ids_text = pick(args.id, "id")
+    ids_text = pick(getattr(args, "id", None), "id")
     ids = tuple(s.strip() for s in ids_text.split(",") if s.strip()) \
         if ids_text else ()
     params_val = pick(args.params, "params")
@@ -190,8 +191,10 @@ def _build_config(args) -> RunConfig:
     else:
         params = _parse_params(params_val or "")
     # a point source given as a flag displaces any config point source
-    if args.grid is not None or args.samples is not None:
-        grid_val, samples = args.grid, args.samples
+    flag_grid = getattr(args, "grid", None)
+    flag_samples = getattr(args, "samples", None)
+    if flag_grid is not None or flag_samples is not None:
+        grid_val, samples = flag_grid, flag_samples
     else:
         grid_val, samples = filecfg.get("grid"), filecfg.get("samples")
     grid = _parse_grid(grid_val) if grid_val else None
@@ -218,7 +221,7 @@ def _build_config(args) -> RunConfig:
         params=params,
         grid=grid,
         samples=samples,
-        seed=_resolve_seed(args.seed, filecfg.get("seed")),
+        seed=_resolve_seed(getattr(args, "seed", None), filecfg.get("seed")),
         out=pick(args.out, "out"),
         fmt=fmt,
         tol=tol,
@@ -233,44 +236,43 @@ def _make_parser() -> _Parser:
                                  "audit toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, family=False, target=False):
+    # each subcommand registers only the flags it reads, so a stray flag
+    # is a usage error rather than silently ignored
+    def common(sp, grid=True):
         sp.add_argument("--params", default=None,
                         help="name=value pairs, comma separated; use ';' "
                              "between entries of a list value")
-        sp.add_argument("--grid", default=None, help="min:max:count[:log]")
-        sp.add_argument("--samples", type=int, default=None,
-                        help="number of random in-domain points")
-        sp.add_argument("--seed", default=None,
-                        help="sampling seed (default: CMGAMMA_SEED or 42)")
+        if grid:
+            sp.add_argument("--grid", default=None,
+                            help="min:max:count[:log]")
         sp.add_argument("--out", default=None, help="output file path")
         sp.add_argument("--format", default=None, choices=("csv", "json"))
         sp.add_argument("--tol", type=float, default=None,
                         help="margin tolerance (default 1e-9)")
         sp.add_argument("--config", default=None,
                         help="JSON config file; flags win on conflict")
-        if family:
-            sp.add_argument("--family", default=None,
-                            choices=sorted(_FAMILY_KINDS))
-            sp.add_argument("--n-max", dest="n_max", type=int, default=None)
-            sp.add_argument("--fd-step", dest="fd_step", type=float,
-                            default=None)
 
     sp = sub.add_parser("audit", help="sweep one inequality, emit margins")
     sp.add_argument("--id", default=None, help="inequality id")
     common(sp)
+    sp.add_argument("--samples", type=int, default=None,
+                    help="number of random in-domain points")
+    sp.add_argument("--seed", default=None,
+                    help="sampling seed (default: CMGAMMA_SEED or 42)")
 
     sp = sub.add_parser("certify",
                         help="certify complete monotonicity of a family")
-    sp.add_argument("--id", default=None, help=argparse.SUPPRESS)
-    common(sp, family=True)
+    common(sp)
+    sp.add_argument("--family", default=None, choices=sorted(_FAMILY_KINDS))
+    sp.add_argument("--n-max", dest="n_max", type=int, default=None)
+    sp.add_argument("--fd-step", dest="fd_step", type=float, default=None)
 
     sp = sub.add_parser("bounds",
                         help="show a value next to its registered bounds")
     sp.add_argument("target", nargs="?", default=None,
                     help="which bounded quantity to show: "
                          + "|".join(sorted(_BOUNDS_TARGETS)))
-    sp.add_argument("--id", default=None, help=argparse.SUPPRESS)
-    common(sp)
+    common(sp, grid=False)
 
     sp = sub.add_parser("compare", help="rank bounds sharing one LHS")
     sp.add_argument("--id", default=None,
@@ -442,12 +444,13 @@ def _family_from_config(cfg: RunConfig):
     mapping = dict(cfg.params or {})
     args = []
     for name in names:
-        if name not in mapping:
+        key = name.rstrip("[]")
+        if key not in mapping:
             raise UsageError(f"family {cfg.family!r} needs parameter "
-                             f"{name!r} in --params")
-        val = mapping.pop(name)
-        if ctor in (MultiParam, Majorized):
-            val = val if isinstance(val, list) else [val]
+                             f"{key!r} in --params")
+        val = mapping.pop(key)
+        if name.endswith("[]") and not isinstance(val, list):
+            val = [val]
         args.append(val)
     if mapping:
         raise UsageError(f"unknown parameter {sorted(mapping)[0]!r} for "

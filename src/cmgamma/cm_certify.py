@@ -16,11 +16,12 @@ integral form and a polygamma series form.  Certification here means:
 Verdicts are ``certified``, ``violated``, or ``inconclusive`` (the routes
 disagree beyond what their error estimates allow, so neither is trusted).
 
-For the Majorized family the kernel is nonnegative exactly when the b
-entries are weakly submajorized by the a entries, i.e. when every
-decreasing-order partial sum of b is dominated by the corresponding
-partial sum of a.  Certification requires that precondition; the kernel
-scan deliberately does not, so it can exhibit the failure.
+Every family's kernel is sum e^(a_i t) - sum e^(b_i t) over its numerator
+exponents a and denominator exponents b, which is nonnegative when b is
+weakly submajorized by a, i.e. when every decreasing-order partial sum of
+b is dominated by the corresponding partial sum of a.  Certification
+requires that precondition of every family; the kernel scan deliberately
+does not, so it can exhibit the failure.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, UsageError
-from .kernels import (Majorized, RatioFamily, domain_lower_bound, kernel_value,
+from .kernels import (RatioFamily, domain_lower_bound, kernel_value,
                       log_deriv_polygamma, log_deriv_quadrature, log_f)
 from .quad import QuadOptions
 
@@ -195,20 +196,19 @@ def check_weak_submajorization(a, b) -> bool:
 
 
 def _require_certifiable(fam: RatioFamily) -> None:
-    if isinstance(fam, Majorized):
-        fail = weak_submajorization_failure(fam.a, fam.b)
-        if fail is not None:
-            k, sb, sa = fail
-            raise UsageError(
-                "majorized family not certifiable: weak submajorization "
-                f"fails at k={k} (top-{k} sum of b is {sb!r}, exceeds "
-                f"top-{k} sum of a which is {sa!r})")
+    fail = weak_submajorization_failure(*fam.exponents())
+    if fail is not None:
+        k, sb, sa = fail
+        raise UsageError(
+            f"{fam.kind} family not certifiable: weak submajorization "
+            f"fails at k={k} (top-{k} sum of b is {sb!r}, exceeds "
+            f"top-{k} sum of a which is {sa!r})")
 
 
 def kernel_nonneg_scan(fam: RatioFamily, t_points: int = 200):
     """Minimum kernel value over a log-spaced t grid, with its location.
 
-    Runs on any family, including Majorized pairs that fail the weak
+    Runs on any family, including ones that fail the weak
     submajorization precondition; a clearly negative minimum is the
     diagnostic signature of such a violation.
 
@@ -244,9 +244,8 @@ def certify_log_cm(fam: RatioFamily, config: CertConfig) -> CertReport:
     Raises
     ------
     UsageError
-        Invalid grid, or a Majorized family failing its weak
-        submajorization precondition (the message cites the failing
-        partial sum).
+        Invalid grid, or a family failing its weak submajorization
+        precondition (the message cites the failing partial sum).
     """
     config.validate(fam)
     _require_certifiable(fam)

@@ -1,19 +1,27 @@
 """Gamma-ratio families and their Laplace kernel representations.
 
-Each family describes a function f(z) built from a ratio of gamma factors.
-On its domain, every alternating-sign log-derivative has an integral form
+A family is one table of rows (c_j, offsets_j) standing for
 
-    (-1)^n (ln f)^(n)(z) = integral_0^inf t^(n-1) w(t, z) K(t) / (1 - e^-t) dt
+    f(z) = prod_j G(z + o_j1 + o_j2 + ...)^c_j,
 
-with a nonnegative kernel K and an exponential weight w.  The same
-quantity equals a short signed combination of polygamma values at shifted
-arguments.  Both evaluation routes are exposed here; they share only the
-table of (coefficient, shifted argument) pairs that defines the family,
-and are otherwise computed by independent machinery (adaptive quadrature
-versus recurrence-plus-series), which is what makes cross-checking them
-meaningful.
+where G is the gamma function and each argument adds its offsets to z in
+order, so it is formed by exactly the float operations of the family's
+formula.  The coefficients sum to zero.  With the row exponents
+d_j = -(o_j1 + o_j2 + ...) and a reference exponent r fixed per family,
+every alternating-sign log-derivative is both a Laplace integral and a
+short polygamma combination:
 
-Families
+    (-1)^n (ln f)^(n)(z) = integral_0^inf t^(n-1) e^(-(z-r)t) K(t) / (1 - e^-t) dt
+                         = (-1)^n sum_j c_j psi^(n-1)(z - d_j),
+    K(t) = sum_j c_j e^((d_j - r) t).
+
+The two routes share only the table and are otherwise computed by
+independent machinery (adaptive quadrature versus recurrence-plus-series),
+which is what makes cross-checking them meaningful.  K >= 0 whenever the
+denominator exponents are weakly submajorized by the numerator exponents
+(Tomic-Weyl: e^(xt) is increasing and convex in x for t >= 0).
+
+Families (factories returning a :class:`RatioFamily`)
 --------
 TwoParam(a, b)        f(z) = G(z+1) G(z-a-b+1) / (G(z-a+1) G(z-b+1)),  z > a+b-1
 MultiParam(a_1..a_k)  f(z) = G(z+1)^(k-1) G(z-A+1) / prod G(z-a_i+1),  z > A-1,
@@ -21,14 +29,15 @@ MultiParam(a_1..a_k)  f(z) = G(z+1)^(k-1) G(z-A+1) / prod G(z-a_i+1),  z > A-1,
 Majorized(a, b)       f(z) = prod G(z-a_i) / prod G(z-b_i),            z > max
 Symmetric(a)          f(z) = G(z+a) G(z-a) / G(z)^2,                   z > a
 
-where G is the gamma function.  Parameters are nonnegative reals.
+Parameters are nonnegative reals.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Union
+from functools import reduce
 
 import numpy as np
 
@@ -78,197 +87,166 @@ def _clean_scalar(value, name: str) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class TwoParam:
-    """f(z) = G(z+1) G(z-a-b+1) / (G(z-a+1) G(z-b+1)) for z > a+b-1."""
+# Taylor terms of the kernel where every |x_j t| <= 1: the first omitted
+# term is below 1/21! ~ 2e-20 of the term magnitudes.
+_TAYLOR_TERMS = 20
 
-    a: float
-    b: float
+_FACTORY_NAMES = {"two-param": "TwoParam", "multi-param": "MultiParam",
+                  "majorized": "Majorized", "symmetric": "Symmetric"}
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _clean_scalar(self.a, "a"))
-        object.__setattr__(self, "b", _clean_scalar(self.b, "b"))
 
-    kind = "two-param"
+@dataclass(frozen=True, repr=False)
+class RatioFamily:
+    """A gamma ratio: its kind, the user's parameters and its table.
 
-    def lower_bound(self) -> float:
-        return self.a + self.b - 1.0
+    ``rows`` holds one (integer coefficient, offsets) pair per gamma
+    factor and ``ref`` the offsets of the reference exponent r.
+    """
 
-    def shifted_args(self, z):
-        a, b = self.a, self.b
-        return ((1.0, z + 1.0), (1.0, z - a - b + 1.0),
-                (-1.0, z - a + 1.0), (-1.0, z - b + 1.0))
+    kind: str
+    params: tuple
+    rows: tuple
+    ref: tuple = ()
 
-    def kernel(self, t):
-        # (1 - e^-at)(1 - e^-bt), exact product of nonnegatives
-        return np.expm1(-self.a * t) * np.expm1(-self.b * t)
-
-    def kernel_scale(self, t):
-        return np.abs(self.kernel(t))
+    def __repr__(self):
+        args = ", ".join(f"{name}={v!r}" for name, v in self.params)
+        return f"{_FACTORY_NAMES[self.kind]}({args})"
 
     def params_dict(self):
-        return {"a": self.a, "b": self.b}
-
-
-@dataclass(frozen=True)
-class MultiParam:
-    """f(z) = G(z+1)^(k-1) G(z-A+1) / prod_i G(z-a_i+1), A = sum a_i, z > A-1."""
-
-    a: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _clean_params(self.a, "a"))
-
-    kind = "multi-param"
-
-    @property
-    def abar(self) -> float:
-        return float(sum(self.a))
-
-    def lower_bound(self) -> float:
-        return self.abar - 1.0
+        return {name: list(v) if isinstance(v, tuple) else v
+                for name, v in self.params}
 
     def shifted_args(self, z):
-        k = len(self.a)
-        terms = [(float(k - 1), z + 1.0), (1.0, z - self.abar + 1.0)]
-        terms.extend((-1.0, z - ai + 1.0) for ai in self.a)
-        return tuple(terms)
+        """(coefficient, argument) pairs at z, which may be a float, an
+        array or an mpmath number."""
+        return tuple((coef, reduce(operator.add, offsets, z))
+                     for coef, offsets in self.rows)
+
+    def lower_bound(self) -> float:
+        """The largest row exponent: every argument is positive above it."""
+        return max(reduce(operator.sub, offsets, 0.0)
+                   for _, offsets in self.rows)
+
+    def _exact_terms(self):
+        """(den, [(X_j, c_j), ...]): the kernel exponent d_j - r of row j is
+        exactly X_j / den, with den a power of two."""
+        groups = [self.ref] + [offsets for _, offsets in self.rows]
+        den = max((o.as_integer_ratio()[1] for g in groups for o in g),
+                  default=1)
+
+        def scaled(offsets):  # -(o_1 + o_2 + ...) * den, exactly
+            return -sum(n * (den // d)
+                        for n, d in (o.as_integer_ratio() for o in offsets))
+
+        r = scaled(self.ref)
+        return den, [(scaled(offsets) - r, int(coef))
+                     for coef, offsets in self.rows]
+
+    def exponents(self):
+        """(numerator, denominator) kernel exponents, each repeated by its
+        multiplicity: K(t) = sum e^(xt) over the first minus the second."""
+        den, terms = self._exact_terms()
+        num_exps, den_exps = [], []
+        for x, c in terms:
+            (num_exps if c > 0 else den_exps).extend([x / den] * abs(c))
+        return num_exps, den_exps
 
     def kernel(self, t):
-        # (k-1) + e^(At) - sum e^(a_i t); zero identically when fewer than
-        # two entries are positive.
+        """K(t) = sum_j c_j e^(x_j t), with equal exponents merged first so
+        that cancelling factors drop out exactly.
+
+        Where every |x_j t| <= 1, K is its Taylor series with the moments
+        sum_j c_j x_j^p computed exactly, so the cancellation at small t
+        costs no digits.  Elsewhere, over ascending x_1 < ... < x_m and the
+        partial sums C_j = c_1 + ... + c_j, K is the Abel sum
+        e^(x_m t) sum_j C_j expm1((x_j - x_(j+1)) t) e^((x_(j+1) - x_m) t),
+        which reproduces product forms such as (1 - e^-at)(1 - e^-bt) and
+        overflows to +-inf only when the kernel does.
+        """
+        den, rows = self._exact_terms()
+        merged: dict[int, int] = {}
+        for x, c in rows:
+            merged[x] = merged.get(x, 0) + c
+        terms = sorted((x, c) for x, c in merged.items() if c)
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if sum(1 for ai in self.a if ai > 0.0) <= 1:
-            out = np.zeros_like(t)
-            return float(out[0]) if scalar else out
-        abar = self.abar
-        with np.errstate(over="ignore"):
-            small = abar * t <= 700.0
-            ts = np.where(small, t, 0.0)
-            out = np.expm1(abar * ts) - sum(np.expm1(ai * ts) for ai in self.a)
-            out = np.asarray(out, dtype=float)
-            if not small.all():
-                tb = t[~small]
-                b2 = 1.0 - sum(np.exp((ai - abar) * tb) for ai in self.a)
-                big = len(self.a) - 1.0 + np.exp(abar * tb) * b2
-                out[~small] = np.where(np.isnan(big), np.inf, big)
+        out = np.zeros_like(t)
+        if terms:
+            near = max(abs(x) for x, _ in terms) / den * t <= 1.0
+            tn, tf = t[near], t[~near]
+            series = np.zeros_like(tn)
+            for p in range(_TAYLOR_TERMS, 0, -1):
+                # exact integer moment; int / int rounds once
+                mu = sum(c * x ** p for x, c in terms)
+                series = (series + mu / (den ** p * math.factorial(p))) * tn
+            out[near] = series
+            top, partial = terms[-1][0], 0
+            inner = np.zeros_like(tf)
+            for (x0, c0), (x1, _) in zip(terms, terms[1:]):
+                partial += c0
+                inner += (partial * np.expm1((x0 - x1) / den * tf)
+                          * np.exp((x1 - top) / den * tf))
+            with np.errstate(over="ignore"):
+                out[~near] = np.exp(top / den * tf) * inner
         return float(out[0]) if scalar else out
 
     def kernel_scale(self, t):
+        """sum_j |c_j expm1(x_j t)|, the magnitude that bounds the kernel's
+        roundoff."""
         t = np.asarray(t, dtype=float)
+        den, terms = self._exact_terms()
         with np.errstate(over="ignore"):
-            s = np.abs(np.expm1(np.minimum(self.abar * t, 705.0)))
-            s = s + sum(np.abs(np.expm1(ai * t)) for ai in self.a)
+            s = sum((abs(c) * np.abs(np.expm1(x / den * t))
+                     for x, c in terms), np.zeros_like(t))
         return s if t.ndim else float(s)
 
-    def params_dict(self):
-        return {"a": list(self.a)}
+
+def TwoParam(a, b) -> RatioFamily:
+    """f(z) = G(z+1) G(z-a-b+1) / (G(z-a+1) G(z-b+1)) for z > a+b-1."""
+    a, b = _clean_scalar(a, "a"), _clean_scalar(b, "b")
+    # r = a+b-1 gives K(t) = (1 - e^-at)(1 - e^-bt)
+    return RatioFamily("two-param", (("a", a), ("b", b)),
+                       ((1.0, (1.0,)), (1.0, (-a, -b, 1.0)),
+                        (-1.0, (-a, 1.0)), (-1.0, (-b, 1.0))),
+                       ref=(-a, -b, 1.0))
 
 
-@dataclass(frozen=True)
-class Majorized:
+def MultiParam(a) -> RatioFamily:
+    """f(z) = G(z+1)^(k-1) G(z-A+1) / prod_i G(z-a_i+1), A = sum a_i, z > A-1."""
+    a = _clean_params(a, "a")
+    abar = float(sum(a))
+    rows = [(float(len(a) - 1), (1.0,)), (1.0, (-abar, 1.0))]
+    rows.extend((-1.0, (-ai, 1.0)) for ai in a)
+    # r = -1 gives K(t) = (k-1) + e^(At) - sum e^(a_i t)
+    return RatioFamily("multi-param", (("a", a),), tuple(rows), ref=(1.0,))
+
+
+def Majorized(a, b) -> RatioFamily:
     """f(z) = prod G(z-a_i) / prod G(z-b_i) for z > max(entries).
 
     Nonnegativity of the kernel requires the b entries to be weakly
     submajorized by the a entries (checked by the certification module,
     not at construction, so diagnostic scans can run on violating pairs).
     """
-
-    a: tuple
-    b: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _clean_params(self.a, "a"))
-        object.__setattr__(self, "b", _clean_params(self.b, "b"))
-        if len(self.a) != len(self.b):
-            raise UsageError(
-                f"a and b must have equal length, got {len(self.a)} and {len(self.b)}")
-
-    kind = "majorized"
-
-    def lower_bound(self) -> float:
-        return max(max(self.a), max(self.b))
-
-    def shifted_args(self, z):
-        terms = [(1.0, z - ai) for ai in self.a]
-        terms.extend((-1.0, z - bi) for bi in self.b)
-        return tuple(terms)
-
-    def _merged_exponents(self):
-        coefs: dict[float, float] = {}
-        for ai in self.a:
-            coefs[ai] = coefs.get(ai, 0.0) + 1.0
-        for bi in self.b:
-            coefs[bi] = coefs.get(bi, 0.0) - 1.0
-        return sorted(((e, c) for e, c in coefs.items() if c != 0.0))
-
-    def kernel(self, t):
-        # sum e^(a_i t) - sum e^(b_i t), with exactly cancelling exponents
-        # merged away first so the overflow branch has a defined sign.
-        scalar = np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        terms = self._merged_exponents()
-        if not terms:
-            out = np.zeros_like(t)
-            return float(out[0]) if scalar else out
-        top, top_coef = terms[-1]
-        with np.errstate(over="ignore"):
-            small = top * t <= 700.0
-            ts = np.where(small, t, 0.0)
-            out = sum(c * np.expm1(e * ts) for e, c in terms)
-            out = np.asarray(out, dtype=float)
-            if not small.all():
-                out[~small] = math.copysign(math.inf, top_coef)
-        return float(out[0]) if scalar else out
-
-    def kernel_scale(self, t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(over="ignore"):
-            s = sum(np.abs(np.expm1(np.minimum(e * t, 705.0)))
-                    for e in (*self.a, *self.b))
-        return s if t.ndim else float(s)
-
-    def params_dict(self):
-        return {"a": list(self.a), "b": list(self.b)}
+    a, b = _clean_params(a, "a"), _clean_params(b, "b")
+    if len(a) != len(b):
+        raise UsageError(
+            f"a and b must have equal length, got {len(a)} and {len(b)}")
+    rows = [(1.0, (-ai,)) for ai in a] + [(-1.0, (-bi,)) for bi in b]
+    # r = 0 gives K(t) = sum e^(a_i t) - sum e^(b_i t)
+    return RatioFamily("majorized", (("a", a), ("b", b)), tuple(rows))
 
 
-@dataclass(frozen=True)
-class Symmetric:
+def Symmetric(a) -> RatioFamily:
     """f(z) = G(z+a) G(z-a) / G(z)^2 for z > a."""
-
-    a: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _clean_scalar(self.a, "a"))
-
-    kind = "symmetric"
-
-    def lower_bound(self) -> float:
-        return self.a
-
-    def shifted_args(self, z):
-        return ((1.0, z + self.a), (1.0, z - self.a), (-2.0, z))
-
-    def kernel(self, t):
-        # (e^at - 1)(1 - e^-at)
-        with np.errstate(over="ignore"):
-            return np.expm1(self.a * t) * -np.expm1(-self.a * t)
-
-    def kernel_scale(self, t):
-        return np.abs(self.kernel(t))
-
-    def params_dict(self):
-        return {"a": self.a}
-
-
-RatioFamily = Union[TwoParam, MultiParam, Majorized, Symmetric]
-
-_FAMILIES = (TwoParam, MultiParam, Majorized, Symmetric)
+    a = _clean_scalar(a, "a")
+    # r = 0 gives K(t) = e^(at) + e^(-at) - 2
+    return RatioFamily("symmetric", (("a", a),),
+                       ((1.0, (a,)), (1.0, (-a,)), (-2.0, ())))
 
 
 def _check_family(fam) -> None:
-    if not isinstance(fam, _FAMILIES):
+    if not isinstance(fam, RatioFamily):
         raise UsageError(f"not a ratio family: {fam!r}")
 
 

@@ -81,6 +81,31 @@ def _maybe_scalar(arr, scalar: bool):
     return float(arr) if scalar else arr
 
 
+def _shift_up(x, threshold: int, term):
+    """Validate x > 0 and step every entry up by 1 until it is >= threshold.
+
+    Returns (work, acc, scalar): the shifted values as a 1-d array, the sum
+    of ``term(w)`` over the values w stepped past, and whether x was a
+    scalar.  x + threshold >= threshold for any positive x, so ``threshold``
+    masked steps always suffice.
+    """
+    arr, scalar = _as_positive_array(x, "x")
+    work = np.atleast_1d(arr.copy())
+    acc = np.zeros_like(work)
+    for _ in range(threshold):
+        m = work < threshold
+        if not m.any():
+            break
+        acc[m] += term(work[m])
+        work[m] += 1.0
+    return work, acc, scalar
+
+
+def _shaped(out, x, scalar: bool):
+    """Give a 1-d result the shape of the argument x, or a float for a scalar."""
+    return float(out[0]) if scalar else out.reshape(np.shape(x))
+
+
 def _log_gamma_asymptotic(y):
     """Stirling-type series, valid for y >= 10."""
     u = 1.0 / (y * y)
@@ -107,20 +132,8 @@ def log_gamma(x):
     float or ndarray
         ln Gamma(x), elementwise.
     """
-    arr, scalar = _as_positive_array(x, "x")
-    arr = np.atleast_1d(arr.copy())
-    shift = np.zeros_like(arr)
-    # x + 10 >= 10 for any positive x, so ten masked steps always suffice.
-    work = arr.copy()
-    for _ in range(10):
-        m = work < 10.0
-        if not m.any():
-            break
-        shift[m] += np.log(work[m])
-        work[m] += 1.0
-    out = _log_gamma_asymptotic(work) - shift
-    out = out.reshape(np.shape(x)) if not scalar else out
-    return _maybe_scalar(out[0] if scalar else out, scalar)
+    work, shift, scalar = _shift_up(x, 10, np.log)
+    return _shaped(_log_gamma_asymptotic(work) - shift, x, scalar)
 
 
 def digamma(x):
@@ -129,23 +142,12 @@ def digamma(x):
     Same shift-plus-series scheme as :func:`log_gamma`, using
     ``psi(x) = psi(x+1) - 1/x`` to reach the asymptotic regime.
     """
-    arr, scalar = _as_positive_array(x, "x")
-    arr = np.atleast_1d(arr.copy())
-    shift = np.zeros_like(arr)
-    work = arr.copy()
-    for _ in range(10):
-        m = work < 10.0
-        if not m.any():
-            break
-        shift[m] += 1.0 / work[m]
-        work[m] += 1.0
+    work, shift, scalar = _shift_up(x, 10, lambda w: 1.0 / w)
     u = 1.0 / (work * work)
     s = np.zeros_like(work)
     for k in reversed(range(_NTERMS)):
         s = s * u + _DG_COEF[k]
-    out = np.log(work) - 0.5 / work - s * u - shift
-    out = out.reshape(np.shape(x)) if not scalar else out
-    return _maybe_scalar(out[0] if scalar else out, scalar)
+    return _shaped(np.log(work) - 0.5 / work - s * u - shift, x, scalar)
 
 
 def polygamma(n: int, x):
@@ -169,18 +171,7 @@ def polygamma(n: int, x):
     if n < 1 or n > 120:
         raise DomainError(f"order n must be in [1, 120], got {n}")
     n = int(n)
-    arr, scalar = _as_positive_array(x, "x")
-    arr = np.atleast_1d(arr.copy())
-
-    threshold = 10.0 + n
-    shift = np.zeros_like(arr)
-    work = arr.copy()
-    for _ in range(10 + n):
-        m = work < threshold
-        if not m.any():
-            break
-        shift[m] += work[m] ** (-(n + 1))
-        work[m] += 1.0
+    work, shift, scalar = _shift_up(x, 10 + n, lambda w: w ** (-(n + 1)))
     # series coefficients B_2k * C(2k+n-1, 2k)
     coef = tuple(_BERN[k] * float(math.comb(2 * (k + 1) + n - 1, 2 * (k + 1)))
                  for k in range(_NTERMS))
@@ -191,9 +182,8 @@ def polygamma(n: int, x):
     fac = float(math.factorial(n - 1))
     bracket = 1.0 + 0.5 * n / work + s * u
     sign = -1.0 if n % 2 == 0 else 1.0
-    out = sign * (fac * work ** (-float(n)) * bracket + n * fac * shift)
-    out = out.reshape(np.shape(x)) if not scalar else out
-    return _maybe_scalar(out[0] if scalar else out, scalar)
+    return _shaped(sign * (fac * work ** (-float(n)) * bracket
+                           + n * fac * shift), x, scalar)
 
 
 def log_beta(a, b):

@@ -314,6 +314,14 @@ class TestCertify:
         assert code == 1
         assert "'q'" in err
 
+    @pytest.mark.parametrize("flag", [("--samples", "5"), ("--seed", "3"),
+                                      ("--id", "INQ1")])
+    def test_flag_of_another_subcommand_rejected(self, capsys, flag):
+        code, _, err = run(capsys, "certify", "--family", "symmetric",
+                           "--params", "a=0.5", "--grid", "1:10:6", *flag)
+        assert code == 1
+        assert flag[0] in err
+
     def test_inconclusive_exits_three(self, capsys, monkeypatch):
         def broken(fam, z, n, opts=None):
             raise ConvergenceError("no convergence", value=math.nan,
@@ -381,6 +389,12 @@ class TestBounds:
         code, _, err = run(capsys, "bounds", "--params", "z=1")
         assert code == 1
 
+    def test_grid_rejected(self, capsys):
+        code, _, err = run(capsys, "bounds", "wallis", "--params", "z=1",
+                           "--grid", "1:2:3")
+        assert code == 1
+        assert "--grid" in err
+
     def test_missing_coordinate(self, capsys):
         code, _, err = run(capsys, "bounds", "sym", "--params", "a=0.5")
         assert code == 1
@@ -409,6 +423,13 @@ class TestCompare:
         assert len(payload["rows"]) == 16
         assert all(r["tightest"] in ("BETA_UB", "BETA_UB_DRAGOMIR")
                    for r in payload["rows"])
+
+    def test_sampling_flags_rejected(self, capsys):
+        code, _, err = run(capsys, "compare", "--id",
+                           "BETA_UB,BETA_UB_DRAGOMIR", "--grid", "0.1:0.9:4",
+                           "--samples", "5", "--seed", "3")
+        assert code == 1
+        assert "--samples" in err
 
     def test_single_id_rejected(self, capsys):
         code, _, err = run(capsys, "compare", "--id", "BETA_UB",

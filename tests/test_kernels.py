@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -140,6 +141,34 @@ class TestKernel:
     def test_kernel_rejects_negative_t(self):
         with pytest.raises(DomainError):
             kernel_value(TwoParam(0.5, 0.7), -1.0)
+
+
+class TestKernelOracle:
+    TS = (1e-8, 1e-6, 1e-4, 1e-2, 0.3, 1.0, 8.0)
+
+    @staticmethod
+    def _mp_kernel(fam, t):
+        # each family's closed-form kernel at 40 digits
+        def ex(v):
+            return mpmath.exp(mpmath.mpf(v) * t)
+
+        p = fam.params_dict()
+        if fam.kind == "two-param":
+            return (1 - 1 / ex(p["a"])) * (1 - 1 / ex(p["b"]))
+        if fam.kind == "symmetric":
+            return ex(p["a"]) + 1 / ex(p["a"]) - 2
+        if fam.kind == "multi-param":
+            return (len(p["a"]) - 1 + ex(mpmath.fsum(p["a"]))
+                    - mpmath.fsum(ex(v) for v in p["a"]))
+        return (mpmath.fsum(ex(v) for v in p["a"])
+                - mpmath.fsum(ex(v) for v in p["b"]))
+
+    @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.kind)
+    def test_kernel_vs_oracle(self, fam):
+        vals = kernel_value(fam, np.array(self.TS))
+        for t, v in zip(self.TS, vals):
+            ref = float(self._mp_kernel(fam, t))
+            assert v == pytest.approx(ref, rel=1e-12, abs=0.0), t
 
 
 class TestDerivativeRoutes:
