@@ -32,6 +32,7 @@ from .inequalities import (
     registry_list,
     sweep,
     tightness_compare,
+    tightness_sweep,
 )
 from .kernels import (
     LogDerivResult,
@@ -97,4 +98,5 @@ __all__ = [
     "registry_list",
     "sweep",
     "tightness_compare",
+    "tightness_sweep",
 ]

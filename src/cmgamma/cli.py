@@ -283,58 +283,60 @@ def _make_parser() -> _Parser:
 
 # -- shared helpers -----------------------------------------------------------
 
-def _case_params_and_point(case, mapping):
-    """Split a name=value mapping into case parameters and an optional
-    explicit point (when every point coordinate is present)."""
-    mapping = dict(mapping or {})
-    flat = []
-    for name in case.param_names:
+def _take(mapping, names, owner) -> list:
+    """Pop names from a name=value mapping, in order, as floats; a name
+    ending in "[]" is an entry list and stays a list.  Nothing else may be
+    left in the mapping."""
+    vals = []
+    for name in names:
         key = name.rstrip("[]")
         if key not in mapping:
             raise UsageError(
-                f"{case.id} needs parameter {key!r} (have: "
+                f"{owner} needs parameter {key!r} (have: "
                 f"{', '.join(sorted(mapping)) or 'none'})")
         val = mapping.pop(key)
-        flat.extend(val if isinstance(val, list) else [val])
-    point = None
-    point_keys = [k for k in mapping if k in case.point_names]
-    if point_keys:
-        missing = [n for n in case.point_names if n not in mapping]
-        if missing:
-            raise UsageError(
-                f"point for {case.id} needs all of "
-                f"{'/'.join(case.point_names)}; missing {missing[0]!r}")
-        point = tuple(float(mapping.pop(n)) for n in case.point_names)
+        if name.endswith("[]"):
+            val = val if isinstance(val, list) else [val]
+        elif isinstance(val, list):
+            raise UsageError(f"{owner}: {key!r} takes one real, not a list")
+        try:
+            vals.append([float(v) for v in val] if isinstance(val, list)
+                        else float(val))
+        except (TypeError, ValueError):
+            raise UsageError(f"{owner}: malformed {key!r}: {val!r}") from None
     if mapping:
         raise UsageError(
-            f"unknown parameter {sorted(mapping)[0]!r} for {case.id}")
-    return tuple(float(v) for v in flat), point
+            f"unknown parameter {sorted(mapping)[0]!r} for {owner}")
+    return vals
+
+
+def _case_params_and_point(case, mapping):
+    """Split a name=value mapping into case parameters and an optional
+    explicit point (when any point coordinate is present)."""
+    mapping = dict(mapping or {})
+    coords = case.point_names if set(case.point_names) & set(mapping) else ()
+    vals = _take(mapping, case.param_names + coords, case.id)
+    params = vals[:len(case.param_names)]
+    flat = sum((v if isinstance(v, list) else [v] for v in params), [])
+    return tuple(flat), tuple(vals[len(params):]) or None
 
 
 def _grid_points(case, params, spec):
-    """Grid for a case: the axis itself for 1-d points, the cartesian
-    square for 2-d points.  1-d points sitting just outside an open
-    boundary are nudged up by 1e-9 when that puts them inside."""
+    """Grid for a case, one point per row: the axis for 1-d points, the
+    cartesian square for 2-d points.  1-d points sitting just outside an
+    open boundary are nudged up by 1e-9 when that puts them inside."""
     axis = spec.build()
     dim = len(case.point_names)
-    if dim == 1:
-        pts = [(float(z),) for z in axis]
-    elif dim == 2:
-        pts = [(float(u), float(v)) for u in axis for v in axis]
-    else:
+    if dim == 2:
+        return np.column_stack((np.repeat(axis, len(axis)),
+                                np.tile(axis, len(axis)))), 0
+    if dim != 1:
         raise UsageError(f"{case.id} needs {dim}-coordinate points")
-    nudged = 0
-    if dim == 1:
-        fixed = []
-        for (z,) in pts:
-            if (case.domain_violation(params, (z,)) is not None
-                    and case.domain_violation(params, (z + _NUDGE,)) is None):
-                fixed.append((z + _NUDGE,))
-                nudged += 1
-            else:
-                fixed.append((z,))
-        pts = fixed
-    return pts, nudged
+    pts = axis[:, None]
+    fix = ~case.domain_mask(params, pts) & case.domain_mask(params,
+                                                            pts + _NUDGE)
+    pts[fix] += _NUDGE
+    return pts, int(fix.sum())
 
 
 def _emit(text: str, out_path):
@@ -388,24 +390,19 @@ def cmd_audit(cfg: RunConfig) -> int:
     nudged = 0
     if explicit_point is not None:
         # single asserted point: out-of-domain is an error, not a skip
-        value = iq.margin(case.id, params, explicit_point)
-        lhs, rhs = case.sides(params, [explicit_point])
-        total = 1
-        records = [iq.SweepRecord(
-            id=case.id, params=params, point=explicit_point,
-            lhs_log=float(lhs[0]), rhs_log=float(rhs[0]), margin=value,
-            holds=bool(value >= -cfg.tol))]
+        violation = case.domain_violation(params, explicit_point)
+        if violation is not None:
+            raise DomainError(f"{case.id}: {violation} (params="
+                              f"{list(params)!r}, point={explicit_point!r})")
+        pts = [explicit_point]
+    elif cfg.grid is not None:
+        pts, nudged = _grid_points(case, params, cfg.grid)
     else:
-        if cfg.grid is not None:
-            pts, nudged = _grid_points(case, params, cfg.grid)
-        else:
-            rng = np.random.default_rng(cfg.seed)
-            pts = [tuple(p) for p in
-                   case.sample_points(rng, params, cfg.samples)]
-        total = len(pts)
-        records = iq.sweep(case.id, params, pts)
+        pts = case.sample_points(np.random.default_rng(cfg.seed), params,
+                                 cfg.samples)
+    records = iq.sweep(case.id, params, pts)
 
-    skipped = total - len(records)
+    skipped = len(pts) - len(records)
     all_hold = all(r.margin >= -cfg.tol for r in records)
     worst = min(records, key=lambda r: r.margin) if records else None
 
@@ -441,21 +438,8 @@ def _family_from_config(cfg: RunConfig):
         raise UsageError("certify needs --family "
                          f"({'|'.join(sorted(_FAMILY_KINDS))})")
     ctor, names = _FAMILY_KINDS[cfg.family]
-    mapping = dict(cfg.params or {})
-    args = []
-    for name in names:
-        key = name.rstrip("[]")
-        if key not in mapping:
-            raise UsageError(f"family {cfg.family!r} needs parameter "
-                             f"{key!r} in --params")
-        val = mapping.pop(key)
-        if name.endswith("[]") and not isinstance(val, list):
-            val = [val]
-        args.append(val)
-    if mapping:
-        raise UsageError(f"unknown parameter {sorted(mapping)[0]!r} for "
-                         f"family {cfg.family!r}")
-    return ctor(*args)
+    return ctor(*_take(dict(cfg.params or {}), names,
+                       f"family {cfg.family!r}"))
 
 
 def cmd_certify(cfg: RunConfig) -> int:
@@ -497,16 +481,8 @@ def cmd_bounds(cfg: RunConfig) -> int:
     if cfg.fmt == "csv":
         raise UsageError("bounds prints text or JSON; use --format json")
     coord_names, primary_ids, reference_ids = _BOUNDS_TARGETS[cfg.target]
-    mapping = dict(cfg.params or {})
-    missing = [n for n in coord_names if n not in mapping]
-    if missing:
-        raise UsageError(f"bounds {cfg.target} needs "
-                         f"{'/'.join(coord_names)} in --params")
-    extra = [k for k in mapping if k not in coord_names]
-    if extra:
-        raise UsageError(f"unknown parameter {extra[0]!r} for bounds "
-                         f"{cfg.target}")
-    coords = {n: float(mapping[n]) for n in coord_names}
+    coords = dict(zip(coord_names, _take(dict(cfg.params or {}),
+                                         coord_names, f"bounds {cfg.target}")))
 
     rows = []
     true_value = None
@@ -560,34 +536,20 @@ def cmd_compare(cfg: RunConfig) -> int:
     if len(cfg.ids) < 2:
         raise UsageError("compare needs --id with two or more "
                          "comma-separated ids")
-    cases = [iq.get_case(i) for i in cfg.ids]
-    head = cases[0]
+    head = iq.get_case(cfg.ids[0])
     params, explicit_point = _case_params_and_point(head, cfg.params)
 
     if explicit_point is not None:
-        pts = [explicit_point]
-        nudged = 0
+        # single asserted point: out-of-domain is an error, not a skip
+        pts, nudged = [explicit_point], 0
+        results = [iq.tightness_compare(cfg.ids, params, explicit_point)]
     elif cfg.grid is not None:
         pts, nudged = _grid_points(head, params, cfg.grid)
+        results = iq.tightness_sweep(cfg.ids, params, pts)
     else:
         raise UsageError("compare needs --grid or explicit point "
                          "coordinates in --params")
-
-    results = []
-    skipped = 0
-    for pt in sorted(pts):
-        if any(c.domain_violation(params, pt) is not None for c in cases):
-            skipped += 1
-            continue
-        results.append(iq.tightness_compare(cfg.ids, params, pt))
-    if not results and pts:
-        # surface the reason instead of an empty report
-        first_bad = next(
-            (f"{c.id}: {c.domain_violation(params, pts[0])}"
-             for c in cases
-             if c.domain_violation(params, pts[0]) is not None), None)
-        if skipped == len(pts) and explicit_point is not None:
-            raise DomainError(f"{first_bad} (point={pts[0]!r})")
+    skipped = len(pts) - len(results)
 
     fmt = cfg.fmt or "csv"
     if fmt == "csv":

@@ -16,8 +16,9 @@ reference bounds registered for tightness comparison and are only
 meaningful on their own stated domains.
 
 Drivers: :func:`margin` (one point), :func:`sweep` (a point grid, with
-out-of-domain points skipped), and :func:`tightness_compare` (rank the
-right-hand sides of bounds sharing one left-hand expression).
+out-of-domain points skipped), and :func:`tightness_compare` /
+:func:`tightness_sweep` (rank the right-hand sides of bounds sharing one
+left-hand expression at one point / over a grid).
 
 Parameters are passed as a flat sequence of reals.  Cases whose
 parameters are entry lists (``MULTI_GE1``, ``MAJOR_GE1``) read the flat
@@ -47,6 +48,7 @@ __all__ = [
     "get_case",
     "margin",
     "sweep",
+    "tightness_sweep",
     "tightness_compare",
 ]
 
@@ -834,6 +836,28 @@ def margin(case_id: str, params, point) -> float:
     return float(case.margin_values(params, [point])[0])
 
 
+def _domain_points(cases, params, grid) -> np.ndarray:
+    """The points of a grid (one per row; flat for one coordinate) that
+    lie in every case's domain, sorted by point."""
+    names = cases[0].point_names
+    try:
+        arr = np.asarray(grid, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is not None and arr.ndim == 1 and (len(names) == 1 or not arr.size):
+        arr = arr.reshape(-1, len(names))
+    if arr is None or arr.ndim != 2 or arr.shape[1] != len(names):
+        raise UsageError(f"{cases[0].id} points have {len(names)} "
+                         f"coordinate(s) {'/'.join(names)}, one point per row")
+    if not len(arr):
+        return arr
+    mask = np.ones(len(arr), dtype=bool)
+    for case in cases:
+        mask &= case.domain_mask(params, arr)
+    kept = arr[mask]
+    return kept[np.lexsort(kept.T[::-1])]
+
+
 def sweep(case_id: str, params, grid) -> list:
     """Evaluate one case over a grid of points.
 
@@ -841,40 +865,27 @@ def sweep(case_id: str, params, grid) -> list:
     ``len(grid) - len(records)``.  Records are sorted by point.
     """
     case = get_case(case_id)
-    pts = []
-    for g in grid:
-        tup = (float(g),) if np.ndim(g) == 0 else tuple(float(v) for v in g)
-        if len(tup) != len(case.point_names):
-            raise UsageError(
-                f"{case.id} points have {len(case.point_names)} "
-                f"coordinate(s) {'/'.join(case.point_names)}, got {tup!r}")
-        pts.append(tup)
     flat_params = tuple(float(v) for v in params)
-    if not pts:
+    kept = _domain_points([case], flat_params, grid)
+    if not len(kept):
         return []
-    arr = np.asarray(pts, dtype=float)
-    mask = case.domain_mask(flat_params, arr)
-    kept = sorted(tuple(p) for p in arr[mask])
-    if not kept:
-        return []
-    lhs, rhs = case.sides(flat_params, np.asarray(kept))
+    lhs, rhs = case.sides(flat_params, kept)
     margins = lhs - rhs if case.direction == "ge" else rhs - lhs
     return [
-        SweepRecord(id=case.id, params=flat_params,
-                    point=tuple(float(v) for v in p),
+        SweepRecord(id=case.id, params=flat_params, point=tuple(p),
                     lhs_log=float(lh), rhs_log=float(rh), margin=float(m),
                     holds=bool(m >= -HOLDS_TOL))
-        for p, lh, rh, m in zip(kept, lhs, rhs, margins)
+        for p, lh, rh, m in zip(kept.tolist(), lhs, rhs, margins)
     ]
 
 
-def tightness_compare(ids, params, point) -> TightnessResult:
-    """Rank bounds that share one LHS expression at a single point.
+def tightness_sweep(ids, params, grid) -> list:
+    """Rank bounds that share one LHS expression at every point of a grid.
 
-    All ids must agree on ``lhs_key``, direction, and parameter layout,
-    and the point must lie in every case's domain.  For >= claims the
-    largest RHS is the tightest lower bound; for <= claims the smallest
-    RHS is the tightest upper bound.
+    All ids must agree on ``lhs_key``, direction, and parameter layout.
+    As in :func:`sweep`, points outside any case's domain are skipped and
+    results are sorted by point.  The tightest bound comes first: the
+    largest RHS of >= claims, the smallest of <= claims.
     """
     ids = list(ids)
     if len(ids) < 2:
@@ -893,24 +904,35 @@ def tightness_compare(ids, params, point) -> TightnessResult:
             raise UsageError(
                 f"{case.id} and {head.id} take different parameters")
     flat_params = tuple(float(v) for v in params)
-    for case in cases:
-        violation = case.domain_violation(flat_params, point)
-        if violation is not None:
-            raise DomainError(
-                f"{case.id}: {violation} (params={list(flat_params)!r}, "
-                f"point={point!r})")
-    entries = []
-    lhs_log = None
-    for case in cases:
-        lhs, rhs = case.sides(flat_params, [point])
-        lhs_log = float(lhs[0])
-        with np.errstate(over="ignore"):
-            entries.append((case.id, float(rhs[0]),
-                            float(np.exp(rhs[0]))))
+    kept = _domain_points(cases, flat_params, grid)
+    if not len(kept):
+        return []
+    sides = [case.sides(flat_params, kept) for case in cases]
+    lhs = sides[-1][0]  # one expression; the last case's value is reported
+    rhs_logs = np.array([rhs for _, rhs in sides])
+    with np.errstate(over="ignore"):
+        rhs_vals = np.exp(rhs_logs)
     reverse = head.direction == "ge"
-    entries.sort(key=lambda e: e[1], reverse=reverse)
-    tup = (float(point),) if np.ndim(point) == 0 else tuple(
-        float(v) for v in point)
-    return TightnessResult(lhs_key=head.lhs_key, direction=head.direction,
-                           params=flat_params, point=tup, lhs_log=lhs_log,
-                           entries=tuple(entries))
+    return [
+        TightnessResult(
+            lhs_key=head.lhs_key, direction=head.direction,
+            params=flat_params, point=tuple(p), lhs_log=lh,
+            entries=tuple(sorted(zip(ids, rl, rv), key=lambda e: e[1],
+                                 reverse=reverse)))
+        for p, lh, rl, rv in zip(kept.tolist(), lhs.tolist(),
+                                 rhs_logs.T.tolist(), rhs_vals.T.tolist())
+    ]
+
+
+def tightness_compare(ids, params, point) -> TightnessResult:
+    """:func:`tightness_sweep` at a single point, which must lie in every
+    case's domain."""
+    ranked = tightness_sweep(ids, params, [point])
+    if not ranked:
+        for case in map(get_case, ids):
+            violation = case.domain_violation(params, point)
+            if violation is not None:
+                raise DomainError(
+                    f"{case.id}: {violation} (params="
+                    f"{list(map(float, params))!r}, point={point!r})")
+    return ranked[0]

@@ -100,13 +100,16 @@ class RatioFamily:
     """A gamma ratio: its kind, the user's parameters and its table.
 
     ``rows`` holds one (integer coefficient, offsets) pair per gamma
-    factor and ``ref`` the offsets of the reference exponent r.
+    factor and ``ref`` the offsets of the reference exponent r.  Where an
+    argument offset is a rounded sum, ``exact`` gives every row's offsets
+    again with the summands, so that the kernel exponents stay exact.
     """
 
     kind: str
     params: tuple
     rows: tuple
     ref: tuple = ()
+    exact: tuple = ()
 
     def __repr__(self):
         args = ", ".join(f"{name}={v!r}" for name, v in self.params)
@@ -130,17 +133,17 @@ class RatioFamily:
     def _exact_terms(self):
         """(den, [(X_j, c_j), ...]): the kernel exponent d_j - r of row j is
         exactly X_j / den, with den a power of two."""
-        groups = [self.ref] + [offsets for _, offsets in self.rows]
-        den = max((o.as_integer_ratio()[1] for g in groups for o in g),
-                  default=1)
+        groups = self.exact or tuple(offsets for _, offsets in self.rows)
+        den = max((o.as_integer_ratio()[1]
+                   for g in (self.ref,) + groups for o in g), default=1)
 
         def scaled(offsets):  # -(o_1 + o_2 + ...) * den, exactly
             return -sum(n * (den // d)
                         for n, d in (o.as_integer_ratio() for o in offsets))
 
         r = scaled(self.ref)
-        return den, [(scaled(offsets) - r, int(coef))
-                     for coef, offsets in self.rows]
+        return den, [(scaled(g) - r, int(coef))
+                     for (coef, _), g in zip(self.rows, groups)]
 
     def exponents(self):
         """(numerator, denominator) kernel exponents, each repeated by its
@@ -217,8 +220,13 @@ def MultiParam(a) -> RatioFamily:
     abar = float(sum(a))
     rows = [(float(len(a) - 1), (1.0,)), (1.0, (-abar, 1.0))]
     rows.extend((-1.0, (-ai, 1.0)) for ai in a)
+    # the G(z-A+1) argument uses the rounded A, its kernel exponent the
+    # exact sum of the entries
+    exact = (rows[0][1], tuple(-ai for ai in a) + (1.0,))
+    exact += tuple(offsets for _, offsets in rows[2:])
     # r = -1 gives K(t) = (k-1) + e^(At) - sum e^(a_i t)
-    return RatioFamily("multi-param", (("a", a),), tuple(rows), ref=(1.0,))
+    return RatioFamily("multi-param", (("a", a),), tuple(rows), ref=(1.0,),
+                       exact=exact)
 
 
 def Majorized(a, b) -> RatioFamily:

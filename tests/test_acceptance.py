@@ -83,7 +83,7 @@ def test_04_fixture_families_certified():
         fam_ok = (log_report.verdict == "certified" and routes_agree
                   and fd_verdicts == {"certified"})
         ok = ok and fam_ok
-        detail.append(f"{type(fam).__name__}:"
+        detail.append(f"{fam.kind}:"
                       f"{'ok' if fam_ok else 'FAIL'}")
     _report(4, ok, "four fixture families certified at n_max=8 on "
                    "30-point grids, dual routes agreeing, difference "

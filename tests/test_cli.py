@@ -276,6 +276,16 @@ class TestConfigFile:
         assert code == 1
 
 
+    @pytest.mark.parametrize("params", [{"a": "x", "b": 1},
+                                        {"a": [1, 2], "b": 1},
+                                        {"a": 1, "b": 1, "z": None}])
+    def test_config_param_not_real(self, capsys, tmp_path, params):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"id": "INQ1", "params": params}))
+        code, _, err = run(capsys, "audit", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
 class TestCertify:
     def test_trivial_family_certified(self, capsys, tmp_path):
         f = tmp_path / "r.json"
@@ -442,3 +452,52 @@ class TestCompare:
                            "a=0.5,z=2")
         assert code == 1
         assert "different expressions" in err
+
+
+class TestPointSetChecks:
+    """Parameters and ids are checked before any point is evaluated, and a
+    list given where one real is expected is a usage error."""
+
+    def test_compare_inadmissible_params(self, capsys):
+        argv = ("--params", "a=-1,b=0.5", "--grid", "0.1:1:5")
+        code, _, err = run(capsys, "compare", "--id", "INQ56,INQ57_LB", *argv)
+        assert code == 1
+        assert "requires a > 0 and b > 0" in err
+        assert run(capsys, "audit", "--id", "INQ56", *argv)[0] == 1
+
+    @pytest.mark.parametrize("grid", ["0.5:1.7:3", "0.5:3:3"])
+    def test_compare_incompatible_ids_on_grid(self, capsys, grid):
+        # on 0.5:1.7:3 no point lies in the INQ58 domain
+        code, _, err = run(capsys, "compare", "--id", "INQ58,SYM_GE1",
+                           "--params", "a=0.9", "--grid", grid)
+        assert code == 1
+        assert "different expressions" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "wallis", "--params", "z=1;2"),
+        ("audit", "--id", "INQ1", "--params", "a=1,b=1,z=2;3"),
+        ("certify", "--family", "two-param", "--params", "a=1;2,b=1",
+         "--grid", "2:3:2"),
+    ], ids=["bounds", "audit", "certify"])
+    def test_list_for_one_real(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "not a list" in err
+
+    def test_compare_grid_matches_explicit_points(self, capsys, tmp_path):
+        ids = "INQ58,INQ58_BASE_RATIO,INQ58_BASE_SHIFT"
+        f = tmp_path / "g.json"
+        code, _, _ = run(capsys, "compare", "--id", ids, "--params", "a=1",
+                         "--grid", "1:8:8", "--format", "json",
+                         "--out", str(f))
+        assert code == 0
+        payload = json.loads(f.read_text())
+        assert payload["summary"] == {"points": 7, "skipped": 1, "nudged": 1}
+        for row in payload["rows"]:
+            g = tmp_path / "p.json"
+            z = row["point"][0]
+            assert run(capsys, "compare", "--id", ids, "--params",
+                       f"a=1,z={z!r}", "--format", "json",
+                       "--out", str(g))[0] == 0
+            assert json.loads(g.read_text())["rows"] == [row]

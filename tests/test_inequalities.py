@@ -201,6 +201,23 @@ class TestSweep:
         assert list(rec.to_dict()) == ["id", "params", "point", "lhs_log",
                                        "rhs_log", "margin", "holds"]
 
+    @pytest.mark.parametrize("case_id, grid", [
+        ("BETA_UB", [1.0, 2.0]),
+        ("BETA_UB", [(1.0, 2.0, 3.0)]),
+        ("INQ1", [(1.0, 2.0)]),
+        ("INQ1", [(2.0,), (3.0, 4.0)]),
+    ])
+    def test_wrong_coordinate_count(self, case_id, grid):
+        params = (1.0, 1.0) if case_id == "INQ1" else ()
+        with pytest.raises(UsageError, match="coordinate"):
+            iq.sweep(case_id, params, grid)
+
+    def test_grid_shapes_accepted(self):
+        flat = iq.sweep("INQ1", (1.0, 1.0), [3.0, 2.0])
+        rows = iq.sweep("INQ1", (1.0, 1.0), np.array([[3.0], [2.0]]))
+        assert flat == rows and [r.point for r in flat] == [(2.0,), (3.0,)]
+        assert iq.sweep("BETA_UB", (), []) == []
+
     def test_bad_params_fail_loud(self):
         with pytest.raises(DomainError):
             iq.sweep("INQ1", (-1.0, 1.0), [(3.0,)])
@@ -253,6 +270,32 @@ class TestTightness:
         d = res.to_dict()
         assert d["tightest"] == res.tightest_id
         assert len(d["entries"]) == 2
+
+
+    def test_sweep_matches_compare(self):
+        ids = ("INQ58", "INQ58_BASE_RATIO", "INQ58_BASE_SHIFT")
+        grid = [(6.0,), (1.5,), (3.0,), (2.5,)]
+        results = iq.tightness_sweep(ids, (1.0,), grid)
+        assert [r.point for r in results] == [(2.5,), (3.0,), (6.0,)]
+        for res in results:
+            assert res == iq.tightness_compare(ids, (1.0,), res.point)
+
+    def test_sweep_two_coordinate_order(self):
+        grid = np.array([[0.5, 0.2], [0.2, 0.9], [0.2, 0.5], [2.0, 2.0]])
+        results = iq.tightness_sweep(("BETA_UB", "BETA_UB_DRAGOMIR"), (),
+                                     grid)
+        assert [r.point for r in results] == [(0.2, 0.5), (0.2, 0.9),
+                                              (0.5, 0.2)]
+
+    def test_sweep_checks_ids_before_points(self):
+        with pytest.raises(UsageError, match="different expressions"):
+            iq.tightness_sweep(("INQ58", "SYM_GE1"), (0.9,), [(0.5,)])
+        with pytest.raises(UsageError):
+            iq.tightness_sweep(("INQ58", "SYM_GE1"), (0.9,), [])
+
+    def test_sweep_inadmissible_params(self):
+        with pytest.raises(DomainError, match="requires a > 0 and b > 0"):
+            iq.tightness_sweep(("INQ56", "INQ57_LB"), (-1.0, 0.5), [(0.5,)])
 
 
 class TestSamplers:

@@ -171,6 +171,17 @@ class TestKernelOracle:
             assert v == pytest.approx(ref, rel=1e-12, abs=0.0), t
 
 
+    @pytest.mark.parametrize("t", [1e-8, 1e-6, 1e-4, 1e-2, 1.0])
+    def test_multi_param_inexact_sum(self, t):
+        # A = sum(a) is not a double here; the kernel uses the exact sum
+        a = (0.3, 0.05, 0.9, 0.41)
+        with mpmath.workdps(60):
+            ex = [mpmath.exp(mpmath.mpf(v) * t) for v in a]
+            big = mpmath.exp(mpmath.fsum(mpmath.mpf(v) for v in a) * t)
+            ref = float(len(a) - 1 + big - mpmath.fsum(ex))
+        assert kernel_value(MultiParam(a), t) == pytest.approx(
+            ref, rel=1e-12, abs=0.0)
+
 class TestDerivativeRoutes:
     def test_two_param_11_closed_forms(self):
         # f(z) = z/(z-1): (-1)^n (ln f)^(n) = (n-1)! ((z-1)^-n - z^-n)
