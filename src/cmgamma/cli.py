@@ -22,6 +22,7 @@ variable, then 42.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -49,16 +50,16 @@ _FAMILY_KINDS = {
     "symmetric": (Symmetric, ("a",)),
 }
 
-# bounds targets: point coordinate names, primary ids, reference ids
+# bounds targets: primary ids, reference ids; the coordinates are the
+# first primary case's parameters and point
 _BOUNDS_TARGETS = {
-    "wallis": (("z",), ("WALLIS_LB", "WALLIS_UB"), ()),
-    "wallis-shift": (("z",), ("WALLIS_SHIFT_LB", "WALLIS_SHIFT_UB"), ()),
-    "sym": (("a", "z"), ("SYM_SANDWICH_LB", "SYM_SANDWICH_UB"), ()),
-    "half": (("z",), ("HALF_SANDWICH_LB", "HALF_SANDWICH_UB"), ()),
-    "beta": (("a", "b"), ("BETA_UB",), ("BETA_UB_DRAGOMIR",)),
-    "dup": (("a",), ("DUP_SANDWICH_LB", "DUP_SANDWICH_UB"), ()),
-    "inq58": (("a", "z"), ("INQ58",),
-              ("INQ58_BASE_RATIO", "INQ58_BASE_SHIFT")),
+    "wallis": (("WALLIS_LB", "WALLIS_UB"), ()),
+    "wallis-shift": (("WALLIS_SHIFT_LB", "WALLIS_SHIFT_UB"), ()),
+    "sym": (("SYM_SANDWICH_LB", "SYM_SANDWICH_UB"), ()),
+    "half": (("HALF_SANDWICH_LB", "HALF_SANDWICH_UB"), ()),
+    "beta": (("BETA_UB",), ("BETA_UB_DRAGOMIR",)),
+    "dup": (("DUP_SANDWICH_LB", "DUP_SANDWICH_UB"), ()),
+    "inq58": (("INQ58",), ("INQ58_BASE_RATIO", "INQ58_BASE_SHIFT")),
 }
 
 
@@ -230,7 +231,10 @@ def _build_config(args) -> RunConfig:
     )
 
 
+@functools.cache
 def _make_parser() -> _Parser:
+    # built once per process: parse_args returns a fresh namespace and no
+    # action keeps state between calls
     parser = _Parser(prog="cmgamma",
                      description="gamma-ratio monotonicity and inequality "
                                  "audit toolkit")
@@ -339,6 +343,20 @@ def _grid_points(case, params, spec):
     return pts, int(fix.sum())
 
 
+def _check_kept(results, cases, params, pts):
+    """An empty report would read as a pass: when no point was kept, fail
+    naming the rule that the first point breaks."""
+    if results:
+        return
+    point = tuple(np.asarray(pts[0], dtype=float).tolist())
+    for case in cases:
+        violation = case.domain_violation(params, point)
+        if violation is not None:
+            raise DomainError(
+                f"{case.id}: no point lies in the domain; the first point "
+                f"{point!r} fails: {violation} (params={list(params)!r})")
+
+
 def _emit(text: str, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -401,6 +419,7 @@ def cmd_audit(cfg: RunConfig) -> int:
         pts = case.sample_points(np.random.default_rng(cfg.seed), params,
                                  cfg.samples)
     records = iq.sweep(case.id, params, pts)
+    _check_kept(records, [case], params, pts)
 
     skipped = len(pts) - len(records)
     all_hold = all(r.margin >= -cfg.tol for r in records)
@@ -480,7 +499,9 @@ def cmd_bounds(cfg: RunConfig) -> int:
             + (f", got {cfg.target!r}" if cfg.target else ""))
     if cfg.fmt == "csv":
         raise UsageError("bounds prints text or JSON; use --format json")
-    coord_names, primary_ids, reference_ids = _BOUNDS_TARGETS[cfg.target]
+    primary_ids, reference_ids = _BOUNDS_TARGETS[cfg.target]
+    head = iq.get_case(primary_ids[0])
+    coord_names = head.param_names + head.point_names
     coords = dict(zip(coord_names, _take(dict(cfg.params or {}),
                                          coord_names, f"bounds {cfg.target}")))
 
@@ -546,6 +567,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     elif cfg.grid is not None:
         pts, nudged = _grid_points(head, params, cfg.grid)
         results = iq.tightness_sweep(cfg.ids, params, pts)
+        _check_kept(results, map(iq.get_case, cfg.ids), params, pts)
     else:
         raise UsageError("compare needs --grid or explicit point "
                          "coordinates in --params")

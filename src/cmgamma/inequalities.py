@@ -15,6 +15,15 @@ Cases carry ``kind="claim"`` or ``kind="baseline"``: baselines are known
 reference bounds registered for tightness comparison and are only
 meaningful on their own stated domains.
 
+The registry is data.  The LHS table maps each ``lhs_key`` to its
+parameter names, point names and ln LHS, each written once; a case is one
+row of id, ``lhs_key``, direction, parameter check, domain rules, ln RHS
+and plain-text statement.  A domain rule is a row (text, coordinate
+index, comparison, bound), and one field of them yields the domain mask,
+the first violated constraint and, unless the case brings its own
+sampler, the random points: each coordinate in turn is drawn a
+log-uniform offset above its largest lower bound.
+
 Drivers: :func:`margin` (one point), :func:`sweep` (a point grid, with
 out-of-domain points skipped), and :func:`tightness_compare` /
 :func:`tightness_sweep` (rank the right-hand sides of bounds sharing one
@@ -28,7 +37,9 @@ have equal length, so the flat vector splits evenly in half.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -58,6 +69,25 @@ _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
 _LN2PI = math.log(2.0 * math.pi)
 
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+def _bound(rule, split, cols):
+    bound = rule[3]
+    return bound(split, cols) if callable(bound) else bound
+
+
+def _holds(rule, split, cols) -> np.ndarray:
+    """Mask of the points whose coordinate satisfies one domain rule."""
+    _, j, op, _ = rule
+    return np.asarray(_COMPARE[op](cols[j], _bound(rule, split, cols)),
+                      dtype=bool)
+
+
+def _spread(rng, n):
+    # log-uniform offsets: dense near a boundary, sparse far from it
+    return 10.0 ** rng.uniform(-3.0, 2.0, size=n)
+
 
 @dataclass(frozen=True)
 class InequalityCase:
@@ -65,26 +95,38 @@ class InequalityCase:
 
     ``direction`` is the claim as written ("ge": LHS >= RHS, "le":
     LHS <= RHS); the margin is oriented so nonnegative always means the
-    claim holds.  ``lhs_key`` labels the left-hand expression; cases
-    sharing a key (and direction, and parameter layout) can be ranked by
-    :func:`tightness_compare`.  ``source`` states the inequality in plain
-    text.
+    claim holds.  ``lhs_key`` names the left-hand expression, which also
+    fixes the parameter and point names; cases sharing a key (and
+    direction) can be ranked by :func:`tightness_compare`.  ``source``
+    states the inequality in plain text.
     """
 
     id: str
-    kind: str
-    direction: str
-    param_kinds: tuple
-    param_names: tuple
-    point_names: tuple
     lhs_key: str
-    source: str
+    direction: str
     _check_params: object = field(repr=False)
     _point_rules: tuple = field(repr=False)
-    _sides_fn: object = field(repr=False)
-    _sampler_fn: object = field(repr=False)
+    _rhs_fn: object = field(repr=False)
+    source: str
+    _sampler_fn: object = field(default=None, repr=False)
+    kind: str = "claim"
 
     # -- parameter plumbing ------------------------------------------------
+
+    @property
+    def param_names(self) -> tuple:
+        return _LHS[self.lhs_key][0]
+
+    @property
+    def point_names(self) -> tuple:
+        return _LHS[self.lhs_key][1]
+
+    @property
+    def param_kinds(self) -> tuple:
+        """Per parameter, "v" for an entry list (a name ending in "[]")
+        and "s" for a scalar."""
+        return tuple("v" if name.endswith("[]") else "s"
+                     for name in self.param_names)
 
     def split_params(self, params) -> tuple:
         """Flat parameter sequence -> per-name values (lists kept whole)."""
@@ -141,8 +183,8 @@ class InequalityCase:
         for col in cols:
             mask &= np.isfinite(col)
         with np.errstate(all="ignore"):
-            for _, rule in self._point_rules:
-                mask &= np.asarray(rule(split, cols), dtype=bool)
+            for rule in self._point_rules:
+                mask &= _holds(rule, split, cols)
         return mask
 
     def domain_violation(self, params, point):
@@ -156,9 +198,9 @@ class InequalityCase:
         if not all(math.isfinite(c[0]) for c in cols):
             return "point coordinates must be finite"
         with np.errstate(all="ignore"):
-            for text, rule in self._point_rules:
-                if not bool(np.asarray(rule(split, cols), dtype=bool)[0]):
-                    return f"requires {text}"
+            for rule in self._point_rules:
+                if not _holds(rule, split, cols)[0]:
+                    return f"requires {rule[0]}"
         return None
 
     # -- evaluation ---------------------------------------------------------
@@ -167,7 +209,8 @@ class InequalityCase:
         """(lhs_log, rhs_log) arrays at in-domain points (not re-checked)."""
         split = self.split_params(params)
         cols = self._columns(pts)
-        lhs, rhs = self._sides_fn(split, cols)
+        lhs = _LHS[self.lhs_key][2](split, cols)
+        rhs = self._rhs_fn(split, cols)
         return np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
 
     def margin_values(self, params, pts) -> np.ndarray:
@@ -182,8 +225,30 @@ class InequalityCase:
             raise DomainError(f"{self.id}: {reason}")
         if n < 1:
             raise UsageError(f"sample count must be >= 1, got {n!r}")
-        pts = self._sampler_fn(rng, split, int(n))
+        pts = (self._sampler_fn or self._draw_above)(rng, split, int(n))
         return np.asarray(pts, dtype=float).reshape(n, len(self.point_names))
+
+    def _draw_above(self, rng, split, n):
+        # each coordinate in turn: its largest lower bound plus a spread
+        # offset; "<=" rules are not drawn from, so a case with an upper
+        # bound brings its own sampler
+        cols = []
+        for j, name in enumerate(self.point_names):
+            lower = [rule for rule in self._point_rules
+                     if rule[1] == j and rule[2] != "<="]
+            lo = functools.reduce(
+                np.maximum, [_bound(rule, split, cols) for rule in lower])
+            step = np.nextafter(lo, np.inf)
+            if not np.all(np.isfinite(step)):
+                raise DomainError(
+                    f"{self.id}: no finite {name} lies above its lower bound")
+            col = lo + _spread(rng, n)
+            # past a large bound the offset can round away, leaving the
+            # point on a strict bound: step just past it
+            ok = np.logical_and.reduce([_holds(rule, split, cols + [col])
+                                        for rule in lower])
+            cols.append(np.where(ok, col, step))
+        return np.column_stack(cols)
 
 
 @dataclass(frozen=True)
@@ -228,7 +293,8 @@ class TightnessResult:
                             for i, rl, r in self.entries]}
 
 
-# -- parameter validation helpers -------------------------------------------
+
+# -- parameter checks ---------------------------------------------------------
 
 def _finite(*vals) -> bool:
     return all(math.isfinite(v) for v in vals)
@@ -272,28 +338,31 @@ def _major_check(split):
     return None
 
 
-# -- point samplers ----------------------------------------------------------
-
-def _spread(rng, n, lo=-3.0, hi=2.0):
-    # log-uniform offsets: dense near a boundary, sparse far from it
-    return 10.0 ** rng.uniform(lo, hi, size=n)
-
-
-def _z_above(bound_fn):
-    def sampler(rng, s, n):
-        return (bound_fn(s) + _spread(rng, n))[:, None]
-    return sampler
+_NO_PARAMS = _scalars()
+_A_NONNEG = _scalars(("a >= 0", lambda a: a >= 0))
+_A_POS = _scalars(("a > 0", lambda a: a > 0))
+_A_UNIT = _scalars(("0 <= a < 1", lambda a: 0 <= a < 1))
+_A_UNIT_OPEN = _scalars(("0 < a < 1", lambda a: 0 < a < 1))
+_AB_POS = _scalars(("a > 0 and b > 0", lambda a, b: a > 0 and b > 0))
 
 
-def _pair_above(bound_fn, diag_frac=0.0):
-    def sampler(rng, s, n):
-        x = bound_fn(s) + _spread(rng, n)
-        gap = _spread(rng, n)
-        if diag_frac > 0.0:
-            gap[rng.random(n) < diag_frac] = 0.0
-        return np.column_stack([x, x + gap])
-    return sampler
+# -- shared domain rules: (text, coordinate index, comparison, bound) ---------
 
+def _in_unit(text, j):
+    # 0 < coordinate <= 1, as two rows with one text
+    return ((text, j, ">", 0.0), (text, j, "<=", 1.0))
+
+
+_Z_NONNEG = (("z >= 0", 0, ">=", 0.0),)
+_Z_POS = (("z > 0", 0, ">", 0.0),)
+_Z_ABOVE_HALF = (("z > 1/2", 0, ">", 0.5),)
+_Z_ABOVE_A = (("z > a", 0, ">", lambda s, c: s[0]),)
+_Z_ABOVE_AB = (("z >= a+b", 0, ">=", lambda s, c: s[0] + s[1]),)
+_Z_ABOVE_2A = (("z > 2a", 0, ">", lambda s, c: 2.0 * s[0]),)
+_AB_POS_POINT = (("a > 0", 0, ">", 0.0), ("b > 0", 1, ">", 0.0))
+
+
+# -- explicit samplers, for domains not drawn above their lower bounds --------
 
 def _boxed(lo, hi, dim):
     def sampler(rng, s, n):
@@ -301,499 +370,17 @@ def _boxed(lo, hi, dim):
     return sampler
 
 
-# -- shared side expressions --------------------------------------------------
-
-def _zeros(c):
-    return np.zeros_like(c[0])
-
-
-def _binom_core_lhs(a, b, z):
-    # ln of Gamma(z-a-b+1) / (Gamma(z-a+1) Gamma(z-b+1))
-    return _lg(z - a - b + 1.0) - _lg(z - a + 1.0) - _lg(z - b + 1.0)
+_MEAN_BOX = _boxed(-2.0, 1.5, 2)
+_BETA_BOX = _boxed(-2.0, 1.0, 2)
+_UNIT_BOX = _boxed(-3.0, 0.0, 1)
 
 
-def _gamma_square_lhs(a, z):
-    # ln of Gamma(z) Gamma(z-2a) / Gamma(z-a)^2
-    return _lg(z) + _lg(z - 2.0 * a) - 2.0 * _lg(z - a)
-
-
-def _build_registry():
-    cases = []
-
-    def add(**kw):
-        cases.append(InequalityCase(**kw))
-
-    # ---- ratio families are >= 1 on their domains --------------------------
-
-    add(id="INQ1", kind="claim", direction="ge",
-        param_kinds=("s", "s"), param_names=("a", "b"), point_names=("z",),
-        lhs_key="two-param-ratio",
-        source="Gamma(z+1)Gamma(z-a-b+1) / (Gamma(z-a+1)Gamma(z-b+1)) >= 1 "
-               "for z > a+b-1, a,b >= 0",
-        _check_params=_scalars(("a >= 0 and b >= 0",
-                                lambda a, b: a >= 0 and b >= 0)),
-        _point_rules=(("z > a+b-1",
-                       lambda s, c: c[0] > s[0] + s[1] - 1.0),),
-        _sides_fn=lambda s, c: (log_f(TwoParam(s[0], s[1]), c[0]), _zeros(c)),
-        _sampler_fn=_z_above(lambda s: s[0] + s[1] - 1.0))
-
-    add(id="MULTI_GE1", kind="claim", direction="ge",
-        param_kinds=("v",), param_names=("a[]",), point_names=("z",),
-        lhs_key="multi-ratio",
-        source="Gamma(z+1)^(k-1) Gamma(z-abar+1) / prod Gamma(z-a_i+1) >= 1 "
-               "for z > abar-1, entries a_i >= 0, abar = sum a_i",
-        _check_params=_entry_list_check,
-        _point_rules=(("z > abar-1",
-                       lambda s, c: c[0] > math.fsum(s[0]) - 1.0),),
-        _sides_fn=lambda s, c: (log_f(MultiParam(s[0]), c[0]), _zeros(c)),
-        _sampler_fn=_z_above(lambda s: math.fsum(s[0]) - 1.0))
-
-    add(id="MAJOR_GE1", kind="claim", direction="ge",
-        param_kinds=("v", "v"), param_names=("a[]", "b[]"),
-        point_names=("z",), lhs_key="major-ratio",
-        source="prod Gamma(z-a_i) / prod Gamma(z-b_i) >= 1 for "
-               "z > max(entries), when the decreasing-order partial sums "
-               "of b never exceed those of a and the totals are equal",
-        _check_params=_major_check,
-        _point_rules=(("z > max(a, b)",
-                       lambda s, c: c[0] > max(max(s[0]), max(s[1]))),),
-        _sides_fn=lambda s, c: (log_f(Majorized(s[0], s[1]), c[0]),
-                                _zeros(c)),
-        _sampler_fn=_z_above(lambda s: max(max(s[0]), max(s[1]))))
-
-    # ---- two-variable mean comparisons -------------------------------------
-
-    add(id="MEAN2", kind="claim", direction="ge",
-        param_kinds=(), param_names=(), point_names=("x", "y"),
-        lhs_key="mean2-shift-ratio",
-        source="Gamma(x+1)Gamma(y+1) / Gamma((x+y)/2+1)^2 >= 1 "
-               "for x,y >= 0",
-        _check_params=_scalars(),
-        _point_rules=(("x >= 0", lambda s, c: c[0] >= 0.0),
-                      ("y >= 0", lambda s, c: c[1] >= 0.0)),
-        _sides_fn=lambda s, c: (
-            _lg(c[0] + 1.0) + _lg(c[1] + 1.0)
-            - 2.0 * _lg((c[0] + c[1]) / 2.0 + 1.0),
-            _zeros(c)),
-        _sampler_fn=_boxed(-2.0, 1.5, 2))
-
-    add(id="MEAN2_RATIO", kind="claim", direction="ge",
-        param_kinds=(), param_names=(), point_names=("x", "y"),
-        lhs_key="mean2-ratio",
-        source="Gamma(x)Gamma(y) / Gamma((x+y)/2)^2 >= (x+y)^2 / (4xy) "
-               "for x,y > 0",
-        _check_params=_scalars(),
-        _point_rules=(("x > 0", lambda s, c: c[0] > 0.0),
-                      ("y > 0", lambda s, c: c[1] > 0.0)),
-        _sides_fn=lambda s, c: (
-            _lg(c[0]) + _lg(c[1]) - 2.0 * _lg((c[0] + c[1]) / 2.0),
-            2.0 * np.log(0.5 * (c[0] + c[1])) - np.log(c[0]) - np.log(c[1])),
-        _sampler_fn=_boxed(-2.0, 1.5, 2))
-
-    # ---- symmetric-shift family and its sandwiches --------------------------
-
-    add(id="SYM_GE1", kind="claim", direction="ge",
-        param_kinds=("s",), param_names=("a",), point_names=("z",),
-        lhs_key="sym-ratio",
-        source="Gamma(z+a)Gamma(z-a) / Gamma(z)^2 >= 1 for z > a >= 0",
-        _check_params=_scalars(("a >= 0", lambda a: a >= 0)),
-        _point_rules=(("z > a", lambda s, c: c[0] > s[0]),),
-        _sides_fn=lambda s, c: (log_f(Symmetric(s[0]), c[0]), _zeros(c)),
-        _sampler_fn=_z_above(lambda s: s[0]))
-
-    add(id="INQ3_LB", kind="claim", direction="ge",
-        param_kinds=("s",), param_names=("a",), point_names=("z",),
-        lhs_key="sym-shift1-ratio",
-        source="Gamma(z+a+1)Gamma(z-a+1) / Gamma(z+1)^2 >= 1 "
-               "for z >= 0, 0 <= a < 1",
-        _check_params=_scalars(("0 <= a < 1", lambda a: 0 <= a < 1)),
-        _point_rules=(("z >= 0", lambda s, c: c[0] >= 0.0),),
-        _sides_fn=lambda s, c: (
-            _lg(c[0] + s[0] + 1.0) + _lg(c[0] - s[0] + 1.0)
-            - 2.0 * _lg(c[0] + 1.0),
-            _zeros(c)),
-        _sampler_fn=_z_above(lambda s: 0.0))
-
-    add(id="INQ3_UB", kind="claim", direction="le",
-        param_kinds=("s",), param_names=("a",), point_names=("z",),
-        lhs_key="sym-shift1-ratio",
-        source="Gamma(z+a+1)Gamma(z-a+1) / Gamma(z+1)^2 <= "
-               "Gamma(1-a)Gamma(1+a) for z >= 0, 0 <= a < 1 "
-               "(equality at z = 0)",
-        _check_params=_scalars(("0 <= a < 1", lambda a: 0 <= a < 1)),
-        _point_rules=(("z >= 0", lambda s, c: c[0] >= 0.0),),
-        _sides_fn=lambda s, c: (
-            _lg(c[0] + s[0] + 1.0) + _lg(c[0] - s[0] + 1.0)
-            - 2.0 * _lg(c[0] + 1.0),
-            np.full_like(c[0], _lg(1.0 - s[0]) + _lg(1.0 + s[0]))),
-        _sampler_fn=_z_above(lambda s: 0.0))
-
-    add(id="SYM_SANDWICH_LB", kind="claim", direction="ge",
-        param_kinds=("s",), param_names=("a",), point_names=("z",),
-        lhs_key="sym-ratio",
-        source="Gamma(z+a)Gamma(z-a) / Gamma(z)^2 >= z^2 / (z^2 - a^2) "
-               "for z > a, 0 < a < 1",
-        _check_params=_scalars(("0 < a < 1", lambda a: 0 < a < 1)),
-        _point_rules=(("z > a", lambda s, c: c[0] > s[0]),),
-        _sides_fn=lambda s, c: (
-            log_f(Symmetric(s[0]), c[0]),
-            2.0 * np.log(c[0]) - np.log(c[0] - s[0]) - np.log(c[0] + s[0])),
-        _sampler_fn=_z_above(lambda s: s[0]))
-
-    add(id="SYM_SANDWICH_UB", kind="claim", direction="le",
-        param_kinds=("s",), param_names=("a",), point_names=("z",),
-        lhs_key="sym-ratio",
-        source="Gamma(z+a)Gamma(z-a) / Gamma(z)^2 <= "
-               "pi a z^2 / (sin(pi a) (z^2 - a^2)) for z > a, 0 < a < 1",
-        _check_params=_scalars(("0 < a < 1", lambda a: 0 < a < 1)),
-        _point_rules=(("z > a", lambda s, c: c[0] > s[0]),),
-        _sides_fn=lambda s, c: (
-            log_f(Symmetric(s[0]), c[0]),
-            np.log(reflection_product(s[0])) + 2.0 * np.log(c[0])
-            - np.log(c[0] - s[0]) - np.log(c[0] + s[0])),
-        _sampler_fn=_z_above(lambda s: s[0]))
-
-    add(id="HALF_SANDWICH_LB", kind="claim", direction="ge",
-        param_kinds=(), param_names=(), point_names=("z",),
-        lhs_key="half-ratio",
-        source="Gamma(z+1/2)Gamma(z-1/2) / Gamma(z)^2 >= 4z^2 / (4z^2 - 1) "
-               "for z > 1/2",
-        _check_params=_scalars(),
-        _point_rules=(("z > 1/2", lambda s, c: c[0] > 0.5),),
-        _sides_fn=lambda s, c: (
-            log_f(Symmetric(0.5), c[0]),
-            2.0 * np.log(2.0 * c[0]) - np.log(2.0 * c[0] - 1.0)
-            - np.log(2.0 * c[0] + 1.0)),
-        _sampler_fn=_z_above(lambda s: 0.5))
-
-    add(id="HALF_SANDWICH_UB", kind="claim", direction="le",
-        param_kinds=(), param_names=(), point_names=("z",),
-        lhs_key="half-ratio",
-        source="Gamma(z+1/2)Gamma(z-1/2) / Gamma(z)^2 <= "
-               "2 pi z^2 / (4z^2 - 1) for z > 1/2",
-        _check_params=_scalars(),
-        _point_rules=(("z > 1/2", lambda s, c: c[0] > 0.5),),
-        _sides_fn=lambda s, c: (
-            log_f(Symmetric(0.5), c[0]),
-            _LN2PI + 2.0 * np.log(c[0]) - np.log(2.0 * c[0] - 1.0)
-            - np.log(2.0 * c[0] + 1.0)),
-        _sampler_fn=_z_above(lambda s: 0.5))
-
-    add(id="WALLIS_LB", kind="claim", direction="ge",
-        param_kinds=(), param_names=(), point_names=("z",),
-        lhs_key="wallis-ratio",
-        source="Gamma(z+1/2) / Gamma(z+1) >= sqrt(2 / (2z+1)) for z >= 0",
-        _check_params=_scalars(),
-        _point_rules=(("z >= 0", lambda s, c: c[0] >= 0.0),),
-        _sides_fn=lambda s, c: (
-            _lg(c[0] + 0.5) - _lg(c[0] + 1.0),
-            0.5 * (_LN2 - np.log(2.0 * c[0] + 1.0))),
-        _sampler_fn=_z_above(lambda s: 0.0))
-
-    add(id="WALLIS_UB", kind="claim", direction="le",
-        param_kinds=(), param_names=(), point_names=("z",),
-        lhs_key="wallis-ratio",
-        source="Gamma(z+1/2) / Gamma(z+1) <= sqrt(pi / (2z+1)) for z >= 0",
-        _check_params=_scalars(),
-        _point_rules=(("z >= 0", lambda s, c: c[0] >= 0.0),),
-        _sides_fn=lambda s, c: (
-            _lg(c[0] + 0.5) - _lg(c[0] + 1.0),
-            0.5 * (_LNPI - np.log(2.0 * c[0] + 1.0))),
-        _sampler_fn=_z_above(lambda s: 0.0))
-
-    add(id="WALLIS_SHIFT_LB", kind="claim", direction="ge",
-        param_kinds=(), param_names=(), point_names=("z",),
-        lhs_key="wallis-shift-ratio",
-        source="Gamma(z+1/2) / Gamma(z) >= sqrt(2 z^2 / (2z+1)) for z > 0",
-        _check_params=_scalars(),
-        _point_rules=(("z > 0", lambda s, c: c[0] > 0.0),),
-        _sides_fn=lambda s, c: (
-            _lg(c[0] + 0.5) - _lg(c[0]),
-            0.5 * (_LN2 + 2.0 * np.log(c[0]) - np.log(2.0 * c[0] + 1.0))),
-        _sampler_fn=_z_above(lambda s: 0.0))
-
-    add(id="WALLIS_SHIFT_UB", kind="claim", direction="le",
-        param_kinds=(), param_names=(), point_names=("z",),
-        lhs_key="wallis-shift-ratio",
-        source="Gamma(z+1/2) / Gamma(z) <= sqrt(pi z^2 / (2z+1)) for z > 0",
-        _check_params=_scalars(),
-        _point_rules=(("z > 0", lambda s, c: c[0] > 0.0),),
-        _sides_fn=lambda s, c: (
-            _lg(c[0] + 0.5) - _lg(c[0]),
-            0.5 * (_LNPI + 2.0 * np.log(c[0]) - np.log(2.0 * c[0] + 1.0))),
-        _sampler_fn=_z_above(lambda s: 0.0))
-
-    # ---- the two-variable product bound and its consequences ----------------
-
-    add(id="H_OMEGA", kind="claim", direction="ge",
-        param_kinds=("s", "s"), param_names=("a", "b"),
-        point_names=("x", "y"), lhs_key="h-product",
-        source="f(x)/f(y) >= 1 where "
-               "f(t) = Gamma(t+1)Gamma(t-a-b+1) / (Gamma(t-a+1)Gamma(t-b+1)), "
-               "on 0 < a <= b < a+b <= x <= y (equality on the diagonal)",
-        _check_params=_scalars(("a > 0 and b > 0",
-                                lambda a, b: a > 0 and b > 0)),
-        _point_rules=(("x >= a+b", lambda s, c: c[0] >= s[0] + s[1]),
-                      ("y >= x", lambda s, c: c[1] >= c[0])),
-        _sides_fn=lambda s, c: (
-            log_f(TwoParam(s[0], s[1]), c[0])
-            - log_f(TwoParam(s[0], s[1]), c[1]),
-            _zeros(c)),
-        _sampler_fn=_pair_above(lambda s: s[0] + s[1], diag_frac=0.15))
-
-    add(id="G_LE1", kind="claim", direction="le",
-        param_kinds=("s", "s"), param_names=("a", "b"), point_names=("z",),
-        lhs_key="two-param-recip",
-        source="Gamma(z-a+1)Gamma(z-b+1) / (Gamma(z+1)Gamma(z-a-b+1)) <= 1 "
-               "for z >= a+b, a,b > 0",
-        _check_params=_scalars(("a > 0 and b > 0",
-                                lambda a, b: a > 0 and b > 0)),
-        _point_rules=(("z >= a+b", lambda s, c: c[0] >= s[0] + s[1]),),
-        _sides_fn=lambda s, c: (-log_f(TwoParam(s[0], s[1]), c[0]),
-                                _zeros(c)),
-        _sampler_fn=_z_above(lambda s: s[0] + s[1]))
-
-    add(id="PSI_XY", kind="claim", direction="le",
-        param_kinds=("s",), param_names=("a",), point_names=("x", "y"),
-        lhs_key="psi-ratio",
-        source="Gamma(x+1)Gamma(y-a+1) / (Gamma(y+1)Gamma(x-a+1)) <= 1 "
-               "for y > x > a > 0",
-        _check_params=_scalars(("a > 0", lambda a: a > 0)),
-        _point_rules=(("x > a", lambda s, c: c[0] > s[0]),
-                      ("y > x", lambda s, c: c[1] > c[0])),
-        _sides_fn=lambda s, c: (
-            _lg(c[0] + 1.0) + _lg(c[1] - s[0] + 1.0)
-            - _lg(c[1] + 1.0) - _lg(c[0] - s[0] + 1.0),
-            _zeros(c)),
-        _sampler_fn=_pair_above(lambda s: s[0]))
-
-    add(id="PSI_XY_AB", kind="claim", direction="le",
-        param_kinds=("s", "s"), param_names=("a", "b"),
-        point_names=("x", "y"), lhs_key="psi-sum-ratio",
-        source="Gamma(x+1)Gamma(y-a-b+1) / (Gamma(y+1)Gamma(x-a-b+1)) <= 1 "
-               "for y > x > a+b, a,b > 0",
-        _check_params=_scalars(("a > 0 and b > 0",
-                                lambda a, b: a > 0 and b > 0)),
-        _point_rules=(("x > a+b", lambda s, c: c[0] > s[0] + s[1]),
-                      ("y > x", lambda s, c: c[1] > c[0])),
-        _sides_fn=lambda s, c: (
-            _lg(c[0] + 1.0) + _lg(c[1] - (s[0] + s[1]) + 1.0)
-            - _lg(c[1] + 1.0) - _lg(c[0] - (s[0] + s[1]) + 1.0),
-            _zeros(c)),
-        _sampler_fn=_pair_above(lambda s: s[0] + s[1]))
-
-    # ---- binomial / beta-function consequences ------------------------------
-
-    add(id="INQ51", kind="claim", direction="ge",
-        param_kinds=(), param_names=(), point_names=("a", "b"),
-        lhs_key="binom-central",
-        source="Gamma(a+b+1) / (Gamma(a+1)Gamma(b+1)) >= 1 for a,b >= 0",
-        _check_params=_scalars(),
-        _point_rules=(("a >= 0", lambda s, c: c[0] >= 0.0),
-                      ("b >= 0", lambda s, c: c[1] >= 0.0)),
-        _sides_fn=lambda s, c: (
-            _lg(c[0] + c[1] + 1.0) - _lg(c[0] + 1.0) - _lg(c[1] + 1.0),
-            _zeros(c)),
-        _sampler_fn=lambda rng, s, n: rng.uniform(0.0, 10.0, size=(n, 2)))
-
-    add(id="INQ53", kind="claim", direction="ge",
-        param_kinds=(), param_names=(), point_names=("a", "b"),
-        lhs_key="inv-beta",
-        source="Gamma(a+b) / (Gamma(a)Gamma(b)) >= ab / (a+b) for a,b > 0",
-        _check_params=_scalars(),
-        _point_rules=(("a > 0", lambda s, c: c[0] > 0.0),
-                      ("b > 0", lambda s, c: c[1] > 0.0)),
-        _sides_fn=lambda s, c: (
-            -log_beta(c[0], c[1]),
-            np.log(c[0]) + np.log(c[1]) - np.log(c[0] + c[1])),
-        _sampler_fn=_boxed(-2.0, 1.0, 2))
-
-    add(id="BETA_UB", kind="claim", direction="le",
-        param_kinds=(), param_names=(), point_names=("a", "b"),
-        lhs_key="beta",
-        source="B(a,b) <= (a+b) / (ab) for a,b > 0",
-        _check_params=_scalars(),
-        _point_rules=(("a > 0", lambda s, c: c[0] > 0.0),
-                      ("b > 0", lambda s, c: c[1] > 0.0)),
-        _sides_fn=lambda s, c: (
-            log_beta(c[0], c[1]),
-            np.log(c[0] + c[1]) - np.log(c[0]) - np.log(c[1])),
-        _sampler_fn=_boxed(-2.0, 1.0, 2))
-
-    add(id="BETA_UB_SHIFT_A", kind="claim", direction="le",
-        param_kinds=(), param_names=(), point_names=("a", "b"),
-        lhs_key="beta-ashift",
-        source="B(a+1,b) <= 1/b for a,b > 0",
-        _check_params=_scalars(),
-        _point_rules=(("a > 0", lambda s, c: c[0] > 0.0),
-                      ("b > 0", lambda s, c: c[1] > 0.0)),
-        _sides_fn=lambda s, c: (log_beta(c[0] + 1.0, c[1]),
-                                -np.log(c[1])),
-        _sampler_fn=_boxed(-2.0, 1.0, 2))
-
-    add(id="BETA_UB_SHIFT_B", kind="claim", direction="le",
-        param_kinds=(), param_names=(), point_names=("a", "b"),
-        lhs_key="beta-bshift",
-        source="B(a,b+1) <= 1/a for a,b > 0",
-        _check_params=_scalars(),
-        _point_rules=(("a > 0", lambda s, c: c[0] > 0.0),
-                      ("b > 0", lambda s, c: c[1] > 0.0)),
-        _sides_fn=lambda s, c: (log_beta(c[0], c[1] + 1.0),
-                                -np.log(c[0])),
-        _sampler_fn=_boxed(-2.0, 1.0, 2))
-
-    add(id="BETA_UB_DRAGOMIR", kind="baseline", direction="le",
-        param_kinds=(), param_names=(), point_names=("a", "b"),
-        lhs_key="beta",
-        source="B(a,b) <= 1 / (ab) for 0 < a,b <= 1 (reference bound)",
-        _check_params=_scalars(),
-        _point_rules=(("0 < a <= 1", lambda s, c: (c[0] > 0.0) & (c[0] <= 1.0)),
-                      ("0 < b <= 1", lambda s, c: (c[1] > 0.0) & (c[1] <= 1.0))),
-        _sides_fn=lambda s, c: (log_beta(c[0], c[1]),
-                                -np.log(c[0]) - np.log(c[1])),
-        _sampler_fn=_boxed(-3.0, 0.0, 2))
-
-    # ---- duplication-type consequences --------------------------------------
-
-    add(id="INQ54", kind="claim", direction="ge",
-        param_kinds=(), param_names=(), point_names=("a",),
-        lhs_key="central-binom",
-        source="Gamma(2a+1) / Gamma(a+1)^2 >= 1 for a >= 0",
-        _check_params=_scalars(),
-        _point_rules=(("a >= 0", lambda s, c: c[0] >= 0.0),),
-        _sides_fn=lambda s, c: (_lg(2.0 * c[0] + 1.0) - 2.0 * _lg(c[0] + 1.0),
-                                _zeros(c)),
-        _sampler_fn=_z_above(lambda s: 0.0))
-
-    add(id="INQ55", kind="claim", direction="ge",
-        param_kinds=(), param_names=(), point_names=("a",),
-        lhs_key="dup-recip",
-        source="Gamma(2a) / Gamma(a)^2 >= a/2 for a > 0",
-        _check_params=_scalars(),
-        _point_rules=(("a > 0", lambda s, c: c[0] > 0.0),),
-        _sides_fn=lambda s, c: (_lg(2.0 * c[0]) - 2.0 * _lg(c[0]),
-                                np.log(c[0]) - _LN2),
-        _sampler_fn=_z_above(lambda s: 0.0))
-
-    add(id="DUP_SANDWICH_LB", kind="claim", direction="ge",
-        param_kinds=(), param_names=(), point_names=("a",),
-        lhs_key="dup-ratio",
-        source="Gamma(a)^2 / Gamma(2a) >= (2a - a^2) / a^2 for 0 < a <= 1",
-        _check_params=_scalars(),
-        _point_rules=(("0 < a <= 1",
-                       lambda s, c: (c[0] > 0.0) & (c[0] <= 1.0)),),
-        _sides_fn=lambda s, c: (2.0 * _lg(c[0]) - _lg(2.0 * c[0]),
-                                np.log(2.0 - c[0]) - np.log(c[0])),
-        _sampler_fn=lambda rng, s, n: (10.0 ** rng.uniform(-3.0, 0.0, n))[:, None])
-
-    add(id="DUP_SANDWICH_UB", kind="claim", direction="le",
-        param_kinds=(), param_names=(), point_names=("a",),
-        lhs_key="dup-ratio",
-        source="Gamma(a)^2 / Gamma(2a) <= 2/a for 0 < a <= 1",
-        _check_params=_scalars(),
-        _point_rules=(("0 < a <= 1",
-                       lambda s, c: (c[0] > 0.0) & (c[0] <= 1.0)),),
-        _sides_fn=lambda s, c: (2.0 * _lg(c[0]) - _lg(2.0 * c[0]),
-                                _LN2 - np.log(c[0])),
-        _sampler_fn=lambda rng, s, n: (10.0 ** rng.uniform(-3.0, 0.0, n))[:, None])
-
-    # ---- binomial-coefficient core on the unit interval and beyond ----------
-
-    add(id="INQ56", kind="claim", direction="ge",
-        param_kinds=("s", "s"), param_names=("a", "b"), point_names=("z",),
-        lhs_key="binom-core",
-        source="Gamma(z-a-b+1) / (Gamma(z-a+1)Gamma(z-b+1)) >= 1/Gamma(z+1) "
-               "for a,b > 0 and a+b <= z <= 1",
-        _check_params=_scalars(("a > 0 and b > 0",
-                                lambda a, b: a > 0 and b > 0)),
-        _point_rules=(("z >= a+b", lambda s, c: c[0] >= s[0] + s[1]),
-                      ("z <= 1", lambda s, c: c[0] <= 1.0)),
-        _sides_fn=lambda s, c: (_binom_core_lhs(s[0], s[1], c[0]),
-                                -_lg(c[0] + 1.0)),
-        _sampler_fn=lambda rng, s, n: _unit_window(rng, s, n))
-
-    add(id="INQ56_RECIP", kind="claim", direction="ge",
-        param_kinds=(), param_names=(), point_names=("z",),
-        lhs_key="recip-gamma",
-        source="1/Gamma(z+1) >= 1 for 0 < z <= 1",
-        _check_params=_scalars(),
-        _point_rules=(("0 < z <= 1",
-                       lambda s, c: (c[0] > 0.0) & (c[0] <= 1.0)),),
-        _sides_fn=lambda s, c: (-_lg(c[0] + 1.0), _zeros(c)),
-        _sampler_fn=lambda rng, s, n: rng.uniform(1e-9, 1.0, (n, 1)))
-
-    add(id="INQ57_LB", kind="claim", direction="ge",
-        param_kinds=("s", "s"), param_names=("a", "b"), point_names=("z",),
-        lhs_key="binom-core",
-        source="Gamma(z-a-b+1) / (Gamma(z-a+1)Gamma(z-b+1)) >= 1/Gamma(z+1) "
-               "for z >= a+b, a,b > 0",
-        _check_params=_scalars(("a > 0 and b > 0",
-                                lambda a, b: a > 0 and b > 0)),
-        _point_rules=(("z >= a+b", lambda s, c: c[0] >= s[0] + s[1]),),
-        _sides_fn=lambda s, c: (_binom_core_lhs(s[0], s[1], c[0]),
-                                -_lg(c[0] + 1.0)),
-        _sampler_fn=_z_above(lambda s: s[0] + s[1]))
-
-    add(id="INQ57_UB", kind="claim", direction="le",
-        param_kinds=("s", "s"), param_names=("a", "b"), point_names=("z",),
-        lhs_key="binom-core",
-        source="Gamma(z-a-b+1) / (Gamma(z-a+1)Gamma(z-b+1)) <= "
-               "Gamma(a+b+1) / (Gamma(a+1)Gamma(b+1)Gamma(z+1)) "
-               "for z >= a+b, a,b > 0 (equality at z = a+b)",
-        _check_params=_scalars(("a > 0 and b > 0",
-                                lambda a, b: a > 0 and b > 0)),
-        _point_rules=(("z >= a+b", lambda s, c: c[0] >= s[0] + s[1]),),
-        _sides_fn=lambda s, c: (
-            _binom_core_lhs(s[0], s[1], c[0]),
-            -_lg(c[0] + 1.0) + _lg(s[0] + s[1] + 1.0)
-            - _lg(s[0] + 1.0) - _lg(s[1] + 1.0)),
-        _sampler_fn=_z_above(lambda s: s[0] + s[1]))
-
-    # ---- the squared-shift ratio and reference lower bounds -----------------
-
-    add(id="INQ58", kind="claim", direction="ge",
-        param_kinds=("s",), param_names=("a",), point_names=("z",),
-        lhs_key="gamma-square-ratio",
-        source="Gamma(z)Gamma(z-2a) / Gamma(z-a)^2 >= 1 + a^2 / (z(z-2a)) "
-               "for z > 2a, z > 0, a >= 0",
-        _check_params=_scalars(("a >= 0", lambda a: a >= 0)),
-        _point_rules=(("z > 2a", lambda s, c: c[0] > 2.0 * s[0]),
-                      ("z > 0", lambda s, c: c[0] > 0.0)),
-        _sides_fn=lambda s, c: (
-            _gamma_square_lhs(s[0], c[0]),
-            2.0 * np.log(c[0] - s[0]) - np.log(c[0])
-            - np.log(c[0] - 2.0 * s[0])),
-        _sampler_fn=_z_above(lambda s: 2.0 * s[0]))
-
-    add(id="INQ58_BASE_RATIO", kind="baseline", direction="ge",
-        param_kinds=("s",), param_names=("a",), point_names=("z",),
-        lhs_key="gamma-square-ratio",
-        source="Gamma(z)Gamma(z-2a) / Gamma(z-a)^2 >= (a^2 + z) / z "
-               "for z > 2a, z > 0 (reference bound)",
-        _check_params=_scalars(("a >= 0", lambda a: a >= 0)),
-        _point_rules=(("z > 2a", lambda s, c: c[0] > 2.0 * s[0]),
-                      ("z > 0", lambda s, c: c[0] > 0.0)),
-        _sides_fn=lambda s, c: (
-            _gamma_square_lhs(s[0], c[0]),
-            np.log(s[0] * s[0] + c[0]) - np.log(c[0])),
-        _sampler_fn=_z_above(lambda s: 2.0 * s[0]))
-
-    add(id="INQ58_BASE_SHIFT", kind="baseline", direction="ge",
-        param_kinds=("s",), param_names=("a",), point_names=("z",),
-        lhs_key="gamma-square-ratio",
-        source="Gamma(z)Gamma(z-2a) / Gamma(z-a)^2 >= "
-               "1 + a^2 (z-2) / (z-a-1)^2 for z > 2, z > 2a, a > 0 "
-               "(reference bound)",
-        _check_params=_scalars(("a > 0", lambda a: a > 0)),
-        _point_rules=(("z > 2", lambda s, c: c[0] > 2.0),
-                      ("z > 2a", lambda s, c: c[0] > 2.0 * s[0])),
-        _sides_fn=lambda s, c: (
-            _gamma_square_lhs(s[0], c[0]),
-            np.log1p(s[0] * s[0] * (c[0] - 2.0)
-                     / (c[0] - s[0] - 1.0) ** 2)),
-        _sampler_fn=_z_above(lambda s: max(2.0, 2.0 * s[0])))
-
-    return tuple(cases)
+def _near_diagonal(rng, s, n):
+    # x above a+b and y above x, with 15% of the points on y = x
+    x = s[0] + s[1] + _spread(rng, n)
+    gap = _spread(rng, n)
+    gap[rng.random(n) < 0.15] = 0.0
+    return np.column_stack([x, x + gap])
 
 
 def _unit_window(rng, s, n):
@@ -805,7 +392,263 @@ def _unit_window(rng, s, n):
     return rng.uniform(lo, 1.0, (n, 1))
 
 
-_CASES = _build_registry()
+def _zero(s, c):
+    return np.zeros_like(c[0])
+
+
+# -- left-hand sides: lhs_key -> (parameter names, point names, ln LHS) -------
+# "[]" marks an entry-list parameter.  In every function s holds the split
+# parameters and c the point columns.
+
+_LHS = {
+    "two-param-ratio": (
+        ("a", "b"), ("z",), lambda s, c: log_f(TwoParam(s[0], s[1]), c[0])),
+    "multi-ratio": (
+        ("a[]",), ("z",), lambda s, c: log_f(MultiParam(s[0]), c[0])),
+    "major-ratio": (
+        ("a[]", "b[]"), ("z",),
+        lambda s, c: log_f(Majorized(s[0], s[1]), c[0])),
+    "mean2-shift-ratio": (
+        (), ("x", "y"),
+        lambda s, c: (_lg(c[0] + 1.0) + _lg(c[1] + 1.0)
+                      - 2.0 * _lg((c[0] + c[1]) / 2.0 + 1.0))),
+    "mean2-ratio": (
+        (), ("x", "y"),
+        lambda s, c: (_lg(c[0]) + _lg(c[1])
+                      - 2.0 * _lg((c[0] + c[1]) / 2.0))),
+    "sym-ratio": (
+        ("a",), ("z",), lambda s, c: log_f(Symmetric(s[0]), c[0])),
+    "sym-shift1-ratio": (
+        ("a",), ("z",),
+        lambda s, c: (_lg(c[0] + s[0] + 1.0) + _lg(c[0] - s[0] + 1.0)
+                      - 2.0 * _lg(c[0] + 1.0))),
+    "half-ratio": (
+        (), ("z",), lambda s, c: log_f(Symmetric(0.5), c[0])),
+    "wallis-ratio": (
+        (), ("z",), lambda s, c: _lg(c[0] + 0.5) - _lg(c[0] + 1.0)),
+    "wallis-shift-ratio": (
+        (), ("z",), lambda s, c: _lg(c[0] + 0.5) - _lg(c[0])),
+    "h-product": (
+        ("a", "b"), ("x", "y"),
+        lambda s, c: (log_f(TwoParam(s[0], s[1]), c[0])
+                      - log_f(TwoParam(s[0], s[1]), c[1]))),
+    "two-param-recip": (
+        ("a", "b"), ("z",), lambda s, c: -log_f(TwoParam(s[0], s[1]), c[0])),
+    "psi-ratio": (
+        ("a",), ("x", "y"),
+        lambda s, c: (_lg(c[0] + 1.0) + _lg(c[1] - s[0] + 1.0)
+                      - _lg(c[1] + 1.0) - _lg(c[0] - s[0] + 1.0))),
+    "psi-sum-ratio": (
+        ("a", "b"), ("x", "y"),
+        lambda s, c: (_lg(c[0] + 1.0) + _lg(c[1] - (s[0] + s[1]) + 1.0)
+                      - _lg(c[1] + 1.0) - _lg(c[0] - (s[0] + s[1]) + 1.0))),
+    "binom-central": (
+        (), ("a", "b"),
+        lambda s, c: (_lg(c[0] + c[1] + 1.0) - _lg(c[0] + 1.0)
+                      - _lg(c[1] + 1.0))),
+    "inv-beta": ((), ("a", "b"), lambda s, c: -log_beta(c[0], c[1])),
+    "beta": ((), ("a", "b"), lambda s, c: log_beta(c[0], c[1])),
+    "beta-ashift": ((), ("a", "b"), lambda s, c: log_beta(c[0] + 1.0, c[1])),
+    "beta-bshift": ((), ("a", "b"), lambda s, c: log_beta(c[0], c[1] + 1.0)),
+    "central-binom": (
+        (), ("a",),
+        lambda s, c: _lg(2.0 * c[0] + 1.0) - 2.0 * _lg(c[0] + 1.0)),
+    "dup-recip": (
+        (), ("a",), lambda s, c: _lg(2.0 * c[0]) - 2.0 * _lg(c[0])),
+    "dup-ratio": (
+        (), ("a",), lambda s, c: 2.0 * _lg(c[0]) - _lg(2.0 * c[0])),
+    "binom-core": (
+        # ln of Gamma(z-a-b+1) / (Gamma(z-a+1) Gamma(z-b+1))
+        ("a", "b"), ("z",),
+        lambda s, c: (_lg(c[0] - s[0] - s[1] + 1.0) - _lg(c[0] - s[0] + 1.0)
+                      - _lg(c[0] - s[1] + 1.0))),
+    "recip-gamma": ((), ("z",), lambda s, c: -_lg(c[0] + 1.0)),
+    "gamma-square-ratio": (
+        # ln of Gamma(z) Gamma(z-2a) / Gamma(z-a)^2
+        ("a",), ("z",),
+        lambda s, c: (_lg(c[0]) + _lg(c[0] - 2.0 * s[0])
+                      - 2.0 * _lg(c[0] - s[0]))),
+}
+
+
+# -- the cases, one row each: id, lhs_key, direction, parameter check, domain
+# rules, ln RHS, statement, then optionally a sampler and a kind ------------
+
+_CASES = tuple(InequalityCase(*row) for row in (
+    # ---- ratio families are >= 1 on their domains --------------------------
+    ("INQ1", "two-param-ratio", "ge",
+     _scalars(("a >= 0 and b >= 0", lambda a, b: a >= 0 and b >= 0)),
+     (("z > a+b-1", 0, ">", lambda s, c: s[0] + s[1] - 1.0),), _zero,
+     "Gamma(z+1)Gamma(z-a-b+1) / (Gamma(z-a+1)Gamma(z-b+1)) >= 1 "
+     "for z > a+b-1, a,b >= 0"),
+    ("MULTI_GE1", "multi-ratio", "ge", _entry_list_check,
+     (("z > abar-1", 0, ">", lambda s, c: math.fsum(s[0]) - 1.0),), _zero,
+     "Gamma(z+1)^(k-1) Gamma(z-abar+1) / prod Gamma(z-a_i+1) >= 1 "
+     "for z > abar-1, entries a_i >= 0, abar = sum a_i"),
+    ("MAJOR_GE1", "major-ratio", "ge", _major_check,
+     (("z > max(a, b)", 0, ">", lambda s, c: max(max(s[0]), max(s[1]))),),
+     _zero,
+     "prod Gamma(z-a_i) / prod Gamma(z-b_i) >= 1 for "
+     "z > max(entries), when the decreasing-order partial sums "
+     "of b never exceed those of a and the totals are equal"),
+
+    # ---- two-variable mean comparisons -------------------------------------
+    ("MEAN2", "mean2-shift-ratio", "ge", _NO_PARAMS,
+     (("x >= 0", 0, ">=", 0.0), ("y >= 0", 1, ">=", 0.0)), _zero,
+     "Gamma(x+1)Gamma(y+1) / Gamma((x+y)/2+1)^2 >= 1 for x,y >= 0",
+     _MEAN_BOX),
+    ("MEAN2_RATIO", "mean2-ratio", "ge", _NO_PARAMS,
+     (("x > 0", 0, ">", 0.0), ("y > 0", 1, ">", 0.0)),
+     lambda s, c: (2.0 * np.log(0.5 * (c[0] + c[1]))
+                   - np.log(c[0]) - np.log(c[1])),
+     "Gamma(x)Gamma(y) / Gamma((x+y)/2)^2 >= (x+y)^2 / (4xy) for x,y > 0",
+     _MEAN_BOX),
+
+    # ---- symmetric-shift family and its sandwiches --------------------------
+    ("SYM_GE1", "sym-ratio", "ge", _A_NONNEG, _Z_ABOVE_A, _zero,
+     "Gamma(z+a)Gamma(z-a) / Gamma(z)^2 >= 1 for z > a >= 0"),
+    ("INQ3_LB", "sym-shift1-ratio", "ge", _A_UNIT, _Z_NONNEG, _zero,
+     "Gamma(z+a+1)Gamma(z-a+1) / Gamma(z+1)^2 >= 1 "
+     "for z >= 0, 0 <= a < 1"),
+    ("INQ3_UB", "sym-shift1-ratio", "le", _A_UNIT, _Z_NONNEG,
+     lambda s, c: np.full_like(c[0], _lg(1.0 - s[0]) + _lg(1.0 + s[0])),
+     "Gamma(z+a+1)Gamma(z-a+1) / Gamma(z+1)^2 <= "
+     "Gamma(1-a)Gamma(1+a) for z >= 0, 0 <= a < 1 (equality at z = 0)"),
+    ("SYM_SANDWICH_LB", "sym-ratio", "ge", _A_UNIT_OPEN, _Z_ABOVE_A,
+     lambda s, c: (2.0 * np.log(c[0]) - np.log(c[0] - s[0])
+                   - np.log(c[0] + s[0])),
+     "Gamma(z+a)Gamma(z-a) / Gamma(z)^2 >= z^2 / (z^2 - a^2) "
+     "for z > a, 0 < a < 1"),
+    ("SYM_SANDWICH_UB", "sym-ratio", "le", _A_UNIT_OPEN, _Z_ABOVE_A,
+     lambda s, c: (np.log(reflection_product(s[0])) + 2.0 * np.log(c[0])
+                   - np.log(c[0] - s[0]) - np.log(c[0] + s[0])),
+     "Gamma(z+a)Gamma(z-a) / Gamma(z)^2 <= "
+     "pi a z^2 / (sin(pi a) (z^2 - a^2)) for z > a, 0 < a < 1"),
+    ("HALF_SANDWICH_LB", "half-ratio", "ge", _NO_PARAMS, _Z_ABOVE_HALF,
+     lambda s, c: (2.0 * np.log(2.0 * c[0]) - np.log(2.0 * c[0] - 1.0)
+                   - np.log(2.0 * c[0] + 1.0)),
+     "Gamma(z+1/2)Gamma(z-1/2) / Gamma(z)^2 >= 4z^2 / (4z^2 - 1) "
+     "for z > 1/2"),
+    ("HALF_SANDWICH_UB", "half-ratio", "le", _NO_PARAMS, _Z_ABOVE_HALF,
+     lambda s, c: (_LN2PI + 2.0 * np.log(c[0]) - np.log(2.0 * c[0] - 1.0)
+                   - np.log(2.0 * c[0] + 1.0)),
+     "Gamma(z+1/2)Gamma(z-1/2) / Gamma(z)^2 <= "
+     "2 pi z^2 / (4z^2 - 1) for z > 1/2"),
+    ("WALLIS_LB", "wallis-ratio", "ge", _NO_PARAMS, _Z_NONNEG,
+     lambda s, c: 0.5 * (_LN2 - np.log(2.0 * c[0] + 1.0)),
+     "Gamma(z+1/2) / Gamma(z+1) >= sqrt(2 / (2z+1)) for z >= 0"),
+    ("WALLIS_UB", "wallis-ratio", "le", _NO_PARAMS, _Z_NONNEG,
+     lambda s, c: 0.5 * (_LNPI - np.log(2.0 * c[0] + 1.0)),
+     "Gamma(z+1/2) / Gamma(z+1) <= sqrt(pi / (2z+1)) for z >= 0"),
+    ("WALLIS_SHIFT_LB", "wallis-shift-ratio", "ge", _NO_PARAMS, _Z_POS,
+     lambda s, c: 0.5 * (_LN2 + 2.0 * np.log(c[0])
+                         - np.log(2.0 * c[0] + 1.0)),
+     "Gamma(z+1/2) / Gamma(z) >= sqrt(2 z^2 / (2z+1)) for z > 0"),
+    ("WALLIS_SHIFT_UB", "wallis-shift-ratio", "le", _NO_PARAMS, _Z_POS,
+     lambda s, c: 0.5 * (_LNPI + 2.0 * np.log(c[0])
+                         - np.log(2.0 * c[0] + 1.0)),
+     "Gamma(z+1/2) / Gamma(z) <= sqrt(pi z^2 / (2z+1)) for z > 0"),
+
+    # ---- the two-variable product bound and its consequences ----------------
+    ("H_OMEGA", "h-product", "ge", _AB_POS,
+     (("x >= a+b", 0, ">=", lambda s, c: s[0] + s[1]),
+      ("y >= x", 1, ">=", lambda s, c: c[0])), _zero,
+     "f(x)/f(y) >= 1 where "
+     "f(t) = Gamma(t+1)Gamma(t-a-b+1) / (Gamma(t-a+1)Gamma(t-b+1)), "
+     "on 0 < a <= b < a+b <= x <= y (equality on the diagonal)",
+     _near_diagonal),
+    ("G_LE1", "two-param-recip", "le", _AB_POS, _Z_ABOVE_AB, _zero,
+     "Gamma(z-a+1)Gamma(z-b+1) / (Gamma(z+1)Gamma(z-a-b+1)) <= 1 "
+     "for z >= a+b, a,b > 0"),
+    ("PSI_XY", "psi-ratio", "le", _A_POS,
+     (("x > a", 0, ">", lambda s, c: s[0]),
+      ("y > x", 1, ">", lambda s, c: c[0])), _zero,
+     "Gamma(x+1)Gamma(y-a+1) / (Gamma(y+1)Gamma(x-a+1)) <= 1 "
+     "for y > x > a > 0"),
+    ("PSI_XY_AB", "psi-sum-ratio", "le", _AB_POS,
+     (("x > a+b", 0, ">", lambda s, c: s[0] + s[1]),
+      ("y > x", 1, ">", lambda s, c: c[0])), _zero,
+     "Gamma(x+1)Gamma(y-a-b+1) / (Gamma(y+1)Gamma(x-a-b+1)) <= 1 "
+     "for y > x > a+b, a,b > 0"),
+
+    # ---- binomial / beta-function consequences ------------------------------
+    ("INQ51", "binom-central", "ge", _NO_PARAMS,
+     (("a >= 0", 0, ">=", 0.0), ("b >= 0", 1, ">=", 0.0)), _zero,
+     "Gamma(a+b+1) / (Gamma(a+1)Gamma(b+1)) >= 1 for a,b >= 0",
+     lambda rng, s, n: rng.uniform(0.0, 10.0, size=(n, 2))),
+    ("INQ53", "inv-beta", "ge", _NO_PARAMS, _AB_POS_POINT,
+     lambda s, c: np.log(c[0]) + np.log(c[1]) - np.log(c[0] + c[1]),
+     "Gamma(a+b) / (Gamma(a)Gamma(b)) >= ab / (a+b) for a,b > 0",
+     _BETA_BOX),
+    ("BETA_UB", "beta", "le", _NO_PARAMS, _AB_POS_POINT,
+     lambda s, c: np.log(c[0] + c[1]) - np.log(c[0]) - np.log(c[1]),
+     "B(a,b) <= (a+b) / (ab) for a,b > 0", _BETA_BOX),
+    ("BETA_UB_SHIFT_A", "beta-ashift", "le", _NO_PARAMS, _AB_POS_POINT,
+     lambda s, c: -np.log(c[1]), "B(a+1,b) <= 1/b for a,b > 0", _BETA_BOX),
+    ("BETA_UB_SHIFT_B", "beta-bshift", "le", _NO_PARAMS, _AB_POS_POINT,
+     lambda s, c: -np.log(c[0]), "B(a,b+1) <= 1/a for a,b > 0", _BETA_BOX),
+    ("BETA_UB_DRAGOMIR", "beta", "le", _NO_PARAMS,
+     _in_unit("0 < a <= 1", 0) + _in_unit("0 < b <= 1", 1),
+     lambda s, c: -np.log(c[0]) - np.log(c[1]),
+     "B(a,b) <= 1 / (ab) for 0 < a,b <= 1 (reference bound)",
+     _boxed(-3.0, 0.0, 2), "baseline"),
+
+    # ---- duplication-type consequences --------------------------------------
+    ("INQ54", "central-binom", "ge", _NO_PARAMS,
+     (("a >= 0", 0, ">=", 0.0),), _zero,
+     "Gamma(2a+1) / Gamma(a+1)^2 >= 1 for a >= 0"),
+    ("INQ55", "dup-recip", "ge", _NO_PARAMS,
+     (("a > 0", 0, ">", 0.0),), lambda s, c: np.log(c[0]) - _LN2,
+     "Gamma(2a) / Gamma(a)^2 >= a/2 for a > 0"),
+    ("DUP_SANDWICH_LB", "dup-ratio", "ge", _NO_PARAMS,
+     _in_unit("0 < a <= 1", 0),
+     lambda s, c: np.log(2.0 - c[0]) - np.log(c[0]),
+     "Gamma(a)^2 / Gamma(2a) >= (2a - a^2) / a^2 for 0 < a <= 1",
+     _UNIT_BOX),
+    ("DUP_SANDWICH_UB", "dup-ratio", "le", _NO_PARAMS,
+     _in_unit("0 < a <= 1", 0), lambda s, c: _LN2 - np.log(c[0]),
+     "Gamma(a)^2 / Gamma(2a) <= 2/a for 0 < a <= 1", _UNIT_BOX),
+
+    # ---- binomial-coefficient core on the unit interval and beyond ----------
+    ("INQ56", "binom-core", "ge", _AB_POS,
+     _Z_ABOVE_AB + (("z <= 1", 0, "<=", 1.0),),
+     lambda s, c: -_lg(c[0] + 1.0),
+     "Gamma(z-a-b+1) / (Gamma(z-a+1)Gamma(z-b+1)) >= 1/Gamma(z+1) "
+     "for a,b > 0 and a+b <= z <= 1", _unit_window),
+    ("INQ56_RECIP", "recip-gamma", "ge", _NO_PARAMS,
+     _in_unit("0 < z <= 1", 0), _zero, "1/Gamma(z+1) >= 1 for 0 < z <= 1",
+     lambda rng, s, n: rng.uniform(1e-9, 1.0, (n, 1))),
+    ("INQ57_LB", "binom-core", "ge", _AB_POS, _Z_ABOVE_AB,
+     lambda s, c: -_lg(c[0] + 1.0),
+     "Gamma(z-a-b+1) / (Gamma(z-a+1)Gamma(z-b+1)) >= 1/Gamma(z+1) "
+     "for z >= a+b, a,b > 0"),
+    ("INQ57_UB", "binom-core", "le", _AB_POS, _Z_ABOVE_AB,
+     lambda s, c: (-_lg(c[0] + 1.0) + _lg(s[0] + s[1] + 1.0)
+                   - _lg(s[0] + 1.0) - _lg(s[1] + 1.0)),
+     "Gamma(z-a-b+1) / (Gamma(z-a+1)Gamma(z-b+1)) <= "
+     "Gamma(a+b+1) / (Gamma(a+1)Gamma(b+1)Gamma(z+1)) "
+     "for z >= a+b, a,b > 0 (equality at z = a+b)"),
+
+    # ---- the squared-shift ratio and reference lower bounds -----------------
+    ("INQ58", "gamma-square-ratio", "ge", _A_NONNEG, _Z_ABOVE_2A + _Z_POS,
+     lambda s, c: (2.0 * np.log(c[0] - s[0]) - np.log(c[0])
+                   - np.log(c[0] - 2.0 * s[0])),
+     "Gamma(z)Gamma(z-2a) / Gamma(z-a)^2 >= 1 + a^2 / (z(z-2a)) "
+     "for z > 2a, z > 0, a >= 0"),
+    ("INQ58_BASE_RATIO", "gamma-square-ratio", "ge", _A_NONNEG,
+     _Z_ABOVE_2A + _Z_POS,
+     lambda s, c: np.log(s[0] * s[0] + c[0]) - np.log(c[0]),
+     "Gamma(z)Gamma(z-2a) / Gamma(z-a)^2 >= (a^2 + z) / z "
+     "for z > 2a, z > 0 (reference bound)", None, "baseline"),
+    ("INQ58_BASE_SHIFT", "gamma-square-ratio", "ge", _A_POS,
+     (("z > 2", 0, ">", 2.0),) + _Z_ABOVE_2A,
+     lambda s, c: np.log1p(s[0] * s[0] * (c[0] - 2.0)
+                           / (c[0] - s[0] - 1.0) ** 2),
+     "Gamma(z)Gamma(z-2a) / Gamma(z-a)^2 >= "
+     "1 + a^2 (z-2) / (z-a-1)^2 for z > 2, z > 2a, a > 0 "
+     "(reference bound)", None, "baseline"),
+))
+
 _BY_ID = MappingProxyType({case.id: case for case in _CASES})
 
 
@@ -882,7 +725,8 @@ def sweep(case_id: str, params, grid) -> list:
 def tightness_sweep(ids, params, grid) -> list:
     """Rank bounds that share one LHS expression at every point of a grid.
 
-    All ids must agree on ``lhs_key``, direction, and parameter layout.
+    All ids must agree on ``lhs_key`` (which fixes the parameter layout)
+    and direction.
     As in :func:`sweep`, points outside any case's domain are skipped and
     results are sorted by point.  The tightest bound comes first: the
     largest RHS of >= claims, the smallest of <= claims.
@@ -900,9 +744,6 @@ def tightness_sweep(ids, params, grid) -> list:
         if case.direction != head.direction:
             raise UsageError(
                 f"{case.id} and {head.id} bound in opposite directions")
-        if case.param_names != head.param_names:
-            raise UsageError(
-                f"{case.id} and {head.id} take different parameters")
     flat_params = tuple(float(v) for v in params)
     kept = _domain_points(cases, flat_params, grid)
     if not len(kept):

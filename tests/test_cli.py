@@ -26,12 +26,10 @@ def synthetic_violation(monkeypatch):
     """Register a deliberately false claim under the id SYN_BAD."""
     syn = iq_mod.InequalityCase(
         id="SYN_BAD", kind="claim", direction="ge",
-        param_kinds=(), param_names=(), point_names=("z",),
-        lhs_key="syn", source="0 >= 1 everywhere (test dummy)",
+        lhs_key="recip-gamma", source="1/Gamma(z+1) >= e (test dummy)",
         _check_params=lambda split: None,
-        _point_rules=(("z > 0", lambda split, cols: cols[0] > 0),),
-        _sides_fn=lambda split, cols: (np.zeros_like(cols[0]),
-                                       np.ones_like(cols[0])),
+        _point_rules=(("z > 0", 0, ">", 0.0),),
+        _rhs_fn=lambda split, cols: np.ones_like(cols[0]),
         _sampler_fn=lambda rng, split, n: rng.uniform(1.0, 2.0,
                                                       size=(n, 1)),
     )
@@ -501,3 +499,34 @@ class TestPointSetChecks:
                        f"a=1,z={z!r}", "--format", "json",
                        "--out", str(g))[0] == 0
             assert json.loads(g.read_text())["rows"] == [row]
+
+
+class TestEmptyPointSet:
+    """A grid with no point in the domain fails instead of reporting an
+    empty pass, and names the rule the first point breaks."""
+
+    def test_audit_grid_outside_domain(self, capsys):
+        code, out, err = run(capsys, "audit", "--id", "INQ1", "--params",
+                             "a=1,b=1", "--grid", "0.1:0.5:3")
+        assert code == 1
+        assert out == ""
+        assert "INQ1: no point lies in the domain" in err
+        assert "(0.1,) fails: requires z > a+b-1" in err
+
+    def test_compare_grid_outside_domain(self, capsys):
+        code, out, err = run(capsys, "compare", "--id",
+                             "BETA_UB,BETA_UB_DRAGOMIR", "--grid", "2:3:3")
+        assert code == 1
+        assert out == ""
+        assert "BETA_UB_DRAGOMIR: no point lies in the domain" in err
+        assert "requires 0 < a <= 1" in err
+
+
+def test_parser_reused_across_calls(capsys):
+    # the second call must not see the first call's --samples
+    assert run(capsys, "audit", "--id", "INQ1", "--params", "a=1,b=1",
+               "--samples", "5")[0] == 0
+    code, _, err = run(capsys, "audit", "--id", "INQ1", "--params",
+                       "a=1,b=1", "--grid", "1.5:3:4")
+    assert code == 0
+    assert "points=4" in err

@@ -309,6 +309,21 @@ class TestSamplers:
             assert pts.shape == (50, len(case.point_names))
             assert np.all(case.domain_mask(params, pts))
 
+    @pytest.mark.parametrize("case_id, params", [
+        ("INQ1", (1e17, 1e17)), ("SYM_GE1", (1e16,)), ("PSI_XY", (1e16,)),
+        ("PSI_XY_AB", (1e16, 1e16)), ("INQ58_BASE_SHIFT", (1e16,)),
+    ])
+    def test_samples_in_domain_at_huge_bounds(self, case_id, params):
+        # the offset above the lower bound rounds away at this size
+        case = iq.get_case(case_id)
+        pts = case.sample_points(np.random.default_rng(0), params, 1000)
+        assert case.domain_mask(params, pts).all()
+
+    def test_overflowing_bound_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError, match="no finite z"):
+            iq.get_case("INQ1").sample_points(rng, (1e308, 1e308), 10)
+
     def test_empty_window_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(DomainError, match="empty"):
