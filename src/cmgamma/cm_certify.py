@@ -26,6 +26,7 @@ does not, so it can exhibit the failure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -235,57 +236,69 @@ def certify_log_cm(fam: RatioFamily, config: CertConfig) -> CertReport:
     """Certify log-complete monotonicity through both evaluation routes.
 
     Every grid pair (z, n) is evaluated by the Laplace quadrature route and
-    the polygamma series route.  The verdict is ``certified`` when all
-    values clear ``-tol`` and the routes agree within
-    ``max(agree_rtol * |polygamma|, agree_atol)``; an agreed value below
-    ``-tol`` (or a negative kernel scan) gives ``violated``; disagreement
-    beyond the allowance gives ``inconclusive``.
+    the polygamma series route, each called once for the whole grid: the
+    quadrature integrates every pair in one lockstep pass on shared nodes,
+    and the series makes one specfun call per order.  The verdict is
+    ``certified`` when all values clear ``-tol`` and the routes agree
+    within ``max(agree_rtol * |polygamma|, agree_atol)``; an agreed value
+    below ``-tol`` (or a negative kernel scan) gives ``violated``;
+    disagreement beyond the allowance, or a quadrature that did not
+    converge, gives ``inconclusive``.
 
     Raises
     ------
     UsageError
         Invalid grid, or a family failing its weak submajorization
         precondition (the message cites the failing partial sum).
+    DomainError
+        A grid point where a polygamma argument reaches a pole or a value
+        overflows; the series route runs first, so no quadrature runs then.
     """
     config.validate(fam)
     _require_certifiable(fam)
 
-    rows = []
+    zs = np.array(config.z_grid)
+    orders = np.arange(1, config.n_max + 1)
+    shape = (zs.size, orders.size)
+    p = log_deriv_polygamma(fam, zs, orders)
+    try:
+        q = log_deriv_quadrature(fam, zs, orders, config.quad)
+        q_val, q_err = q.signed_value, q.err_estimate
+    except ConvergenceError as exc:
+        q_val = exc.value
+        q_err = np.where(exc.converged, exc.err_estimate, math.inf)
+    q_val, q_err, p_val, p_err = (
+        np.broadcast_to(np.asarray(v, dtype=float), shape)
+        for v in (q_val, q_err, p.signed_value, p.err_estimate))
+    allowance = np.maximum(config.agree_rtol * np.abs(p_val),
+                           config.agree_atol)
+    agrees = np.isfinite(q_err) & (np.abs(q_val - p_val) <= allowance)
+    lo = np.where(p_val < q_val, p_val, q_val)  # min(q, p); NaN q stays
+
+    # the first pair, z-major, with the strictly smallest finite margin
     worst = (math.nan, 0, math.inf)
-    for z in config.z_grid:
-        for n in range(1, config.n_max + 1):
-            try:
-                q = log_deriv_quadrature(fam, z, n, config.quad)
-                q_val, q_err = q.signed_value, q.err_estimate
-            except ConvergenceError as exc:
-                q_val, q_err = exc.value, math.inf
-            p = log_deriv_polygamma(fam, z, n)
-            allowance = max(config.agree_rtol * abs(p.signed_value),
-                            config.agree_atol)
-            agrees = bool(math.isfinite(q_err)
-                          and abs(q_val - p.signed_value) <= allowance)
-            rows.append(LogCmRow(z=float(z), n=n, quadrature=float(q_val),
-                                 polygamma=float(p.signed_value),
-                                 quad_err=float(q_err),
-                                 poly_err=float(p.err_estimate),
-                                 agrees=agrees))
-            lo = float(min(q_val, p.signed_value))
-            if lo < worst[2]:
-                worst = (float(z), n, lo)
+    cand = np.where(lo < math.inf, lo, math.inf).ravel()
+    if (cand < math.inf).any():
+        k = int(np.argmin(cand))
+        worst = (config.z_grid[k // orders.size],
+                 k % orders.size + 1, float(cand[k]))
+
+    columns = (q_val, p_val, q_err, p_err, agrees)
+    rows = tuple(LogCmRow(z, n, *values) for (z, n), values in zip(
+        itertools.product(config.z_grid, range(1, config.n_max + 1)),
+        zip(*(c.ravel().tolist() for c in columns))))
 
     kmin, kargmin = kernel_nonneg_scan(fam, config.t_points)
     kernel_bad = not _kernel_scan_ok(fam, kmin, kargmin)
 
-    definite_violation = kernel_bad or any(
-        r.agrees and min(r.quadrature, r.polygamma) < -config.tol for r in rows)
-    if definite_violation:
+    if kernel_bad or np.any(agrees & (lo < -config.tol)):
         verdict = "violated"
-    elif any(not r.agrees for r in rows):
+    elif not agrees.all():
         verdict = "inconclusive"
     else:
         verdict = "certified"
     return CertReport(family=fam, method="log-cm", verdict=verdict,
-                      tol=config.tol, worst=worst, rows=tuple(rows),
+                      tol=config.tol, worst=worst, rows=rows,
                       kernel_min=kmin, kernel_argmin=kargmin)
 
 

@@ -28,17 +28,21 @@ class ConvergenceError(RuntimeError):
 
     Attributes
     ----------
-    value : float
+    value : float or ndarray
         Best estimate of the result at the point of failure.
-    err_estimate : float
+    err_estimate : float or ndarray
         Estimated error of ``value``.
     evaluations : int
         Number of integrand evaluations performed.
+    converged : bool or ndarray
+        For a batch of values, which of them did converge; their ``value``
+        and ``err_estimate`` entries are final.
     """
 
-    def __init__(self, message: str, value: float, err_estimate: float,
-                 evaluations: int = 0):
+    def __init__(self, message: str, value, err_estimate,
+                 evaluations: int = 0, converged=False):
         super().__init__(message)
         self.value = value
         self.err_estimate = err_estimate
         self.evaluations = evaluations
+        self.converged = converged

@@ -213,6 +213,11 @@ class InequalityCase:
         rhs = self._rhs_fn(split, cols)
         return np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
 
+    def rhs(self, params, pts) -> np.ndarray:
+        """rhs_log alone, for bounds that share an already evaluated LHS."""
+        rhs = self._rhs_fn(self.split_params(params), self._columns(pts))
+        return np.asarray(rhs, dtype=float)
+
     def margin_values(self, params, pts) -> np.ndarray:
         lhs, rhs = self.sides(params, pts)
         return lhs - rhs if self.direction == "ge" else rhs - lhs
@@ -728,8 +733,10 @@ def tightness_sweep(ids, params, grid) -> list:
     All ids must agree on ``lhs_key`` (which fixes the parameter layout)
     and direction.
     As in :func:`sweep`, points outside any case's domain are skipped and
-    results are sorted by point.  The tightest bound comes first: the
-    largest RHS of >= claims, the smallest of <= claims.
+    results are sorted by point.  The shared left-hand side is evaluated
+    once over the kept points, and each case's RHS once.  The tightest
+    bound comes first: the largest RHS of >= claims, the smallest of <=
+    claims.
     """
     ids = list(ids)
     if len(ids) < 2:
@@ -748,9 +755,9 @@ def tightness_sweep(ids, params, grid) -> list:
     kept = _domain_points(cases, flat_params, grid)
     if not len(kept):
         return []
-    sides = [case.sides(flat_params, kept) for case in cases]
-    lhs = sides[-1][0]  # one expression; the last case's value is reported
-    rhs_logs = np.array([rhs for _, rhs in sides])
+    lhs, head_rhs = head.sides(flat_params, kept)
+    rhs_logs = np.array([head_rhs] + [case.rhs(flat_params, kept)
+                                      for case in cases[1:]])
     with np.errstate(over="ignore"):
         rhs_vals = np.exp(rhs_logs)
     reverse = head.direction == "ge"

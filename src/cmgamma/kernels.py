@@ -42,7 +42,7 @@ from functools import reduce
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, UsageError
+from .errors import ConvergenceError, DomainError, UsageError
 from .quad import QuadOptions, integrate_half_line
 
 __all__ = [
@@ -270,13 +270,18 @@ def _check_z(fam, z) -> None:
 
 @dataclass(frozen=True)
 class LogDerivResult:
-    """One evaluation of (-1)^n (ln f)^(n)(z) by a named route."""
+    """Evaluations of (-1)^n (ln f)^(n)(z) by a named route.
 
-    order: int
-    z: float
-    signed_value: float
+    For a scalar z and order the fields are numbers; otherwise
+    ``signed_value`` and ``err_estimate`` are arrays shaped
+    ``np.shape(z) + np.shape(order)``.
+    """
+
+    order: int | np.ndarray
+    z: float | np.ndarray
+    signed_value: float | np.ndarray
     path: str
-    err_estimate: float
+    err_estimate: float | np.ndarray
 
 
 def domain_lower_bound(fam: RatioFamily) -> float:
@@ -310,7 +315,34 @@ def log_f(fam: RatioFamily, z):
     return res
 
 
-def log_deriv_polygamma(fam: RatioFamily, z, n: int) -> LogDerivResult:
+def _route_grid(fam, z, n):
+    """Validate a route call: (z as a 1-d array, the orders as a list, and
+    the result shape np.shape(z) + np.shape(n))."""
+    _check_family(fam)
+    items = np.asarray(n, dtype=object).ravel().tolist()
+    if not items:
+        raise UsageError("derivative orders must be nonempty")
+    for order in items:
+        _validate_order(order)
+    _check_z(fam, z)
+    return (np.ravel(np.asarray(z, dtype=float)), [int(v) for v in items],
+            np.shape(z) + np.shape(n))
+
+
+def _shaped(arr, shape):
+    """A (z, n) result array in the caller's shape; a number for scalars."""
+    return arr.reshape(shape) if shape else arr.item()
+
+
+def _route_result(z, n, shape, value, err, path) -> LogDerivResult:
+    return LogDerivResult(
+        order=np.asarray(n) if np.ndim(n) else n,
+        z=np.asarray(z, dtype=float) if np.ndim(z) else float(z),
+        signed_value=_shaped(value, shape), path=path,
+        err_estimate=_shaped(err, shape))
+
+
+def log_deriv_polygamma(fam: RatioFamily, z, n) -> LogDerivResult:
     """(-1)^n (ln f)^(n)(z) via the polygamma series route.
 
     The value is the signed combination sum_j c_j psi^(n-1)(arg_j) times
@@ -318,66 +350,111 @@ def log_deriv_polygamma(fam: RatioFamily, z, n: int) -> LogDerivResult:
     :mod:`cmgamma.specfun`.  The error estimate is a conservative roundoff
     model proportional to the sum of term magnitudes, which is what limits
     accuracy when the combination cancels heavily.
+
+    z may be an array of points and n an array of orders; the result then
+    holds one value per (z, n) pair, shaped ``np.shape(z) + np.shape(n)``.
+    Each order makes one specfun call over the arguments of every table
+    row at every z.
     """
-    _check_family(fam)
-    _validate_order(n)
-    _check_z(fam, z)
-    z = float(z)
-    acc = 0.0
-    mag = 0.0
-    for coef, arg in fam.shifted_args(z):
-        if coef == 0.0:
-            continue
-        val = specfun.digamma(arg) if n == 1 else specfun.polygamma(n - 1, arg)
-        acc += coef * val
-        mag += abs(coef * val)
-    sign = 1.0 if n % 2 == 0 else -1.0
-    return LogDerivResult(order=n, z=z, signed_value=sign * acc,
-                          path="polygamma", err_estimate=_POLY_EPS * mag)
+    zs, orders, shape = _route_grid(fam, z, n)
+    rows = [(coef, arg) for coef, arg in fam.shifted_args(zs) if coef != 0.0]
+    # z-major, so that a pole is reported at the first z that reaches one
+    args = np.stack([arg for _, arg in rows], axis=1).ravel()
+    value = np.empty((zs.size, len(orders)))
+    err = np.empty_like(value)
+    for j, order in enumerate(orders):
+        vals = (specfun.digamma(args) if order == 1
+                else specfun.polygamma(order - 1, args))
+        acc = mag = 0.0
+        for (coef, _), v in zip(rows, vals.reshape(zs.size, len(rows)).T):
+            acc = acc + coef * v
+            mag = mag + np.abs(coef * v)
+        value[:, j] = (1.0 if order % 2 == 0 else -1.0) * acc
+        err[:, j] = _POLY_EPS * mag
+    return _route_result(z, n, shape, value, err, "polygamma")
 
 
-def log_deriv_quadrature(fam: RatioFamily, z, n: int,
+def log_deriv_quadrature(fam: RatioFamily, z, n,
                          opts: QuadOptions | None = None) -> LogDerivResult:
     """(-1)^n (ln f)^(n)(z) via the Laplace integral route.
 
     The integrand combines weight and kernel into a signed sum of decaying
     exponentials whose coefficients cancel at t = 0; it is evaluated with
     ``expm1`` relative to the slowest exponent, which avoids both the
-    cancellation near 0 and any overflow at large t.  Non-convergence of
-    the adaptive rule propagates as :class:`~cmgamma.errors.ConvergenceError`.
+    cancellation near 0 and any overflow at large t.
+
+    z may be an array of points and n an array of orders; the result then
+    holds one value per (z, n) pair, shaped ``np.shape(z) + np.shape(n)``.
+    All pairs are integrated in one vector-valued pass on shared nodes: at
+    each node the base e^(-mu0 t) sum_j c_j expm1(-nu_j t) is formed once
+    per z and multiplied by t^(n-1) per order.  Each pair gets exactly the
+    value and error estimate of its own scalar call.  Non-convergence of
+    any pair propagates as :class:`~cmgamma.errors.ConvergenceError`, with
+    the values, error estimates and ``converged`` flags of every pair.
     """
-    _check_family(fam)
-    _validate_order(n)
-    _check_z(fam, z)
-    z = float(z)
+    zs, orders, shape = _route_grid(fam, z, n)
+    n_ord = len(orders)
+    cols = [(coef, arg.tolist()) for coef, arg in fam.shifted_args(zs)]
+    live, mu0, terms = [], [], []
+    for i in range(zs.size):
+        # equal arguments merge, so that cancelling factors drop out
+        merged: dict[float, float] = {}
+        for coef, col in cols:
+            merged[col[i]] = merged.get(col[i], 0.0) + coef
+        row = sorted((mu, c) for mu, c in merged.items() if c != 0.0)
+        if row:
+            live.append(i)
+            mu0.append(row[0][0])
+            terms.append([(mu - row[0][0], c) for mu, c in row[1:]])
+    value = np.zeros((zs.size, n_ord))
+    err = np.zeros_like(value)
+    if live:
+        # exponent gaps nu and coefficients, one column per live z; a
+        # short column is padded with c = 0, which adds exact zeros
+        nus = np.zeros((max(map(len, terms)), len(live)))
+        coefs = np.zeros_like(nus)
+        for i, row in enumerate(terms):
+            nus[:len(row), i], coefs[:len(row), i] = zip(*row)
+        mu0 = np.array(mu0)
 
-    merged: dict[float, float] = {}
-    for coef, arg in fam.shifted_args(z):
-        merged[arg] = merged.get(arg, 0.0) + coef
-    terms = sorted((mu, c) for mu, c in merged.items() if c != 0.0)
-    if not terms:
-        return LogDerivResult(order=n, z=z, signed_value=0.0,
-                              path="quadrature", err_estimate=0.0)
-    mu0 = terms[0][0]
-    nus = np.array([mu - mu0 for mu, _ in terms])
-    coefs = np.array([c for _, c in terms])
-    pol = n - 1
+        def integrand(nodes):
+            t, rows = nodes
+            zi, oi = np.divmod(rows, n_ord)
+            uz, first, inv = np.unique(zi, return_index=True,
+                                       return_inverse=True)
+            tz = t if t.ndim == 1 else t[first]
+            acc = np.zeros((uz.size, tz.shape[-1]))
+            for nu, c in zip(nus[:, uz], coefs[:, uz]):
+                acc += c[:, None] * np.expm1(-nu[:, None] * tz)
+            base = np.exp(-mu0[uz, None] * tz) * acc
+            den = -np.expm1(-tz)
+            out = np.empty((rows.size, tz.shape[-1]))
+            for j in np.unique(oi).tolist():
+                sel = oi == j
+                num = base[inv[sel]]
+                pol = orders[j] - 1
+                if pol:
+                    tp = tz ** pol
+                    num = num * (tp if tz.ndim == 1 else tp[inv[sel]])
+                out[sel] = num / (den if tz.ndim == 1 else den[inv[sel]])
+            return out
 
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        acc = np.zeros_like(t)
-        for nu, c in zip(nus, coefs):
-            if nu > 0.0:
-                acc += c * np.expm1(-nu * t)
-        num = np.exp(-mu0 * t) * acc
-        if pol:
-            num = num * t ** pol
-        return num / -np.expm1(-t)
-
-    decay = z - fam.lower_bound()
-    res = integrate_half_line(integrand, decay, opts)
-    return LogDerivResult(order=n, z=z, signed_value=res.value,
-                          path="quadrature", err_estimate=res.err_estimate)
+        decay = np.repeat(zs[live] - fam.lower_bound(), n_ord)
+        try:
+            res = integrate_half_line(integrand, decay, opts)
+        except ConvergenceError as exc:
+            ok = np.ones(value.shape, dtype=bool)
+            for out, part in ((value, exc.value), (err, exc.err_estimate),
+                              (ok, exc.converged)):
+                out[live] = np.reshape(part, (-1, n_ord))
+            raise ConvergenceError(
+                str(exc), value=_shaped(value, shape),
+                err_estimate=_shaped(err, shape),
+                evaluations=exc.evaluations, converged=_shaped(ok, shape)
+            ) from exc
+        value[live] = res.value.reshape(-1, n_ord)
+        err[live] = res.err_estimate.reshape(-1, n_ord)
+    return _route_result(z, n, shape, value, err, "quadrature")
 
 
 def _validate_order(n) -> None:

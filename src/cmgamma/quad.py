@@ -13,12 +13,18 @@ double-exponential rule absorbs.  Nodes past the point where the mapped
 weight underflows contribute nothing, which truncates the tail
 automatically at the tolerance scale.
 
-Integrands must accept numpy arrays (nodes are evaluated in level-sized
-batches).
+An integrand may be vector valued: k components, each with its own decay
+rate, refined in lockstep on shared nodes (Takahasi and Mori 1974; Bailey,
+Jeyabalan and Li 2005).  Each component stops at the first level where its
+own stopping test passes, with exactly the value and error estimate that it
+would get alone, and later levels evaluate only the components still open.
+A scalar integrand is a batch of one.  Integrands must accept numpy arrays
+(nodes are evaluated in level-sized batches).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -35,6 +41,10 @@ __all__ = ["QuadOptions", "QuadResult", "integrate_half_line"]
 _TAU_MAX = 5.95
 
 _EPS = float(np.finfo(float).eps)
+
+# Most integrand values requested in one call.  Deep levels with many open
+# components are split by component, so memory stays bounded.
+_MAX_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -60,80 +70,97 @@ class QuadOptions:
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Value, error estimate, and evaluation count of one integration."""
+    """Value, error estimate, and evaluation count of one integration.
 
-    value: float
-    err_estimate: float
+    For a vector integrand ``value`` and ``err_estimate`` are arrays with
+    one entry per component, and ``evaluations`` counts the shared nodes.
+    """
+
+    value: float | np.ndarray
+    err_estimate: float | np.ndarray
     evaluations: int
 
 
-def _de_nodes(h: float, odd_only: bool):
-    """Abscissas tau > 0 plus weights/offsets of the double-exponential rule.
+@functools.cache
+def _de_nodes(level: int):
+    """(delta, weight) of the double-exponential rule at one level.
 
-    Returns (delta, weight_factor) for the positive tau values, plus the
-    center weight when odd_only is False.  delta is the node's distance to
-    the nearer endpoint expressed as a fraction of the half width; the
-    weight factor is per unit half-width.
+    Level 0 has step h = 1 and every tau = h, 2h, ...; level l > 0 adds the
+    odd multiples of h = 2^-l.  delta is the node's distance to the nearer
+    endpoint expressed as a fraction of the half width; the weight factor
+    is per unit half-width.  The arrays are cached and read-only.
     """
-    if odd_only:
-        taus = np.arange(1.0, _TAU_MAX / h, 2.0) * h
-    else:
-        taus = np.arange(1.0, _TAU_MAX / h, 1.0) * h
+    h = 0.5 ** level
+    taus = np.arange(1.0, _TAU_MAX / h, 2.0 if level else 1.0) * h
     g = 0.5 * math.pi * np.sinh(taus)
     q = np.exp(-2.0 * g)
     delta = 2.0 * q / (1.0 + q)
     weight = 0.5 * math.pi * np.cosh(taus) * 4.0 * q / (1.0 + q) ** 2
+    delta.flags.writeable = weight.flags.writeable = False
     return delta, weight
 
 
-def _tanh_sinh_open(f: Callable, a: float, b: float, rel_tol: float,
+def _require_finite(vals, x) -> None:
+    """Raise DomainError at the first non-finite value of the first
+    component that has one; x holds the nodes, shared (1-d) or per row."""
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        i = int(np.flatnonzero(bad.any(axis=1))[0])
+        xi = x if x.ndim == 1 else x[i]
+        raise DomainError(f"integrand not finite at node x={xi[bad[i]][0]!r}")
+
+
+def _tanh_sinh_open(f: Callable, a: float, b: float, k: int, rel_tol: float,
                     abs_tol: float, max_levels: int):
-    """Tanh-sinh rule on the open interval (a, b), never sampling a or b."""
+    """Tanh-sinh rule on the open interval (a, b), never sampling a or b.
+
+    ``f(x, rows)`` returns the values of the components ``rows`` at the
+    shared nodes x, one row per component.  Returns per-component value,
+    error estimate and convergence flag, and the number of nodes evaluated.
+    """
     d = 0.5 * (b - a)
     c = a + d
+    err = np.full(k, math.inf)
+    done = np.zeros(k, dtype=bool)
+    rows = np.arange(k)
     evals = 0
-
-    def eval_batch(delta):
-        nonlocal evals
-        x_lo = a + d * delta
-        x_hi = b - d * delta
-        vals_lo = np.asarray(f(x_lo), dtype=float)
-        vals_hi = np.asarray(f(x_hi), dtype=float)
-        evals += 2 * delta.size
-        for x, v in ((x_lo, vals_lo), (x_hi, vals_hi)):
-            bad = ~np.isfinite(v)
-            if bad.any():
-                raise DomainError(
-                    f"integrand not finite at node x={x[bad][0]!r}")
-        return vals_lo, vals_hi
-
-    # level 0, h = 1
-    delta, weight = _de_nodes(1.0, odd_only=False)
-    lo, hi = eval_batch(delta)
-    center = np.asarray(f(np.array([c])), dtype=float)
-    evals += 1
-    if not np.isfinite(center[0]):
-        raise DomainError(f"integrand not finite at node x={c!r}")
-    total = 0.5 * math.pi * center[0] + float(np.dot(weight, lo + hi))
-    value = d * total
-    prev = value
-    err = math.inf
-
-    h = 1.0
-    for level in range(1, max_levels + 1):
-        h *= 0.5
-        delta, weight = _de_nodes(h, odd_only=True)
-        lo, hi = eval_batch(delta)
-        value = 0.5 * prev + d * h * float(np.dot(weight, lo + hi))
-        err = abs(value - prev)
-        tol = max(rel_tol * abs(value), abs_tol)
-        if err <= tol and (level >= 2 or err == 0.0):
-            return value, max(err, _EPS * abs(value)), evals, True
-        prev = value
-    return value, err, evals, False
+    for level in range(max_levels + 1):
+        delta, weight = _de_nodes(level)
+        x = np.concatenate((a + d * delta, b - d * delta))
+        if not level:
+            x = np.append(x, c)
+        m = delta.size
+        dots, center = [], []
+        step = max(1, _MAX_VALUES // x.size)
+        for start in range(0, rows.size, step):
+            vals = f(x, rows[start:start + step])
+            _require_finite(vals, x)
+            pair = vals[:, :m] + vals[:, m:2 * m]
+            # one dot product per component: a matrix product would sum
+            # in a different order
+            dots.extend(float(np.dot(weight, row)) for row in pair)
+            if not level:
+                center.extend(vals[:, -1].tolist())
+        evals += x.size
+        dots = np.array(dots)
+        if not level:
+            value = d * (0.5 * math.pi * np.array(center) + dots)
+            continue
+        prev = value[rows]
+        new = 0.5 * prev + d * 0.5 ** level * dots
+        new_err = np.abs(new - prev)
+        value[rows], err[rows] = new, new_err
+        tol = np.maximum(rel_tol * np.abs(new), abs_tol)
+        stop = (new_err <= tol) & ((level >= 2) | (new_err == 0.0))
+        err[rows[stop]] = np.maximum(new_err[stop], _EPS * np.abs(new[stop]))
+        done[rows[stop]] = True
+        rows = rows[~stop]
+        if not rows.size:
+            break
+    return value, err, done, evals
 
 
-def integrate_half_line(f: Callable, decay_rate: float,
+def integrate_half_line(f: Callable, decay_rate,
                         opts: QuadOptions | None = None) -> QuadResult:
     """Integrate f over (0, inf) for integrands with exponential decay.
 
@@ -141,60 +168,86 @@ def integrate_half_line(f: Callable, decay_rate: float,
     ----------
     f : callable
         Vectorized integrand; must be finite on (0, inf) including the
-        limit t -> 0+.  It is never evaluated at t = 0.
-    decay_rate : float
-        Positive rate r such that ``f(t) = O(exp(-r t))`` as t -> inf,
-        possibly times a polynomial.  Used to map the tail; a conservative
-        (small) value is safe.
+        limit t -> 0+.  It is never evaluated at t = 0.  For a scalar
+        ``decay_rate``, ``f(t)`` maps a 1-d array of nodes to values.  For
+        an array of k rates the integrand has k components and is called
+        as ``f((t, rows))``: ``rows`` lists the components still open, in
+        ascending order, and t is either a 1-d array of nodes shared by all
+        of them or a 2-d array with one row of nodes per listed component.
+        It returns one row of values per listed component.
+    decay_rate : float or 1-d array
+        Positive rate r, one per component, such that
+        ``f(t) = O(exp(-r t))`` as t -> inf, possibly times a polynomial.
+        Used to map the tail; a conservative (small) value is safe.
     opts : QuadOptions, optional
         Tolerances and refinement limits.
 
     Returns
     -------
     QuadResult
-        value, err_estimate, and the number of integrand evaluations.
+        value and err_estimate (floats, or arrays with one entry per
+        component), and the number of nodes at which the integrand was
+        evaluated.  Components refined in lockstep share their nodes, so a
+        node counts once however many components it served; for a scalar
+        integrand this is the number of integrand evaluations.
 
     Raises
     ------
     UsageError
-        If ``decay_rate <= 0`` or options are invalid.
+        If a decay rate is not positive and finite, or options are invalid.
     ConvergenceError
-        If either side fails to converge within ``max_levels``; the
-        exception carries the best value and error estimate found.
+        If either side of some component fails to converge within
+        ``max_levels``.  The exception carries the best values, error
+        estimates and a ``converged`` flag, per component for a vector
+        integrand; the components that converged keep their exact results.
     DomainError
         If the integrand returns a non-finite value at a node.
     """
     if opts is None:
         opts = QuadOptions()
     opts.validate()
-    if not (math.isfinite(decay_rate) and decay_rate > 0.0):
+    lam = np.asarray(decay_rate, dtype=float)
+    vector = lam.ndim == 1
+    if lam.ndim > 1 or not lam.size or not (
+            np.all(np.isfinite(lam)) and np.all(lam > 0.0)):
         raise UsageError(
             f"decay_rate must be positive and finite, got {decay_rate!r}")
+    lam = np.atleast_1d(lam)
+    k = lam.size
+
+    def call(t, rows):
+        if vector:
+            return np.asarray(f((t, rows)), dtype=float)
+        return np.asarray(f(np.ravel(t)), dtype=float).reshape(1, -1)
 
     s = opts.split_point
-    lam = decay_rate
 
-    val_a, err_a, ev_a, ok_a = _tanh_sinh_open(
-        f, 0.0, s, opts.rel_tol, 0.5 * opts.abs_tol, opts.max_levels)
+    def mapped_tail(u, rows):
+        rate = lam[rows, None]
+        t = s - np.log(u) / rate
+        vals = call(t, rows)
+        _require_finite(vals, t)
+        return vals / (rate * u)
 
-    def mapped_tail(u):
-        t = s - np.log(u) / lam
-        vals = np.asarray(f(t), dtype=float)
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            raise DomainError(f"integrand not finite at node x={t[bad][0]!r}")
-        return vals / (lam * u)
-
-    val_b, err_b, ev_b, ok_b = _tanh_sinh_open(
-        mapped_tail, 0.0, 1.0, opts.rel_tol, 0.5 * opts.abs_tol,
+    val_a, err_a, ok_a, ev_a = _tanh_sinh_open(
+        call, 0.0, s, k, opts.rel_tol, 0.5 * opts.abs_tol, opts.max_levels)
+    val_b, err_b, ok_b, ev_b = _tanh_sinh_open(
+        mapped_tail, 0.0, 1.0, k, opts.rel_tol, 0.5 * opts.abs_tol,
         opts.max_levels)
 
-    value = val_a + val_b
-    err = err_a + err_b
+    value, err, ok = val_a + val_b, err_a + err_b, ok_a & ok_b
     evals = ev_a + ev_b
-    if not (ok_a and ok_b):
+
+    def shaped(arr):
+        return arr if vector else arr[0].item()
+
+    if not ok.all():
+        what = (f"(best value {float(value[0])!r}, err estimate "
+                f"{float(err[0])!r})" if k == 1
+                else f"for {k - int(ok.sum())} of {k} components")
         raise ConvergenceError(
             f"no convergence within {opts.max_levels} refinement levels "
-            f"(best value {value!r}, err estimate {err!r})",
-            value=value, err_estimate=err, evaluations=evals)
-    return QuadResult(value=value, err_estimate=err, evaluations=evals)
+            f"{what}", value=shaped(value), err_estimate=shaped(err),
+            evaluations=evals, converged=shaped(ok))
+    return QuadResult(value=shaped(value), err_estimate=shaped(err),
+                      evaluations=evals)

@@ -10,11 +10,15 @@ code).
 
 All functions accept scalars or numpy arrays and are elementwise over
 arrays.  Arguments at poles (nonpositive reals for ``log_gamma``,
-``digamma``, ``polygamma``) raise :class:`~cmgamma.errors.DomainError`.
+``digamma``, ``polygamma``) raise :class:`~cmgamma.errors.DomainError`, and
+so does a ``digamma`` or ``polygamma`` value that overflows double
+precision near a pole (``polygamma(119, 1e-3)``, ``digamma(1e-320)``)
+instead of becoming an infinity.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -66,14 +70,20 @@ _DG_COEF = tuple(_BERN[k] / (2 * k + 2) for k in range(_NTERMS))
 
 
 def _as_positive_array(x, name: str):
-    """Validate x > 0 elementwise; return (array, was_scalar)."""
+    """Validate x > 0 elementwise; return (array, was_scalar).
+
+    The error names x itself when it is a scalar, and the first offending
+    entry (in C order) of an array.
+    """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    if np.any(arr <= 0.0):
+    bad = ~(np.isfinite(arr) & (arr > 0.0))
+    if bad.any():
+        at = x if scalar else float(arr[bad].flat[0])
+        if not math.isfinite(at):
+            raise DomainError(f"{name} must be finite, got {at!r}")
         raise DomainError(
-            f"{name} must be positive (poles at nonpositive reals), got {x!r}")
+            f"{name} must be positive (poles at nonpositive reals), got {at!r}")
     return arr, scalar
 
 
@@ -104,6 +114,15 @@ def _shift_up(x, threshold: int, term):
 def _shaped(out, x, scalar: bool):
     """Give a 1-d result the shape of the argument x, or a float for a scalar."""
     return float(out[0]) if scalar else out.reshape(np.shape(x))
+
+
+def _finite(out, x, name: str):
+    """out, unless an entry overflowed: then DomainError naming its x."""
+    bad = ~np.isfinite(out)
+    if bad.any():
+        at = float(np.ravel(np.asarray(x, dtype=float))[bad][0])
+        raise DomainError(f"{name} overflows double precision at x={at!r}")
+    return out
 
 
 def _log_gamma_asymptotic(y):
@@ -142,12 +161,14 @@ def digamma(x):
     Same shift-plus-series scheme as :func:`log_gamma`, using
     ``psi(x) = psi(x+1) - 1/x`` to reach the asymptotic regime.
     """
-    work, shift, scalar = _shift_up(x, 10, lambda w: 1.0 / w)
+    with np.errstate(over="ignore"):
+        work, shift, scalar = _shift_up(x, 10, lambda w: 1.0 / w)
     u = 1.0 / (work * work)
     s = np.zeros_like(work)
     for k in reversed(range(_NTERMS)):
         s = s * u + _DG_COEF[k]
-    return _shaped(np.log(work) - 0.5 / work - s * u - shift, x, scalar)
+    out = _finite(np.log(work) - 0.5 / work - s * u - shift, x, "digamma")
+    return _shaped(out, x, scalar)
 
 
 def polygamma(n: int, x):
@@ -165,25 +186,34 @@ def polygamma(n: int, x):
         Derivative order, ``1 <= n <= 120``.
     x : float or ndarray
         Evaluation point(s), strictly positive.
+
+    The series coefficients of each order are computed once and cached.
+    A value that overflows double precision raises DomainError.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise DomainError(f"order n must be an integer >= 1, got {n!r}")
     if n < 1 or n > 120:
         raise DomainError(f"order n must be in [1, 120], got {n}")
     n = int(n)
-    work, shift, scalar = _shift_up(x, 10 + n, lambda w: w ** (-(n + 1)))
-    # series coefficients B_2k * C(2k+n-1, 2k)
-    coef = tuple(_BERN[k] * float(math.comb(2 * (k + 1) + n - 1, 2 * (k + 1)))
-                 for k in range(_NTERMS))
-    u = 1.0 / (work * work)
-    s = np.zeros_like(work)
-    for k in reversed(range(_NTERMS)):
-        s = s * u + coef[k]
-    fac = float(math.factorial(n - 1))
-    bracket = 1.0 + 0.5 * n / work + s * u
-    sign = -1.0 if n % 2 == 0 else 1.0
-    return _shaped(sign * (fac * work ** (-float(n)) * bracket
-                           + n * fac * shift), x, scalar)
+    coef, fac = _polygamma_coef(n)
+    with np.errstate(over="ignore"):
+        work, shift, scalar = _shift_up(x, 10 + n, lambda w: w ** (-(n + 1)))
+        u = 1.0 / (work * work)
+        s = np.zeros_like(work)
+        for k in reversed(range(_NTERMS)):
+            s = s * u + coef[k]
+        bracket = 1.0 + 0.5 * n / work + s * u
+        sign = -1.0 if n % 2 == 0 else 1.0
+        out = sign * (fac * work ** (-float(n)) * bracket + n * fac * shift)
+    return _shaped(_finite(out, x, f"polygamma({n}, x)"), x, scalar)
+
+
+@functools.cache
+def _polygamma_coef(n: int):
+    """Series coefficients B_2k C(2k+n-1, 2k) of order n, and (n-1)!."""
+    return (tuple(_BERN[k] * float(math.comb(2 * (k + 1) + n - 1, 2 * (k + 1)))
+                  for k in range(_NTERMS)),
+            float(math.factorial(n - 1)))
 
 
 def log_beta(a, b):

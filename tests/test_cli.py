@@ -344,7 +344,7 @@ class TestCertify:
     def test_violation_exits_two(self, capsys, monkeypatch):
         def neg(path):
             def fake(fam, z, n, *a, **kw):
-                return LogDerivResult(order=n, z=float(z),
+                return LogDerivResult(order=n, z=z,
                                       signed_value=-1.0, path=path,
                                       err_estimate=0.0)
             return fake

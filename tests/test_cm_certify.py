@@ -149,7 +149,7 @@ class TestLogCmRoute:
     def test_violated_when_both_routes_agree_negative(self, monkeypatch):
         def neg(path):
             def fake(fam, z, n, *a, **kw):
-                return LogDerivResult(order=n, z=float(z), signed_value=-1.0,
+                return LogDerivResult(order=n, z=z, signed_value=-1.0,
                                       path=path, err_estimate=0.0)
             return fake
         monkeypatch.setattr(cmc, "log_deriv_quadrature", neg("quadrature"))

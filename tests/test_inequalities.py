@@ -297,6 +297,26 @@ class TestTightness:
         with pytest.raises(DomainError, match="requires a > 0 and b > 0"):
             iq.tightness_sweep(("INQ56", "INQ57_LB"), (-1.0, 0.5), [(0.5,)])
 
+    def test_shared_lhs_evaluated_once(self, monkeypatch):
+        # gamma-square-ratio takes three log-gamma calls; its three bounds
+        # share it, and none of their RHS calls log-gamma
+        calls = []
+        real = iq._lg
+
+        def counted(x):
+            calls.append(np.size(x))
+            return real(x)
+
+        monkeypatch.setattr(iq, "_lg", counted)
+        ids = ("INQ58", "INQ58_BASE_RATIO", "INQ58_BASE_SHIFT")
+        grid = np.linspace(2.5, 40.0, 100)
+        results = iq.tightness_sweep(ids, (1.0,), grid)
+        assert len(calls) == 3
+        assert len(results) == sum(calls) // 3 == 100
+        for res in results[::33]:
+            lhs, _ = iq.get_case("INQ58").sides((1.0,), [res.point])
+            assert res.lhs_log == lhs[0]
+
 
 class TestSamplers:
     @pytest.mark.parametrize("case", iq.registry_list(),

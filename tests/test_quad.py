@@ -124,3 +124,110 @@ class TestResultShape:
         assert isinstance(res.value, float)
         assert isinstance(res.err_estimate, float)
         assert isinstance(res.evaluations, int)
+
+
+def _scalar_parts(f, rate, opts=None):
+    """(value, err_estimate, converged, evaluations) of a scalar call."""
+    try:
+        res = integrate_half_line(f, rate, opts)
+        return res.value, res.err_estimate, True, res.evaluations
+    except ConvergenceError as exc:
+        return exc.value, exc.err_estimate, False, exc.evaluations
+
+
+def _stacked(fs):
+    """Vector integrand whose component i is the scalar integrand fs[i]."""
+    def f(nodes):
+        t, rows = nodes
+        t = np.broadcast_to(t, (rows.size, np.shape(t)[-1]))
+        return np.array([fs[r](t[i]) for i, r in enumerate(rows.tolist())])
+    return f
+
+
+class TestVectorIntegrand:
+    FS = (lambda t: np.exp(-t),
+          lambda t: t ** 4 * np.exp(-3.0 * t),
+          lambda t: np.exp(-0.05 * t),
+          lambda t: t * np.exp(-t) / (-np.expm1(-t)),
+          lambda t: np.exp(-t) / np.sqrt(t))
+    RATES = (1.0, 3.0, 0.05, 1.0, 1.0)
+
+    @pytest.mark.parametrize("opts", [None, QuadOptions(rel_tol=1e-6),
+                                      QuadOptions(split_point=2.5)])
+    def test_components_equal_scalar_calls(self, opts):
+        res = integrate_half_line(_stacked(self.FS), np.array(self.RATES),
+                                  opts)
+        scalar = [_scalar_parts(f, r, opts)
+                  for f, r in zip(self.FS, self.RATES)]
+        assert res.value.shape == res.err_estimate.shape == (len(self.FS),)
+        for i, (value, err, ok, _) in enumerate(scalar):
+            assert ok
+            assert res.value[i] == value
+            assert res.err_estimate[i] == err
+        # shared nodes count once: at least the busiest component's count
+        evals = [s[3] for s in scalar]
+        assert max(evals) <= res.evaluations <= sum(evals)
+
+    def test_batch_of_one_is_the_scalar_call(self):
+        f = self.FS[3]
+        vec = integrate_half_line(_stacked([f]), np.array([1.0]))
+        one = integrate_half_line(f, 1.0)
+        assert vec.value[0] == one.value
+        assert vec.err_estimate[0] == one.err_estimate
+        assert vec.evaluations == one.evaluations
+
+    def test_open_components_only_are_evaluated(self):
+        seen = []
+
+        def f(nodes):
+            t, rows = nodes
+            seen.append(rows.tolist())
+            return _stacked(self.FS)(nodes)
+
+        integrate_half_line(f, np.array(self.RATES))
+        # each side starts with every component; converged ones drop out
+        assert seen[0] == list(range(len(self.FS)))
+        assert all(rows == sorted(rows) for rows in seen)
+        assert min(map(len, seen)) < len(self.FS)
+
+    def test_large_batches_split_by_component(self, monkeypatch):
+        import cmgamma.quad as quad_mod
+        monkeypatch.setattr(quad_mod, "_MAX_VALUES", 100)
+        sizes = []
+
+        def f(nodes):
+            t, rows = nodes
+            sizes.append((rows.size, np.shape(t)[-1]))
+            return _stacked(self.FS)(nodes)
+
+        res = integrate_half_line(f, np.array(self.RATES))
+        assert all(k * m <= 100 or k == 1 for k, m in sizes)
+        assert max(k for k, _ in sizes) > 1
+        for i, (fi, rate) in enumerate(zip(self.FS, self.RATES)):
+            value, err, _, _ = _scalar_parts(fi, rate)
+            assert (res.value[i], res.err_estimate[i]) == (value, err)
+
+    def test_failing_component_flagged_others_intact(self):
+        bad = lambda t: np.exp(-t) * (1.0 + 0.5 * np.sin(1e4 * t))  # noqa: E731
+        fs = (self.FS[0], bad, self.FS[3])
+        with pytest.raises(ConvergenceError) as exc_info:
+            integrate_half_line(_stacked(fs), np.array([1.0, 1.0, 1.0]))
+        exc = exc_info.value
+        assert exc.converged.tolist() == [True, False, True]
+        assert "1 of 3 components" in str(exc)
+        for i, f in enumerate(fs):
+            value, err, ok, _ = _scalar_parts(f, 1.0)
+            assert ok == bool(exc.converged[i])
+            assert exc.value[i] == value
+            assert exc.err_estimate[i] == err
+
+    def test_rates_validated(self):
+        f = _stacked(self.FS[:2])
+        for rates in ([1.0, 0.0], [1.0, math.inf], [[1.0, 1.0]], []):
+            with pytest.raises(UsageError):
+                integrate_half_line(f, np.array(rates))
+
+    def test_non_finite_component_rejected(self):
+        fs = (self.FS[0], lambda t: 1.0 / (t - 0.5))
+        with np.errstate(divide="ignore"), pytest.raises(DomainError):
+            integrate_half_line(_stacked(fs), np.array([1.0, 1.0]))

@@ -203,11 +203,34 @@ class TestDomain:
         with pytest.raises(DomainError):
             polygamma(1.5, 1.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda: polygamma(119, 1e-3),
+        lambda: polygamma(12, 1e-30),
+        lambda: digamma(1e-320),
+        lambda: polygamma(3, np.array([2.0, 1e-120])),
+    ], ids=["psi119", "psi12", "digamma", "array"])
+    def test_overflow_raises(self, call):
+        with np.errstate(over="raise"), pytest.raises(
+                DomainError, match="overflows double precision"):
+            call()
+
+    def test_largest_finite_values_pass(self):
+        assert math.isfinite(polygamma(11, 1e-25))
+        assert digamma(1e-300) == pytest.approx(-1e300, rel=1e-12)
+
     def test_log_beta_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             log_beta(0.0, 1.0)
         with pytest.raises(DomainError):
             log_beta(1.0, -3.0)
+
+    def test_array_error_names_first_bad_entry(self):
+        with pytest.raises(DomainError, match=r"reals\), got -2\.0$"):
+            log_gamma(np.array([[1.0, 2.0], [-2.0, 0.0]]))
+        with pytest.raises(DomainError, match=r"finite, got inf$"):
+            digamma([1.0, math.inf, -1.0])
+        with pytest.raises(DomainError, match=r"reals\), got 0$"):
+            polygamma(2, 0)
 
     def test_gen_binom_rejects_poles(self):
         with pytest.raises(DomainError):
