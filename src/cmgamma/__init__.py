@@ -26,6 +26,7 @@ from .inequalities import (
     HOLDS_TOL,
     InequalityCase,
     SweepRecord,
+    SweepResult,
     TightnessResult,
     get_case,
     margin,
@@ -73,6 +74,7 @@ __all__ = [
     "QuadOptions",
     "QuadResult",
     "SweepRecord",
+    "SweepResult",
     "Symmetric",
     "TightnessResult",
     "TwoParam",

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -371,18 +372,67 @@ def _summary(line: str, out_path):
     print(line, file=stream)
 
 
-def _records_csv(records, tol) -> str:
-    lines = ["id,params,point,lhs_log,rhs_log,margin,holds"]
-    for r in records:
-        lines.append(",".join([
-            r.id, _fmt_list(r.params), _fmt_list(r.point), _fmt(r.lhs_log),
-            _fmt(r.rhs_log), _fmt(r.margin),
-            "true" if r.margin >= -tol else "false"]))
-    return "\n".join(lines) + "\n"
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, allow_nan=True) + "\n"
+
+
+# -- audit report writers -----------------------------------------------------
+# A report body is one row template filled once per record, every row in
+# one ``%`` call, so no per-record object is built.  Each value gets the
+# text the per-record writers gave it: ``%.17g`` is _fmt's format, and
+# ``%s`` of a float is its repr, which json.dumps writes for every finite
+# float.
+
+def _fill(row, cols) -> str:
+    """``row`` once per entry of the columns, filled with one value of
+    each column, in column order."""
+    return (row * len(cols[0])) % tuple(
+        itertools.chain.from_iterable(zip(*cols)))
+
+
+def _truths(mask) -> list:
+    return list(map(("false", "true").__getitem__, mask.tolist()))
+
+
+def _json_floats(col) -> list:
+    # json.dumps's own text where it is not the repr: NaN, +-Infinity
+    vals = col.tolist()
+    for i in np.flatnonzero(~np.isfinite(col)).tolist():
+        vals[i] = json.dumps(vals[i])
+    return vals
+
+
+def _audit_csv(res, holds) -> str:
+    fixed = f"{res.id},{_fmt_list(res.params)},".replace("%", "%%")
+    row = (fixed + ";".join(["%.17g"] * res.points.shape[1])
+           + ",%.17g,%.17g,%.17g,%s\n")
+    cols = [*res.points.T, res.lhs_log, res.rhs_log, res.margin]
+    return ("id,params,point,lhs_log,rhs_log,margin,holds\n"
+            + _fill(row, [col.tolist() for col in cols] + [_truths(holds)]))
+
+
+def _audit_json(payload, res, holds) -> str:
+    """``_json_text(payload)`` with the records of ``res`` in its empty
+    "records" list.  json.dumps renders one record's fixed text once, with
+    a mark where each varying value goes."""
+    head, tail = _json_text(payload).split('"records": []')
+    if not len(res):
+        return f'{head}"records": []{tail}'
+    dim = res.points.shape[1]
+    marks = [f"@{k}@" for k in range(dim + 4)]
+    fixed = iq.SweepRecord(res.id, res.params, tuple(marks[:dim]),
+                           *marks[dim:]).to_dict()
+    # a record sits two levels deep in the payload; each row ends in the
+    # separator, cut from the last
+    sep = ",\n    "
+    row = json.dumps(fixed, indent=2).replace("%", "%%") \
+        .replace("\n", "\n    ") + sep
+    for mark in marks:
+        row = row.replace(f'"{mark}"', "%s")
+    cols = [*res.points.T, res.lhs_log, res.rhs_log, res.margin]
+    body = _fill(row, [_json_floats(col) for col in cols]
+                 + [_truths(holds)])[:-len(sep)]
+    return f'{head}"records": [\n    {body}\n  ]{tail}'
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -418,35 +468,38 @@ def cmd_audit(cfg: RunConfig) -> int:
     else:
         pts = case.sample_points(np.random.default_rng(cfg.seed), params,
                                  cfg.samples)
-    records = iq.sweep(case.id, params, pts)
-    _check_kept(records, [case], params, pts)
+    res = iq.sweep(case.id, params, pts)
+    _check_kept(res, [case], params, pts)
 
-    skipped = len(pts) - len(records)
-    all_hold = all(r.margin >= -cfg.tol for r in records)
-    worst = min(records, key=lambda r: r.margin) if records else None
+    skipped = len(pts) - len(res)
+    holds = res.margin >= -cfg.tol
+    all_hold = bool(holds.all())
+    # Python's min, not argmin: a NaN margin is the worst only when first
+    margins = res.margin.tolist()
+    worst = min(range(len(margins)), key=margins.__getitem__) \
+        if margins else None
+    worst_margin, worst_point = (None, None) if worst is None else \
+        (margins[worst], res.points[worst].tolist())
 
     fmt = cfg.fmt or "csv"
     if fmt == "csv":
-        _emit(_records_csv(records, cfg.tol), cfg.out)
+        _emit(_audit_csv(res, holds), cfg.out)
     else:
         payload = {
             "command": "audit", "id": case.id, "params": list(params),
-            "tol": cfg.tol, "seed": cfg.seed,
-            "records": [
-                {**r.to_dict(), "holds": bool(r.margin >= -cfg.tol)}
-                for r in records],
+            "tol": cfg.tol, "seed": cfg.seed, "records": [],
             "summary": {
-                "points": len(records), "skipped": skipped, "nudged": nudged,
-                "all_hold": all_hold,
-                "min_margin": worst.margin if worst else None,
-                "worst_point": list(worst.point) if worst else None,
+                "points": len(res), "skipped": skipped, "nudged": nudged,
+                "all_hold": all_hold, "min_margin": worst_margin,
+                "worst_point": worst_point,
             },
         }
-        _emit(_json_text(payload), cfg.out)
+        _emit(_audit_json(payload, res, holds), cfg.out)
 
-    worst_text = (f" min_margin={_fmt(worst.margin)} "
-                  f"worst_point={_fmt_list(worst.point)}") if worst else ""
-    _summary(f"audit id={case.id} points={len(records)} skipped={skipped}"
+    worst_text = (f" min_margin={_fmt(worst_margin)} "
+                  f"worst_point={_fmt_list(worst_point)}") \
+        if worst is not None else ""
+    _summary(f"audit id={case.id} points={len(res)} skipped={skipped}"
              f" nudged={nudged}{worst_text} "
              f"{'all hold' if all_hold else 'VIOLATION'}", cfg.out)
     return 0 if all_hold else 2

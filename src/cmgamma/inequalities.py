@@ -27,7 +27,10 @@ log-uniform offset above its largest lower bound.
 Drivers: :func:`margin` (one point), :func:`sweep` (a point grid, with
 out-of-domain points skipped), and :func:`tightness_compare` /
 :func:`tightness_sweep` (rank the right-hand sides of bounds sharing one
-left-hand expression at one point / over a grid).
+left-hand expression at one point / over a grid).  :func:`sweep` returns
+a :class:`SweepResult`: the kept points and their sides and margins as
+arrays, read as a list of :class:`SweepRecord` that builds each record
+only on access, so a report can be written from the columns.
 
 Parameters are passed as a flat sequence of reals.  Cases whose
 parameters are entry lists (``MULTI_GE1``, ``MAJOR_GE1``) read the flat
@@ -38,8 +41,10 @@ have equal length, so the flat vector splits evenly in half.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -54,6 +59,7 @@ __all__ = [
     "HOLDS_TOL",
     "InequalityCase",
     "SweepRecord",
+    "SweepResult",
     "TightnessResult",
     "registry_list",
     "get_case",
@@ -273,6 +279,69 @@ class SweepRecord:
                 "point": list(self.point), "lhs_log": self.lhs_log,
                 "rhs_log": self.rhs_log, "margin": self.margin,
                 "holds": self.holds}
+
+
+@dataclass(frozen=True, eq=False)
+class SweepResult(Sequence):
+    """Margins of one case over the kept points of a grid, as columns.
+
+    ``points`` holds one kept point per row, sorted by point; ``lhs_log``,
+    ``rhs_log`` and ``margin`` hold one value per point.  The result reads
+    as the list of :class:`SweepRecord` it stands for: ``len``, iteration,
+    indexing and slicing build each record only when it is asked for, and
+    it compares equal to that list.
+
+    Equality and ``in`` match records field by field, a NaN field matching
+    NaN, so a result with NaN margins equals itself and holds its own
+    records, as a list of record objects does.  A record from elsewhere
+    with the same NaN fields matches too.  Each access builds a new record,
+    so ``r[k] == r[k]`` is False when a field of record k is NaN.
+    """
+
+    id: str
+    params: tuple
+    points: np.ndarray
+    lhs_log: np.ndarray
+    rhs_log: np.ndarray
+    margin: np.ndarray
+
+    def _record(self, point, lhs_log, rhs_log, margin) -> SweepRecord:
+        return SweepRecord(id=self.id, params=self.params, point=tuple(point),
+                           lhs_log=lhs_log, rhs_log=rhs_log, margin=margin,
+                           holds=margin >= -HOLDS_TOL)
+
+    def __len__(self) -> int:
+        return len(self.margin)
+
+    def __iter__(self):
+        return itertools.starmap(self._record, zip(
+            self.points.tolist(), self.lhs_log.tolist(),
+            self.rhs_log.tolist(), self.margin.tolist()))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        return self._record(self.points[i].tolist(), float(self.lhs_log[i]),
+                            float(self.rhs_log[i]), float(self.margin[i]))
+
+    def __eq__(self, other):
+        if not isinstance(other, (SweepResult, list)):
+            return NotImplemented
+        return other is self or (len(self) == len(other)
+                                 and all(map(_same_record, self, other)))
+
+    def __contains__(self, value) -> bool:
+        return any(_same_record(rec, value) for rec in self)
+
+
+def _same_record(rec: SweepRecord, other) -> bool:
+    """``rec == other``, with a NaN field of ``rec`` matching NaN."""
+    if rec == other:
+        return True
+    return isinstance(other, SweepRecord) and all(
+        a == b or (a != a and b != b)
+        for a, b in zip(vars(rec).values(), vars(other).values()))
 
 
 @dataclass(frozen=True)
@@ -706,25 +775,23 @@ def _domain_points(cases, params, grid) -> np.ndarray:
     return kept[np.lexsort(kept.T[::-1])]
 
 
-def sweep(case_id: str, params, grid) -> list:
+def sweep(case_id: str, params, grid) -> SweepResult:
     """Evaluate one case over a grid of points.
 
     Points outside the domain are skipped; the skipped count is
-    ``len(grid) - len(records)``.  Records are sorted by point.
+    ``len(grid) - len(result)``.  The result holds the kept points,
+    sorted by point, and their sides and margins as arrays; it reads as
+    the list of :class:`SweepRecord`, built one by one on access.
     """
     case = get_case(case_id)
     flat_params = tuple(float(v) for v in params)
     kept = _domain_points([case], flat_params, grid)
-    if not len(kept):
-        return []
-    lhs, rhs = case.sides(flat_params, kept)
+    if len(kept):
+        lhs, rhs = case.sides(flat_params, kept)
+    else:
+        lhs = rhs = np.empty(0)
     margins = lhs - rhs if case.direction == "ge" else rhs - lhs
-    return [
-        SweepRecord(id=case.id, params=flat_params, point=tuple(p),
-                    lhs_log=float(lh), rhs_log=float(rh), margin=float(m),
-                    holds=bool(m >= -HOLDS_TOL))
-        for p, lh, rh, m in zip(kept.tolist(), lhs, rhs, margins)
-    ]
+    return SweepResult(case.id, flat_params, kept, lhs, rhs, margins)
 
 
 def tightness_sweep(ids, params, grid) -> list:

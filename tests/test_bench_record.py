@@ -74,3 +74,62 @@ def test_fold_refuses_a_workload_without_seed_pairs(tmp_path):
     with pytest.raises(SystemExit, match="no seed run on both sides"):
         bench_record.fold(parent, change, _spec("compare"))
 
+
+
+def _write_traced(directory, workload, seed, cli_self_s, correct=True):
+    metrics = {"cli.self_s": cli_self_s, "inequalities.points_in": 500,
+               "cli.bytes_out": 1000, "not.declared": 1.0}
+    path = directory / f"result-{workload}-seed{seed}-trace1.json"
+    path.write_text(json.dumps({"seed": seed, "seconds": 10.0,
+                                "machine": MACHINE, "correct": correct,
+                                "metrics": metrics}))
+
+
+def _spec_with_layers(workload):
+    spec = _spec(workload)
+    spec["per_layer"] = [{"name": m, "better": "lower"} for m in (
+        "cli.self_s", "inequalities.points_in", "cli.bytes_out",
+        "quad.calls")]
+    return spec
+
+
+def test_fold_adds_per_layer_columns_from_traced_pairs(tmp_path):
+    parent, change = tmp_path / "p", tmp_path / "c"
+    parent.mkdir(), change.mkdir()
+    for seed in (1, 2):
+        _write(parent, "audit", seed, 100)
+        _write(change, "audit", seed, 300)
+    _write_traced(parent, "audit", 1, 1.6)
+    _write_traced(change, "audit", 1, 0.4)
+    _write_traced(parent, "audit", 2, 2.0)    # no traced partner: not used
+    rec = bench_record.fold(parent, change, _spec_with_layers("audit"))
+    layers = rec["workloads"]["audit"]["per_layer"]
+    assert layers["seeds"] == [1]
+    assert layers["parent"] == {"cli.self_s": 1.6,
+                                "inequalities.points_in": 500,
+                                "cli.bytes_out": 1000}
+    assert layers["change"]["cli.self_s"] == 0.4
+    assert layers["change_over_parent"] == {
+        "cli.self_s": pytest.approx(0.25), "inequalities.points_in": 1.0,
+        "cli.bytes_out": 1.0}
+    assert rec["workloads"]["audit"]["seeds"] == [1, 2]
+
+
+def test_fold_per_layer_medians_and_refusals(tmp_path):
+    parent, change = tmp_path / "p", tmp_path / "c"
+    parent.mkdir(), change.mkdir()
+    _write(parent, "audit", 1, 100)
+    _write(change, "audit", 1, 100)
+    assert "per_layer" not in bench_record.fold(
+        parent, change, _spec_with_layers("audit"))["workloads"]["audit"]
+    for seed, (p, c) in enumerate([(1.0, 0.5), (3.0, 0.7), (2.0, 0.9)], 1):
+        _write_traced(parent, "audit", seed, p)
+        _write_traced(change, "audit", seed, c)
+    layers = bench_record.fold(parent, change, _spec_with_layers("audit"))[
+        "workloads"]["audit"]["per_layer"]
+    assert layers["seeds"] == [1, 2, 3]
+    assert layers["parent"]["cli.self_s"] == 2.0
+    assert layers["change"]["cli.self_s"] == 0.7
+    _write_traced(change, "audit", 2, 0.7, correct=False)
+    with pytest.raises(SystemExit, match="not correct"):
+        bench_record.fold(parent, change, _spec_with_layers("audit"))

@@ -11,9 +11,13 @@ For every workload that ``BENCHMARK.json`` declares, the record holds the
 seeds run on both sides, the median and quartiles of every declared
 end-to-end metric on each side, the ratio of the medians (change over
 parent), and in how many seed pairs the change read better, by the
-metric's direction.  The machine line comes from the results; the script
-stops if a workload has no seed pair, if the two sides ran on different
-machines or if a result is not ``correct``.
+metric's direction.  Where traced results
+(``result-<workload>-seed<N>-trace1.json``, from ``--trace 1``) exist on
+both sides for a seed, the workload's ``per_layer`` entry holds those
+seeds and the median of every declared per-layer metric on each side,
+with the ratio of the medians.  The machine line comes from the results;
+the script stops if a workload has no untraced seed pair, if the two
+sides ran on different machines or if a result is not ``correct``.
 """
 
 from __future__ import annotations
@@ -40,12 +44,13 @@ def _machine_line(info) -> str:
             f"python={info['python']} numpy={info['numpy']}")
 
 
-def load(directory, workload) -> dict:
-    """seed -> untraced result record of one workload."""
+def load(directory, workload, trace=0) -> dict:
+    """seed -> result record of one workload, untraced or traced."""
     out = {}
-    pattern = os.path.join(directory, f"result-{workload}-seed*-trace0.json")
+    pattern = os.path.join(directory,
+                           f"result-{workload}-seed*-trace{trace}.json")
     for path in glob.glob(pattern):
-        seed = int(re.search(r"-seed(\d+)-trace0\.json$", path).group(1))
+        seed = int(re.search(r"-seed(\d+)-trace\d\.json$", path).group(1))
         with open(path, encoding="utf-8") as fh:
             out[seed] = json.load(fh)
     return out
@@ -58,12 +63,14 @@ def fold(parent_dir, change_dir, spec=None) -> dict:
                   encoding="utf-8") as fh:
             spec = json.load(fh)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    layer_names = [m["name"] for m in spec.get("per_layer", ())]
     record = {"machine": None, "seconds": None, "workloads": {}}
-    for wl in [w["name"] for w in spec["workloads"]]:
-        sides = {"parent": load(parent_dir, wl), "change": load(change_dir, wl)}
+
+    def pairs(wl, trace):
+        """Seeds run on both sides, and each side's records of them."""
+        sides = {"parent": load(parent_dir, wl, trace),
+                 "change": load(change_dir, wl, trace)}
         use = sorted(set(sides["parent"]) & set(sides["change"]))
-        if not use:
-            raise SystemExit(f"{wl}: no seed run on both sides")
         runs = {side: [sides[side][s] for s in use] for side in sides}
         for side, recs in runs.items():
             for seed, rec in zip(use, recs):
@@ -77,13 +84,19 @@ def fold(parent_dir, change_dir, spec=None) -> dict:
                 if record["seconds"] not in (None, rec["seconds"]):
                     raise SystemExit("results with different run lengths")
                 record["seconds"] = rec["seconds"]
+        return use, runs
+
+    for wl in [w["name"] for w in spec["workloads"]]:
+        use, runs = pairs(wl, 0)
+        if not use:
+            raise SystemExit(f"{wl}: no seed run on both sides")
         entry = {"seeds": use}
         for side, recs in runs.items():
             entry[side] = {m: _quartiles([r["metrics"][m] for r in recs])
                            for m in better}
         entry["change_over_parent"] = {
-            m: entry["change"][m]["median"] / entry["parent"][m]["median"]
-            if entry["parent"][m]["median"] else None for m in better}
+            m: _ratio(entry["change"][m]["median"],
+                      entry["parent"][m]["median"]) for m in better}
         wins = {}
         for m, direction in better.items():
             sign = 1.0 if direction == "higher" else -1.0
@@ -91,8 +104,23 @@ def fold(parent_dir, change_dir, spec=None) -> dict:
                       for p, c in zip(runs["parent"], runs["change"]))
             wins[m] = f"{won}/{len(use)}"
         entry["change_better_in_pairs"] = wins
+        traced, runs = pairs(wl, 1)
+        if traced:
+            layers = {"seeds": traced}
+            for side, recs in runs.items():
+                layers[side] = {
+                    m: statistics.median(r["metrics"][m] for r in recs)
+                    for m in layer_names if m in recs[0]["metrics"]}
+            layers["change_over_parent"] = {
+                m: _ratio(layers["change"][m], layers["parent"][m])
+                for m in layers["parent"] if m in layers["change"]}
+            entry["per_layer"] = layers
         record["workloads"][wl] = entry
     return record
+
+
+def _ratio(change, parent):
+    return change / parent if parent else None
 
 
 def main(argv=None) -> int:

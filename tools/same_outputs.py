@@ -1,0 +1,136 @@
+"""Check that two source trees give the same benchmark outputs, op by op.
+
+For one workload and some seeds, every op of ``perfbench/workloads.generate``
+runs in-process through ``cmgamma.cli.main(argv + ["--out", FILE])``, as
+the benchmark's worker runs it: once against each tree, each tree in a
+fresh interpreter that imports ``cmgamma`` from ``TREE/src`` alone.  The
+ops of a tree run one after another in that one interpreter, so state
+carried from one op to the next shows as well.  ``perfbench/`` is imported
+read-only from this repository.  Run from anywhere::
+
+    python3 tools/same_outputs.py PARENT CHANGE --workload audit --seeds 1 2 3
+
+Every op whose exit code, standard output, standard error or report
+sha256 differ is listed; the exit status is 1 if any differ, else 0.
+The workloads are those ``BENCHMARK.json`` declares.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+FIELDS = ("rc", "stdout", "stderr", "sha256")
+
+sys.path.insert(0, PERFBENCH)
+import run as bench_run  # noqa: E402
+
+
+def _sha256(path):
+    """sha256 of a report file (None when there is none); the file is
+    removed."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return None
+    os.remove(path)
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_ops(workload, seeds) -> dict:
+    """Run the ops of every seed in this interpreter, in order, from the
+    current directory; seed -> one dict of argv and outputs per op."""
+    import workloads
+    from cmgamma.cli import main
+
+    out = {}
+    for seed in seeds:
+        rows = out[seed] = []
+        for op in workloads.generate(workload, seed):
+            sink, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(sink), \
+                    contextlib.redirect_stderr(err):
+                rc = main(op["argv"] + ["--out", "op.out"])
+            rows.append({"argv": op["argv"], "rc": rc,
+                         "stdout": sink.getvalue(), "stderr": err.getvalue(),
+                         "sha256": _sha256("op.out")})
+    return out
+
+
+def run_tree(tree, workload, seeds) -> dict:
+    """``run_ops`` in a fresh interpreter that imports cmgamma from
+    ``tree/src``."""
+    src = os.path.join(os.path.abspath(tree), "src")
+    if not os.path.isfile(os.path.join(src, "cmgamma", "cli.py")):
+        raise SystemExit(f"no cmgamma sources under {src!r}")
+    # the benchmark worker's environment, with this tree's sources alone
+    env = bench_run._child_env(src)
+    env["PYTHONPATH"] = src
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "import same_outputs, cmgamma; "
+            "print(json.dumps({'module': cmgamma.__file__, 'runs': "
+            "same_outputs.run_ops(sys.argv[2], json.loads(sys.argv[3]))}))")
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, os.path.join(ROOT, "tools"),
+             workload, json.dumps(list(seeds))],
+            cwd=cwd, env=env, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise SystemExit(f"run against {tree!r} failed:\n{proc.stderr}")
+    result = json.loads(proc.stdout)
+    if not os.path.abspath(result["module"]).startswith(src + os.sep):
+        raise SystemExit(f"cmgamma came from {result['module']!r}, "
+                         f"not from {src!r}")
+    return {int(seed): rows for seed, rows in result["runs"].items()}
+
+
+def differences(left, right) -> list:
+    """(seed, op index, argv, differing fields) of every op that differs."""
+    out = []
+    for seed in sorted(left):
+        a_rows, b_rows = left[seed], right[seed]
+        if [r["argv"] for r in a_rows] != [r["argv"] for r in b_rows]:
+            out.append((seed, None, None, ["argv"]))
+            continue
+        for i, (a, b) in enumerate(zip(a_rows, b_rows)):
+            fields = [f for f in FIELDS if a[f] != b[f]]
+            if fields:
+                out.append((seed, i, a["argv"], fields))
+    return out
+
+
+def main(argv=None) -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        names = [w["name"] for w in json.load(fh)["workloads"]]
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("left", help="first source tree (holds src/cmgamma)")
+    ap.add_argument("right", help="second source tree")
+    ap.add_argument("--workload", required=True,
+                    choices=names)
+    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    args = ap.parse_args(argv)
+    runs = [run_tree(tree, args.workload, args.seeds)
+            for tree in (args.left, args.right)]
+    diffs = differences(*runs)
+    n_ops = sum(len(rows) for rows in runs[0].values())
+    for seed, i, op_argv, fields in diffs:
+        where = "the generated ops" if i is None else f"op {i} {op_argv}"
+        print(f"{args.workload} seed {seed}: {where} differ in "
+              f"{', '.join(fields)}")
+    print(f"{args.workload} seeds {args.seeds}: {n_ops} ops, "
+          f"{len(diffs)} differ")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
