@@ -4,7 +4,8 @@ Every registered inequality is reduced to a log-space margin that is
 nonnegative exactly when the claim holds, so "audit" means: evaluate the
 margin over grids or random in-domain samples and report the minimum.
 Bounds that share a left-hand side can additionally be ranked by
-tightness at a point.
+tightness at a point.  Both drivers return columns: one array per field,
+one entry per kept point.
 
 The same operations are exposed on the command line:
 
@@ -21,7 +22,8 @@ import math
 
 import numpy as np
 
-from cmgamma import get_case, margin, registry_list, sweep, tightness_compare
+from cmgamma import (HOLDS_TOL, get_case, margin, registry_list, sweep,
+                     tightness_compare)
 
 
 def section(title):
@@ -43,11 +45,11 @@ print(f"  INQ1 with a=b=1 at z=2: margin = {m:.15f} (= ln 2; the ratio "
       f"is z/(z-1) = 2)")
 
 section("sweeping a grid (out-of-domain points are skipped)")
-records = sweep("SYM_GE1", (0.5,), [(z,) for z in (0.2, 1.0, 2.0, 5.0, 10.0)])
+res = sweep("SYM_GE1", (0.5,), [(z,) for z in (0.2, 1.0, 2.0, 5.0, 10.0)])
 print("  SYM_GE1, a=0.5, z grid includes 0.2 which is out of domain:")
-for r in records:
-    print(f"    z = {r.point[0]:>4}: margin {r.margin:.12f}  holds={r.holds}")
-print(f"  records: {len(records)} of 5 grid points")
+for (z,), m in zip(res.points.tolist(), res.margin.tolist()):
+    print(f"    z = {z:>4}: margin {m:.12f}  holds={m >= -HOLDS_TOL}")
+print(f"  kept points: {len(res)} of 5 grid points")
 
 section("equality boundaries give margin exactly zero")
 print(f"  H_OMEGA on its diagonal x=y: margin = "
@@ -64,18 +66,21 @@ margins = case.margin_values(params, pts)
 print(f"  G_LE1 with a=0.7, b=1.3 on 2000 random in-domain points:")
 print(f"    min margin {margins.min():.3e}, median {np.median(margins):.3e}")
 
+def show_ranking(res):
+    # order[:, 0] lists the bounds at the (only) point, tightest first
+    for rank, i in enumerate(res.order[:, 0].tolist()):
+        tag = "  <- tightest" if rank == 0 else ""
+        print(f"    {res.ids[i]:<18} {math.exp(res.rhs_log[i, 0]):.6f}{tag}")
+
+
 section("ranking bounds that share a left-hand side")
 res = tightness_compare(("INQ58", "INQ58_BASE_RATIO", "INQ58_BASE_SHIFT"),
                         (1.0,), (4.0,))
 print(f"  lower bounds for G(z) G(z-2a) / G(z-a)^2 at a=1, z=4 "
-      f"(true value {math.exp(res.lhs_log):.6f}):")
-for case_id, _, value in res.entries:
-    tag = "  <- tightest" if case_id == res.tightest_id else ""
-    print(f"    {case_id:<18} {value:.6f}{tag}")
+      f"(true value {math.exp(res.lhs_log[0]):.6f}):")
+show_ranking(res)
 
 res = tightness_compare(("BETA_UB", "BETA_UB_DRAGOMIR"), (), (0.4, 0.4))
 print(f"  upper bounds for B(a,b) at a=b=0.4 "
-      f"(true value {math.exp(res.lhs_log):.6f}):")
-for case_id, _, value in res.entries:
-    tag = "  <- tightest" if case_id == res.tightest_id else ""
-    print(f"    {case_id:<18} {value:.6f}{tag}")
+      f"(true value {math.exp(res.lhs_log[0]):.6f}):")
+show_ranking(res)

@@ -25,7 +25,6 @@ from .errors import ConvergenceError, DomainError, UsageError
 from .inequalities import (
     HOLDS_TOL,
     InequalityCase,
-    SweepRecord,
     SweepResult,
     TightnessResult,
     get_case,
@@ -73,7 +72,6 @@ __all__ = [
     "MultiParam",
     "QuadOptions",
     "QuadResult",
-    "SweepRecord",
     "SweepResult",
     "Symmetric",
     "TightnessResult",

@@ -27,6 +27,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -372,16 +373,27 @@ def _summary(line: str, out_path):
     print(line, file=stream)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, allow_nan=True) + "\n"
+def _exp_sides(logs, ids, points) -> np.ndarray:
+    """``np.exp`` of ln side values, one row per id and one column per
+    point; an overflow (where ``math.exp`` raises) is a DomainError."""
+    logs = np.atleast_2d(logs)
+    with np.errstate(over="ignore"):
+        vals = np.exp(logs)
+    bad = np.isinf(vals) & np.isfinite(logs)
+    if bad.any():
+        i, k = np.argwhere(bad)[0].tolist()
+        raise DomainError(
+            f"{ids[i]}: side value exp({float(logs[i, k])!r}) overflows "
+            f"double precision at point "
+            f"{tuple(np.atleast_2d(points)[k].tolist())!r}")
+    return vals
 
 
-# -- audit report writers -----------------------------------------------------
-# A report body is one row template filled once per record, every row in
-# one ``%`` call, so no per-record object is built.  Each value gets the
-# text the per-record writers gave it: ``%.17g`` is _fmt's format, and
-# ``%s`` of a float is its repr, which json.dumps writes for every finite
-# float.
+# -- report writers -----------------------------------------------------------
+# A list of rows is one row template filled once per row, every row in one
+# ``%`` call, so no per-row object is built.  Each value gets the text the
+# per-row writers gave it: ``%.17g`` is _fmt's format, and ``%s`` of a
+# float is its repr, which json.dumps writes for every finite float.
 
 def _fill(row, cols) -> str:
     """``row`` once per entry of the columns, filled with one value of
@@ -390,49 +402,69 @@ def _fill(row, cols) -> str:
         itertools.chain.from_iterable(zip(*cols)))
 
 
-def _truths(mask) -> list:
-    return list(map(("false", "true").__getitem__, mask.tolist()))
+def _csv(header, fixed, points, cols, last) -> str:
+    """A CSV report: ``header``, then per point ``fixed``, the point's
+    coordinates joined by ';', one value of each of ``cols`` and one of
+    ``last``, the floats as ``%.17g``."""
+    row = (fixed.replace("%", "%%") + ";".join(["%.17g"] * points.shape[1])
+           + ",%.17g" * len(cols) + ",%s\n")
+    return header + "\n" + _fill(row, points.T.tolist() + cols + [last])
 
 
-def _json_floats(col) -> list:
+def _json_values(col) -> list:
+    """One column as values whose ``%s`` is their json.dumps text, which
+    for a bool is also its CSV text."""
+    arr = np.asarray(col)
+    vals = arr.tolist()
+    if arr.dtype.kind in "bU":  # few distinct values: truths and ids
+        texts = {v: json.dumps(v) for v in set(vals)}
+        return list(map(texts.__getitem__, vals))
     # json.dumps's own text where it is not the repr: NaN, +-Infinity
-    vals = col.tolist()
-    for i in np.flatnonzero(~np.isfinite(col)).tolist():
+    for i in np.flatnonzero(~np.isfinite(arr)).tolist():
         vals[i] = json.dumps(vals[i])
     return vals
 
 
-def _audit_csv(res, holds) -> str:
-    fixed = f"{res.id},{_fmt_list(res.params)},".replace("%", "%%")
-    row = (fixed + ";".join(["%.17g"] * res.points.shape[1])
-           + ",%.17g,%.17g,%.17g,%s\n")
-    cols = [*res.points.T, res.lhs_log, res.rhs_log, res.margin]
-    return ("id,params,point,lhs_log,rhs_log,margin,holds\n"
-            + _fill(row, [col.tolist() for col in cols] + [_truths(holds)]))
+class _Rows:
+    """A list of rows in a :func:`_json_text` payload, given as columns:
+    ``build(mark)`` returns one row, with ``mark(column)`` where each
+    value of that column goes."""
+
+    def __init__(self, build):
+        self.cols = []
+        self.template = build(self._mark)
+
+    def _mark(self, col) -> str:
+        self.cols.append(col)
+        return f"@{len(self.cols) - 1}@"
 
 
-def _audit_json(payload, res, holds) -> str:
-    """``_json_text(payload)`` with the records of ``res`` in its empty
-    "records" list.  json.dumps renders one record's fixed text once, with
-    a mark where each varying value goes."""
-    head, tail = _json_text(payload).split('"records": []')
-    if not len(res):
-        return f'{head}"records": []{tail}'
-    dim = res.points.shape[1]
-    marks = [f"@{k}@" for k in range(dim + 4)]
-    fixed = iq.SweepRecord(res.id, res.params, tuple(marks[:dim]),
-                           *marks[dim:]).to_dict()
-    # a record sits two levels deep in the payload; each row ends in the
-    # separator, cut from the last
-    sep = ",\n    "
-    row = json.dumps(fixed, indent=2).replace("%", "%%") \
-        .replace("\n", "\n    ") + sep
-    for mark in marks:
-        row = row.replace(f'"{mark}"', "%s")
-    cols = [*res.points.T, res.lhs_log, res.rhs_log, res.margin]
-    body = _fill(row, [_json_floats(col) for col in cols]
-                 + [_truths(holds)])[:-len(sep)]
-    return f'{head}"records": [\n    {body}\n  ]{tail}'
+_MARK = re.compile(r'"@(\d+)@"')
+
+
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=2, allow_nan=True)`` and a newline,
+    where each :class:`_Rows` in the payload stands for its list.  The
+    payload is rendered with a mark in place of each list, and one row of
+    a list with a mark where each value of a column goes."""
+    lists = []
+
+    def hold(rows):
+        lists.append(rows)
+        return f"@rows{len(lists) - 1}@"
+
+    text = json.dumps(payload, indent=2, allow_nan=True, default=hold) + "\n"
+    for k, rows in enumerate(lists):
+        head, tail = text.split(f'"@rows{k}@"')
+        line = head[head.rfind("\n") + 1:]
+        pad = "\n" + line[:len(line) - len(line.lstrip())] + "  "
+        parts = _MARK.split(json.dumps(rows.template, indent=2)
+                            .replace("\n", pad))
+        row = "%s".join(p.replace("%", "%%") for p in parts[::2]) + "," + pad
+        body = _fill(row, [_json_values(rows.cols[int(i)])
+                           for i in parts[1::2]])[:-len(pad) - 1]
+        text = head + (f"[{pad}{body}{pad[:-2]}]" if body else "[]") + tail
+    return text
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -483,18 +515,26 @@ def cmd_audit(cfg: RunConfig) -> int:
 
     fmt = cfg.fmt or "csv"
     if fmt == "csv":
-        _emit(_audit_csv(res, holds), cfg.out)
+        _emit(_csv("id,params,point,lhs_log,rhs_log,margin,holds",
+                   f"{res.id},{_fmt_list(res.params)},", res.points,
+                   [res.lhs_log.tolist(), res.rhs_log.tolist(),
+                    res.margin.tolist()], _json_values(holds)), cfg.out)
     else:
+        records = _Rows(lambda mark: {
+            "id": res.id, "params": list(res.params),
+            "point": [mark(col) for col in res.points.T],
+            "lhs_log": mark(res.lhs_log), "rhs_log": mark(res.rhs_log),
+            "margin": mark(res.margin), "holds": mark(holds)})
         payload = {
             "command": "audit", "id": case.id, "params": list(params),
-            "tol": cfg.tol, "seed": cfg.seed, "records": [],
+            "tol": cfg.tol, "seed": cfg.seed, "records": records,
             "summary": {
                 "points": len(res), "skipped": skipped, "nudged": nudged,
                 "all_hold": all_hold, "min_margin": worst_margin,
                 "worst_point": worst_point,
             },
         }
-        _emit(_audit_json(payload, res, holds), cfg.out)
+        _emit(_json_text(payload), cfg.out)
 
     worst_text = (f" min_margin={_fmt(worst_margin)} "
                   f"worst_point={_fmt_list(worst_point)}") \
@@ -535,9 +575,12 @@ def cmd_certify(cfg: RunConfig) -> int:
         "command": "certify",
         "family": {"kind": fam.kind, **fam.params_dict()},
         "verdict": combined,
-        "routes": {"log_cm": log_report.to_dict(),
-                   "finite_diff": fd_report.to_dict()},
+        "routes": {},
     }
+    for key, report in (("log_cm", log_report), ("finite_diff", fd_report)):
+        route = payload["routes"][key] = report.to_dict()
+        route["rows"] = _Rows(lambda mark: {
+            name: mark(col) for name, col in route["rows"].items()})
     _emit(_json_text(payload), cfg.out)
     _summary(f"certify family={fam.kind} verdict={combined} "
              f"(log-cm {log_report.verdict}, finite-diff "
@@ -574,8 +617,10 @@ def cmd_bounds(cfg: RunConfig) -> int:
             continue
         lhs, rhs = case.sides(params, [point])
         if true_value is None:
+            _exp_sides(lhs, [case_id], [point])
             true_value = math.exp(lhs[0])
-        rows.append((case_id, case.direction, float(np.exp(rhs[0])), None))
+        rhs = _exp_sides(rhs, [case_id], [point])
+        rows.append((case_id, case.direction, float(rhs[0, 0]), None))
 
     side_name = {"ge": "lower", "le": "upper"}
     ordered = ([r for r in rows if r[1] == "ge"]
@@ -616,38 +661,47 @@ def cmd_compare(cfg: RunConfig) -> int:
     if explicit_point is not None:
         # single asserted point: out-of-domain is an error, not a skip
         pts, nudged = [explicit_point], 0
-        results = [iq.tightness_compare(cfg.ids, params, explicit_point)]
+        res = iq.tightness_compare(cfg.ids, params, explicit_point)
     elif cfg.grid is not None:
         pts, nudged = _grid_points(head, params, cfg.grid)
-        results = iq.tightness_sweep(cfg.ids, params, pts)
-        _check_kept(results, map(iq.get_case, cfg.ids), params, pts)
+        res = iq.tightness_sweep(cfg.ids, params, pts)
+        _check_kept(res, map(iq.get_case, cfg.ids), params, pts)
     else:
         raise UsageError("compare needs --grid or explicit point "
                          "coordinates in --params")
-    skipped = len(pts) - len(results)
+    skipped = len(pts) - len(res)
+    rhs = _exp_sides(res.rhs_log, res.ids, res.points)
+    ranked = np.asarray(res.ids)[res.order]
 
     fmt = cfg.fmt or "csv"
     if fmt == "csv":
-        header = (["params", "point", "lhs"] + list(cfg.ids) + ["tightest"])
-        lines = [",".join(header)]
-        for res in results:
-            by_id = {e[0]: e[2] for e in res.entries}
-            lines.append(",".join(
-                [_fmt_list(res.params), _fmt_list(res.point),
-                 _fmt(math.exp(res.lhs_log))]
-                + [_fmt(by_id[i]) for i in cfg.ids]
-                + [res.tightest_id]))
-        _emit("\n".join(lines) + "\n", cfg.out)
+        # checked with np.exp; written with math.exp, whose bits the CSV's
+        # LHS always had
+        _exp_sides(res.lhs_log, res.ids, res.points)
+        _emit(_csv(",".join(["params", "point", "lhs", *res.ids, "tightest"]),
+                   f"{_fmt_list(res.params)},", res.points,
+                   [list(map(math.exp, res.lhs_log.tolist()))]
+                   + rhs.tolist(), ranked[0].tolist()), cfg.out)
     else:
+        by_rank = [np.take_along_axis(v, res.order, axis=0)
+                   for v in (res.rhs_log, rhs)]
+        rows = _Rows(lambda mark: {
+            "lhs_key": res.lhs_key, "direction": res.direction,
+            "params": list(res.params),
+            "point": [mark(col) for col in res.points.T],
+            "lhs_log": mark(res.lhs_log), "tightest": mark(ranked[0]),
+            "entries": [{"id": mark(ranked[r]),
+                         "rhs_log": mark(by_rank[0][r]),
+                         "rhs": mark(by_rank[1][r])}
+                        for r in range(len(res.ids))]})
         payload = {
             "command": "compare", "ids": list(cfg.ids),
-            "params": list(params),
-            "rows": [r.to_dict() for r in results],
-            "summary": {"points": len(results), "skipped": skipped,
+            "params": list(params), "rows": rows,
+            "summary": {"points": len(res), "skipped": skipped,
                         "nudged": nudged},
         }
         _emit(_json_text(payload), cfg.out)
-    _summary(f"compare ids={','.join(cfg.ids)} points={len(results)} "
+    _summary(f"compare ids={','.join(cfg.ids)} points={len(res)} "
              f"skipped={skipped} nudged={nudged}", cfg.out)
     return 0
 

@@ -10,11 +10,17 @@ integral form and a polygamma series form.  Certification here means:
 * evaluate both forms on a (z, n) grid and require every value to clear
   ``-tol`` with the two routes agreeing within their combined accuracy;
 * independently check the plain definition with forward differences of f
-  itself, which is a necessary condition not derived from either route;
+  itself, which is a necessary condition not derived from either route.
+  A difference is a violation only when it falls below its rounding
+  budget, which grows with the size of the lnG terms behind each f
+  value rather than with f (see :func:`certify_cm_finite_diff`);
 * scan the Laplace kernel for sign violations on a log-spaced t grid.
 
 Verdicts are ``certified``, ``violated``, or ``inconclusive`` (the routes
 disagree beyond what their error estimates allow, so neither is trusted).
+A report keeps its values as columns: the log-cm route one
+:class:`LogCmRow` per (z, n) pair, the finite-difference route a (z, n)
+array of margins.
 
 Every family's kernel is sum e^(a_i t) - sum e^(b_i t) over its numerator
 exponents a and denominator exponents b, which is nonnegative when b is
@@ -26,22 +32,20 @@ does not, so it can exhibit the failure.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, UsageError
 from .kernels import (RatioFamily, domain_lower_bound, kernel_value,
                       log_deriv_polygamma, log_deriv_quadrature, log_f)
-from .quad import QuadOptions
 
 __all__ = [
     "CertConfig",
     "CertReport",
     "LogCmRow",
-    "FiniteDiffRow",
     "check_weak_submajorization",
     "weak_submajorization_failure",
     "certify_log_cm",
@@ -54,6 +58,13 @@ _SCAN_T_MAX = 50.0
 # Relative slack for kernel sign: roundoff of the exponential sums is
 # proportional to the local term magnitude.
 _SCAN_REL_TOL = 1e-12
+# The routes agree at a pair when they differ by at most
+# max(_AGREE_RTOL * |polygamma|, _AGREE_ATOL).
+_AGREE_RTOL = 1e-8
+_AGREE_ATOL = 1e-9
+# Unit roundoff of double precision.
+_U = 2.0 ** -53
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -64,10 +75,6 @@ class CertConfig:
     n_max: int = 8
     tol: float = 1e-9
     fd_step: float = 1e-2
-    t_points: int = 200
-    agree_rtol: float = 1e-8
-    agree_atol: float = 1e-9
-    quad: QuadOptions = field(default_factory=QuadOptions)
 
     def __post_init__(self):
         object.__setattr__(self, "z_grid", tuple(float(z) for z in self.z_grid))
@@ -90,12 +97,9 @@ class CertConfig:
             raise UsageError(f"tol must be positive, got {self.tol!r}")
         if not (math.isfinite(self.fd_step) and self.fd_step > 0):
             raise UsageError(f"fd_step must be positive, got {self.fd_step!r}")
-        if self.t_points < 2:
-            raise UsageError(f"t_points must be >= 2, got {self.t_points!r}")
 
 
-@dataclass(frozen=True)
-class LogCmRow:
+class LogCmRow(NamedTuple):
     """Dual-route values of (-1)^n (ln f)^(n) at one grid point."""
 
     z: float
@@ -108,20 +112,13 @@ class LogCmRow:
 
 
 @dataclass(frozen=True)
-class FiniteDiffRow:
-    """(-1)^n Delta_h^n f(z), a necessary complete-monotonicity margin."""
-
-    z: float
-    n: int
-    margin: float
-
-
-@dataclass(frozen=True)
 class CertReport:
     """Outcome of one certification run.
 
     ``worst`` is the (z, n, value) triple with the smallest margin seen,
-    regardless of verdict.
+    regardless of verdict.  The log-cm route keeps one :class:`LogCmRow`
+    per (z, n) pair in ``rows``, z-major; the finite-difference route keeps
+    its margins as a (z, n) array in ``fd_margins``.
     """
 
     family: RatioFamily
@@ -129,14 +126,17 @@ class CertReport:
     verdict: str
     tol: float
     worst: tuple
+    z_grid: tuple = ()
     rows: tuple = ()
-    fd_rows: tuple = ()
+    fd_margins: np.ndarray | None = None
     fd_step: float | None = None
     fd_scale: float | None = None
     kernel_min: float | None = None
     kernel_argmin: float | None = None
 
     def to_dict(self) -> dict:
+        """The report as JSON-ready data.  Its ``rows`` are columns: each
+        row field maps to one value per (z, n) pair, z-major."""
         out = {
             "family": {"kind": self.family.kind, **self.family.params_dict()},
             "method": self.method,
@@ -148,17 +148,15 @@ class CertReport:
         if self.method == "log-cm":
             out["kernel_scan"] = {"min": self.kernel_min,
                                   "argmin_t": self.kernel_argmin}
-            out["rows"] = [
-                {"z": r.z, "n": r.n, "quadrature": r.quadrature,
-                 "polygamma": r.polygamma, "quad_err": r.quad_err,
-                 "poly_err": r.poly_err, "agrees": r.agrees}
-                for r in self.rows
-            ]
+            out["rows"] = dict(zip(LogCmRow._fields, zip(*self.rows)))
         else:
             out["fd_step"] = self.fd_step
             out["fd_scale"] = self.fd_scale
-            out["rows"] = [{"z": r.z, "n": r.n, "margin": r.margin}
-                           for r in self.fd_rows]
+            n_max = self.fd_margins.shape[1]
+            out["rows"] = {
+                "z": np.repeat(self.z_grid, n_max).tolist(),
+                "n": list(range(1, n_max + 1)) * len(self.z_grid),
+                "margin": self.fd_margins.ravel().tolist()}
         return out
 
 
@@ -232,6 +230,17 @@ def _kernel_scan_ok(fam: RatioFamily, kmin: float, kargmin: float) -> bool:
     return kmin >= -_SCAN_REL_TOL * max(1.0, scale)
 
 
+def _worst(z_grid, values) -> tuple:
+    """(z, n, value) of the first pair, z-major, with the strictly smallest
+    value below +inf in a (z, n) array; (nan, 0, inf) when there is none."""
+    cand = np.where(values < math.inf, values, math.inf).ravel()
+    if not (cand < math.inf).any():
+        return (math.nan, 0, math.inf)
+    k = int(np.argmin(cand))
+    return (z_grid[k // values.shape[1]], k % values.shape[1] + 1,
+            float(cand[k]))
+
+
 def certify_log_cm(fam: RatioFamily, config: CertConfig) -> CertReport:
     """Certify log-complete monotonicity through both evaluation routes.
 
@@ -240,10 +249,10 @@ def certify_log_cm(fam: RatioFamily, config: CertConfig) -> CertReport:
     quadrature integrates every pair in one lockstep pass on shared nodes,
     and the series makes one specfun call per order.  The verdict is
     ``certified`` when all values clear ``-tol`` and the routes agree
-    within ``max(agree_rtol * |polygamma|, agree_atol)``; an agreed value
-    below ``-tol`` (or a negative kernel scan) gives ``violated``;
-    disagreement beyond the allowance, or a quadrature that did not
-    converge, gives ``inconclusive``.
+    within ``max(1e-8 * |polygamma|, 1e-9)``; an agreed value below
+    ``-tol`` (or a negative kernel scan) gives ``violated``; disagreement
+    beyond the allowance, or a quadrature that did not converge, gives
+    ``inconclusive``.
 
     Raises
     ------
@@ -262,7 +271,7 @@ def certify_log_cm(fam: RatioFamily, config: CertConfig) -> CertReport:
     shape = (zs.size, orders.size)
     p = log_deriv_polygamma(fam, zs, orders)
     try:
-        q = log_deriv_quadrature(fam, zs, orders, config.quad)
+        q = log_deriv_quadrature(fam, zs, orders)
         q_val, q_err = q.signed_value, q.err_estimate
     except ConvergenceError as exc:
         q_val = exc.value
@@ -270,25 +279,16 @@ def certify_log_cm(fam: RatioFamily, config: CertConfig) -> CertReport:
     q_val, q_err, p_val, p_err = (
         np.broadcast_to(np.asarray(v, dtype=float), shape)
         for v in (q_val, q_err, p.signed_value, p.err_estimate))
-    allowance = np.maximum(config.agree_rtol * np.abs(p_val),
-                           config.agree_atol)
+    allowance = np.maximum(_AGREE_RTOL * np.abs(p_val), _AGREE_ATOL)
     agrees = np.isfinite(q_err) & (np.abs(q_val - p_val) <= allowance)
     lo = np.where(p_val < q_val, p_val, q_val)  # min(q, p); NaN q stays
 
-    # the first pair, z-major, with the strictly smallest finite margin
-    worst = (math.nan, 0, math.inf)
-    cand = np.where(lo < math.inf, lo, math.inf).ravel()
-    if (cand < math.inf).any():
-        k = int(np.argmin(cand))
-        worst = (config.z_grid[k // orders.size],
-                 k % orders.size + 1, float(cand[k]))
+    columns = (np.repeat(zs, orders.size), np.tile(orders, zs.size),
+               q_val, p_val, q_err, p_err, agrees)
+    rows = tuple(map(LogCmRow._make,
+                     zip(*(np.ravel(c).tolist() for c in columns))))
 
-    columns = (q_val, p_val, q_err, p_err, agrees)
-    rows = tuple(LogCmRow(z, n, *values) for (z, n), values in zip(
-        itertools.product(config.z_grid, range(1, config.n_max + 1)),
-        zip(*(c.ravel().tolist() for c in columns))))
-
-    kmin, kargmin = kernel_nonneg_scan(fam, config.t_points)
+    kmin, kargmin = kernel_nonneg_scan(fam)
     kernel_bad = not _kernel_scan_ok(fam, kmin, kargmin)
 
     if kernel_bad or np.any(agrees & (lo < -config.tol)):
@@ -298,8 +298,36 @@ def certify_log_cm(fam: RatioFamily, config: CertConfig) -> CertReport:
     else:
         verdict = "certified"
     return CertReport(family=fam, method="log-cm", verdict=verdict,
-                      tol=config.tol, worst=worst, rows=rows,
-                      kernel_min=kmin, kernel_argmin=kargmin)
+                      tol=config.tol, worst=_worst(config.z_grid, lo),
+                      z_grid=config.z_grid, rows=rows, kernel_min=kmin,
+                      kernel_argmin=kargmin)
+
+
+def _f_error_bound(fam: RatioFamily, z) -> np.ndarray:
+    """A bound on the relative error of ``exp(log_f(fam, z))``, elementwise.
+
+    ``log_f`` sums terms c_j lnG(x_j), so its error scales with their size
+    M = sum_j |c_j lnG(x_j)|, not with the often tiny sum.  Per term, in
+    units of u = 2^-53 and to first order: ``log_gamma`` errs by at most
+    10 |lnG(x)| (its series rounds six terms no larger than
+    x ln x <= 1.8 |lnG(x)|), plus 800 below x = 10, where its recurrence
+    handles values up to 80; summing m terms adds m |lnG(x)|; forming x_j
+    from z and k offsets (and z itself as z_0 + i h) moves it by at most
+    (k + 2)(|z| + sum |o_i|), and lnG by that times
+    |psi(x_j)| < |ln x_j| + 1/x_j.  ``exp`` adds 4.  |lnG(x)| is bounded
+    by Stirling's formula and its remainder, below 1/(12x) (DLMF 5.6.1),
+    so no lnG is evaluated.
+    """
+    z = np.asarray(z, dtype=float)
+    bound = np.full(z.shape, 4.0)
+    for (coef, offsets), (_, x) in zip(fam.rows, fam.shifted_args(z)):
+        ln_x = np.log(x)
+        lg = np.abs((x - 0.5) * ln_x - x + _HALF_LN_2PI) + 1.0 / (12.0 * x)
+        shift = (len(offsets) + 2) * (np.abs(z) + sum(map(abs, offsets)))
+        bound += abs(coef) * ((10.0 + len(fam.rows)) * lg
+                              + np.where(x < 10.0, 800.0, 0.0)
+                              + shift * (np.abs(ln_x) + 1.0 / x))
+    return _U * bound
 
 
 def certify_cm_finite_diff(fam: RatioFamily, config: CertConfig) -> CertReport:
@@ -307,17 +335,23 @@ def certify_cm_finite_diff(fam: RatioFamily, config: CertConfig) -> CertReport:
 
     This is a necessary condition for complete monotonicity evaluated
     without either log-derivative route: f is reconstructed as
-    ``exp(log_f)`` and differenced directly.  Margins are compared against
-    ``-tol * scale`` where scale is the largest |f| on the stencil, since
-    the alternating sums lose that much to roundoff.
+    ``exp(log_f)`` and differenced directly.  The verdict is ``violated``
+    only when a margin falls below its budget -(tol + 2^n delta) scale:
+    scale is the largest f on the grid's stencils, and delta bounds the
+    relative error of each f value on the stencil of that z
+    (:func:`_f_error_bound`, plus (n + 1) u for the sum of n + 1 terms).
+    The alternating sum of n + 1 values with binomial weights, 2^n in
+    all, magnifies that error by at most 2^n, so a margin below the budget
+    is a violation that roundoff cannot explain; the verdict is
+    ``certified`` otherwise.
     """
     config.validate(fam)
     _require_certifiable(fam)
 
     zs = np.asarray(config.z_grid, dtype=float)
     h = config.fd_step
-    offsets = np.arange(config.n_max + 1) * h
-    stencil = zs[:, None] + offsets[None, :]
+    orders = np.arange(1, config.n_max + 1)
+    stencil = zs[:, None] + np.arange(config.n_max + 1) * h
     with np.errstate(over="ignore"):
         fvals = np.exp(log_f(fam, stencil))
     if not np.all(np.isfinite(fvals)):
@@ -326,18 +360,16 @@ def certify_cm_finite_diff(fam: RatioFamily, config: CertConfig) -> CertReport:
             "move the grid away from the domain boundary")
     scale = float(fvals.max())
 
-    rows = []
-    worst = (math.nan, 0, math.inf)
-    for i, z in enumerate(config.z_grid):
-        for n in range(1, config.n_max + 1):
-            coef = [(-1.0) ** j * math.comb(n, j) for j in range(n + 1)]
-            margin = float(np.dot(coef, fvals[i, :n + 1]))
-            rows.append(FiniteDiffRow(z=z, n=n, margin=margin))
-            if margin < worst[2]:
-                worst = (z, n, margin)
-
-    ok = all(r.margin >= -config.tol * scale for r in rows)
+    margins = np.empty((zs.size, orders.size))
+    for n in orders.tolist():
+        coef = np.array([(-1.0) ** j * math.comb(n, j) for j in range(n + 1)])
+        # one BLAS dot per z: the reported bits depend on its summation
+        margins[:, n - 1] = [np.dot(coef, row) for row in fvals[:, :n + 1]]
+    delta = _f_error_bound(fam, stencil).max(axis=1)[:, None] \
+        + (orders + 1) * _U
+    ok = bool(np.all(margins >= -(config.tol + 2.0 ** orders * delta) * scale))
     return CertReport(family=fam, method="finite-diff",
                       verdict="certified" if ok else "violated",
-                      tol=config.tol, worst=worst, fd_rows=tuple(rows),
-                      fd_step=h, fd_scale=scale)
+                      tol=config.tol, worst=_worst(config.z_grid, margins),
+                      z_grid=config.z_grid, fd_margins=margins, fd_step=h,
+                      fd_scale=scale)

@@ -27,10 +27,12 @@ log-uniform offset above its largest lower bound.
 Drivers: :func:`margin` (one point), :func:`sweep` (a point grid, with
 out-of-domain points skipped), and :func:`tightness_compare` /
 :func:`tightness_sweep` (rank the right-hand sides of bounds sharing one
-left-hand expression at one point / over a grid).  :func:`sweep` returns
-a :class:`SweepResult`: the kept points and their sides and margins as
-arrays, read as a list of :class:`SweepRecord` that builds each record
-only on access, so a report can be written from the columns.
+left-hand expression at one point / over a grid).  Both return columns,
+not one object per point, so a report is written a column at a time:
+:func:`sweep` a :class:`SweepResult` (the kept points, their sides and
+their margins as arrays), the tightness drivers a
+:class:`TightnessResult` (the kept points, ``lhs_log``, an ids x points
+``rhs_log`` matrix and the ranking at every point).
 
 Parameters are passed as a flat sequence of reals.  Cases whose
 parameters are entry lists (``MULTI_GE1``, ``MAJOR_GE1``) read the flat
@@ -41,10 +43,8 @@ have equal length, so the flat vector splits evenly in half.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -58,7 +58,6 @@ from .specfun import log_beta, log_gamma as _lg, reflection_product
 __all__ = [
     "HOLDS_TOL",
     "InequalityCase",
-    "SweepRecord",
     "SweepResult",
     "TightnessResult",
     "registry_list",
@@ -262,40 +261,13 @@ class InequalityCase:
         return np.column_stack(cols)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """Margin of one case at one in-domain point."""
-
-    id: str
-    params: tuple
-    point: tuple
-    lhs_log: float
-    rhs_log: float
-    margin: float
-    holds: bool
-
-    def to_dict(self) -> dict:
-        return {"id": self.id, "params": list(self.params),
-                "point": list(self.point), "lhs_log": self.lhs_log,
-                "rhs_log": self.rhs_log, "margin": self.margin,
-                "holds": self.holds}
-
-
 @dataclass(frozen=True, eq=False)
-class SweepResult(Sequence):
+class SweepResult:
     """Margins of one case over the kept points of a grid, as columns.
 
     ``points`` holds one kept point per row, sorted by point; ``lhs_log``,
-    ``rhs_log`` and ``margin`` hold one value per point.  The result reads
-    as the list of :class:`SweepRecord` it stands for: ``len``, iteration,
-    indexing and slicing build each record only when it is asked for, and
-    it compares equal to that list.
-
-    Equality and ``in`` match records field by field, a NaN field matching
-    NaN, so a result with NaN margins equals itself and holds its own
-    records, as a list of record objects does.  A record from elsewhere
-    with the same NaN fields matches too.  Each access builds a new record,
-    so ``r[k] == r[k]`` is False when a field of record k is NaN.
+    ``rhs_log`` and ``margin`` hold one value per point, and ``len`` counts
+    the points.
     """
 
     id: str
@@ -305,67 +277,28 @@ class SweepResult(Sequence):
     rhs_log: np.ndarray
     margin: np.ndarray
 
-    def _record(self, point, lhs_log, rhs_log, margin) -> SweepRecord:
-        return SweepRecord(id=self.id, params=self.params, point=tuple(point),
-                           lhs_log=lhs_log, rhs_log=rhs_log, margin=margin,
-                           holds=margin >= -HOLDS_TOL)
-
     def __len__(self) -> int:
         return len(self.margin)
 
-    def __iter__(self):
-        return itertools.starmap(self._record, zip(
-            self.points.tolist(), self.lhs_log.tolist(),
-            self.rhs_log.tolist(), self.margin.tolist()))
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        i = range(len(self))[index]
-        return self._record(self.points[i].tolist(), float(self.lhs_log[i]),
-                            float(self.rhs_log[i]), float(self.margin[i]))
-
-    def __eq__(self, other):
-        if not isinstance(other, (SweepResult, list)):
-            return NotImplemented
-        return other is self or (len(self) == len(other)
-                                 and all(map(_same_record, self, other)))
-
-    def __contains__(self, value) -> bool:
-        return any(_same_record(rec, value) for rec in self)
-
-
-def _same_record(rec: SweepRecord, other) -> bool:
-    """``rec == other``, with a NaN field of ``rec`` matching NaN."""
-    if rec == other:
-        return True
-    return isinstance(other, SweepRecord) and all(
-        a == b or (a != a and b != b)
-        for a, b in zip(vars(rec).values(), vars(other).values()))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TightnessResult:
-    """Bounds sharing one LHS, ranked tightest first at a single point."""
+    """Bounds sharing one LHS, ranked at the kept points of a grid, as
+    columns: ``points`` and ``lhs_log`` as in :class:`SweepResult`,
+    ``rhs_log[i, k]`` for bound ``ids[i]`` at point k, and ``order[:, k]``,
+    the indices into ``ids`` tightest first at point k."""
 
+    ids: tuple
     lhs_key: str
     direction: str
     params: tuple
-    point: tuple
-    lhs_log: float
-    entries: tuple  # ((id, rhs_log, rhs), ...) tightest first
+    points: np.ndarray
+    lhs_log: np.ndarray
+    rhs_log: np.ndarray
+    order: np.ndarray
 
-    @property
-    def tightest_id(self) -> str:
-        return self.entries[0][0]
-
-    def to_dict(self) -> dict:
-        return {"lhs_key": self.lhs_key, "direction": self.direction,
-                "params": list(self.params), "point": list(self.point),
-                "lhs_log": self.lhs_log, "tightest": self.tightest_id,
-                "entries": [{"id": i, "rhs_log": rl, "rhs": r}
-                            for i, rl, r in self.entries]}
-
+    def __len__(self) -> int:
+        return len(self.lhs_log)
 
 
 # -- parameter checks ---------------------------------------------------------
@@ -780,8 +713,7 @@ def sweep(case_id: str, params, grid) -> SweepResult:
 
     Points outside the domain are skipped; the skipped count is
     ``len(grid) - len(result)``.  The result holds the kept points,
-    sorted by point, and their sides and margins as arrays; it reads as
-    the list of :class:`SweepRecord`, built one by one on access.
+    sorted by point, and their sides and margins as arrays.
     """
     case = get_case(case_id)
     flat_params = tuple(float(v) for v in params)
@@ -794,7 +726,7 @@ def sweep(case_id: str, params, grid) -> SweepResult:
     return SweepResult(case.id, flat_params, kept, lhs, rhs, margins)
 
 
-def tightness_sweep(ids, params, grid) -> list:
+def tightness_sweep(ids, params, grid) -> TightnessResult:
     """Rank bounds that share one LHS expression at every point of a grid.
 
     All ids must agree on ``lhs_key`` (which fixes the parameter layout)
@@ -805,7 +737,7 @@ def tightness_sweep(ids, params, grid) -> list:
     bound comes first: the largest RHS of >= claims, the smallest of <=
     claims.
     """
-    ids = list(ids)
+    ids = tuple(ids)
     if len(ids) < 2:
         raise UsageError("tightness comparison needs at least two ids")
     cases = [get_case(i) for i in ids]
@@ -820,34 +752,29 @@ def tightness_sweep(ids, params, grid) -> list:
                 f"{case.id} and {head.id} bound in opposite directions")
     flat_params = tuple(float(v) for v in params)
     kept = _domain_points(cases, flat_params, grid)
-    if not len(kept):
-        return []
-    lhs, head_rhs = head.sides(flat_params, kept)
-    rhs_logs = np.array([head_rhs] + [case.rhs(flat_params, kept)
-                                      for case in cases[1:]])
-    with np.errstate(over="ignore"):
-        rhs_vals = np.exp(rhs_logs)
-    reverse = head.direction == "ge"
-    return [
-        TightnessResult(
-            lhs_key=head.lhs_key, direction=head.direction,
-            params=flat_params, point=tuple(p), lhs_log=lh,
-            entries=tuple(sorted(zip(ids, rl, rv), key=lambda e: e[1],
-                                 reverse=reverse)))
-        for p, lh, rl, rv in zip(kept.tolist(), lhs.tolist(),
-                                 rhs_logs.T.tolist(), rhs_vals.T.tolist())
-    ]
+    lhs, rhs_logs = np.empty(0), np.empty((len(ids), 0))
+    if len(kept):
+        lhs, head_rhs = head.sides(flat_params, kept)
+        rhs_logs = np.array([head_rhs] + [case.rhs(flat_params, kept)
+                                          for case in cases[1:]])
+    # sorted, not argsort: its order for ties and NaN is the ranking's
+    ranks = [sorted(range(len(ids)), key=col.__getitem__,
+                    reverse=head.direction == "ge")
+             for col in rhs_logs.T.tolist()]
+    order = np.array(ranks, dtype=np.intp).reshape(-1, len(ids)).T
+    return TightnessResult(ids, head.lhs_key, head.direction, flat_params,
+                           kept, lhs, rhs_logs, order)
 
 
 def tightness_compare(ids, params, point) -> TightnessResult:
     """:func:`tightness_sweep` at a single point, which must lie in every
     case's domain."""
     ranked = tightness_sweep(ids, params, [point])
-    if not ranked:
+    if not len(ranked):
         for case in map(get_case, ids):
             violation = case.domain_violation(params, point)
             if violation is not None:
                 raise DomainError(
                     f"{case.id}: {violation} (params="
                     f"{list(map(float, params))!r}, point={point!r})")
-    return ranked[0]
+    return ranked

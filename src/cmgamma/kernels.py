@@ -379,16 +379,20 @@ def log_deriv_quadrature(fam: RatioFamily, z, n,
     """(-1)^n (ln f)^(n)(z) via the Laplace integral route.
 
     The integrand combines weight and kernel into a signed sum of decaying
-    exponentials whose coefficients cancel at t = 0; it is evaluated with
-    ``expm1`` relative to the slowest exponent, which avoids both the
-    cancellation near 0 and any overflow at large t.
+    exponentials whose coefficients cancel at t = 0.  Over the ascending
+    arguments mu_0 < ... < mu_m and the partial sums C_j = c_0 + ... + c_j
+    it is evaluated as the Abel sum
+    e^(-mu_0 t) sum_j C_j e^(-(mu_j - mu_0) t) (-expm1(-(mu_(j+1) - mu_j) t)),
+    which avoids the cancellation near 0, any overflow at large t, and the
+    roundoff noise that nearly equal arguments (a tiny parameter) would
+    leave in a sum of separately rounded exponentials.
 
     z may be an array of points and n an array of orders; the result then
     holds one value per (z, n) pair, shaped ``np.shape(z) + np.shape(n)``.
     All pairs are integrated in one vector-valued pass on shared nodes: at
-    each node the base e^(-mu0 t) sum_j c_j expm1(-nu_j t) is formed once
-    per z and multiplied by t^(n-1) per order.  Each pair gets exactly the
-    value and error estimate of its own scalar call.  Non-convergence of
+    each node the Abel sum is formed once per z and multiplied by t^(n-1)
+    per order.  Each pair gets exactly the value and error estimate of its
+    own scalar call.  Non-convergence of
     any pair propagates as :class:`~cmgamma.errors.ConvergenceError`, with
     the values, error estimates and ``converged`` flags of every pair.
     """
@@ -405,16 +409,20 @@ def log_deriv_quadrature(fam: RatioFamily, z, n,
         if row:
             live.append(i)
             mu0.append(row[0][0])
-            terms.append([(mu - row[0][0], c) for mu, c in row[1:]])
+            # (mu_j - mu_0, mu_(j+1) - mu_j, C_j); C_m = 0 drops out
+            partial = np.cumsum([c for _, c in row[:-1]])
+            terms.append([(lo - row[0][0], hi - lo, cj) for (lo, _), (hi, _),
+                          cj in zip(row, row[1:], partial)])
     value = np.zeros((zs.size, n_ord))
     err = np.zeros_like(value)
     if live:
-        # exponent gaps nu and coefficients, one column per live z; a
-        # short column is padded with c = 0, which adds exact zeros
+        # offsets nu, gaps and partial sums, one column per live z; a
+        # short column is padded with C = 0, which adds exact zeros
         nus = np.zeros((max(map(len, terms)), len(live)))
-        coefs = np.zeros_like(nus)
+        gaps, sums = np.zeros_like(nus), np.zeros_like(nus)
         for i, row in enumerate(terms):
-            nus[:len(row), i], coefs[:len(row), i] = zip(*row)
+            nus[:len(row), i], gaps[:len(row), i], sums[:len(row), i] = \
+                zip(*row)
         mu0 = np.array(mu0)
 
         def integrand(nodes):
@@ -424,8 +432,9 @@ def log_deriv_quadrature(fam: RatioFamily, z, n,
                                        return_inverse=True)
             tz = t if t.ndim == 1 else t[first]
             acc = np.zeros((uz.size, tz.shape[-1]))
-            for nu, c in zip(nus[:, uz], coefs[:, uz]):
-                acc += c[:, None] * np.expm1(-nu[:, None] * tz)
+            for nu, gap, cj in zip(nus[:, uz], gaps[:, uz], sums[:, uz]):
+                acc -= (cj[:, None] * np.exp(-nu[:, None] * tz)
+                        * np.expm1(-gap[:, None] * tz))
             base = np.exp(-mu0[uz, None] * tz) * acc
             den = -np.expm1(-tz)
             out = np.empty((rows.size, tz.shape[-1]))

@@ -160,7 +160,7 @@ def test_08_tightness_rankings():
             res = iq.tightness_compare(
                 ("INQ58", "INQ58_BASE_RATIO", "INQ58_BASE_SHIFT"),
                 (aa,), (z,))
-            tightest.append(res.tightest_id)
+            tightest.append(res.ids[res.order[0, 0]])
     counts = {i: tightest.count(i) for i in sorted(set(tightest))}
     # ranking is reported, not asserted: no bound dominates by fiat
     _report(8, strict, "(a+b)/(ab) < 1/(ab) on 200 sampled pairs with "

@@ -1,7 +1,7 @@
 """The audit writers give the bytes of the per-record writers.
 
 ``cmgamma audit`` formats its CSV and JSON reports a column at a time.
-The reference below builds the same reports one ``SweepRecord`` at a
+The reference below builds the same reports one record object at a
 time: ``_fmt`` per CSV value, and ``json.dumps(payload, indent=2,
 allow_nan=True)`` over ``to_dict()`` records, with the summary taken by
 Python's ``all`` and ``min``.  Every report and summary line must match
@@ -10,6 +10,7 @@ it byte for byte.
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -23,6 +24,34 @@ SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-5, 1e16,
            1.7976931348623157e308, -1e-5, -5e-324]
 
 
+@dataclass(frozen=True)
+class Record:
+    """Margin of one case at one point, as sweep once returned it."""
+
+    id: str
+    params: tuple
+    point: tuple
+    lhs_log: float
+    rhs_log: float
+    margin: float
+    holds: bool
+
+    def to_dict(self) -> dict:
+        return {"id": self.id, "params": list(self.params),
+                "point": list(self.point), "lhs_log": self.lhs_log,
+                "rhs_log": self.rhs_log, "margin": self.margin,
+                "holds": self.holds}
+
+
+def records_of(res):
+    """The record list that a sweep result's columns stand for."""
+    return [Record(id=res.id, params=res.params, point=tuple(p),
+                   lhs_log=lh, rhs_log=rh, margin=m,
+                   holds=m >= -iq.HOLDS_TOL)
+            for p, lh, rh, m in zip(res.points.tolist(), res.lhs_log.tolist(),
+                                    res.rhs_log.tolist(), res.margin.tolist())]
+
+
 def old_sweep(case_id, params, grid):
     """The record list that sweep returned before it returned columns."""
     case = iq.get_case(case_id)
@@ -32,9 +61,9 @@ def old_sweep(case_id, params, grid):
         return []
     lhs, rhs = case.sides(flat, kept)
     margins = lhs - rhs if case.direction == "ge" else rhs - lhs
-    return [iq.SweepRecord(id=case.id, params=flat, point=tuple(p),
-                           lhs_log=float(lh), rhs_log=float(rh),
-                           margin=float(m), holds=bool(m >= -iq.HOLDS_TOL))
+    return [Record(id=case.id, params=flat, point=tuple(p),
+                   lhs_log=float(lh), rhs_log=float(rh), margin=float(m),
+                   holds=bool(m >= -iq.HOLDS_TOL))
             for p, lh, rh, m in zip(kept.tolist(), lhs, rhs, margins)]
 
 
@@ -135,7 +164,8 @@ def test_crafted_columns_match_per_record_writers(capsys, tmp_path,
     code, text, line = run_audit(capsys, tmp_path, fmt, "--id", "INQ1",
                                  "--params", "a=1,b=1",
                                  "--grid", f"2:{1 + n}:{n}")
-    ref_text, ref_line = reference(list(res), "INQ1", (1.0, 1.0), n, 0, fmt)
+    ref_text, ref_line = reference(records_of(res), "INQ1", (1.0, 1.0), n,
+                                   0, fmt)
     assert_same_text(text, ref_text)
     assert line == ref_line
     assert code == (0 if "all hold" in ref_line else 2)
@@ -152,7 +182,7 @@ def test_summary_follows_python_min_and_all(capsys, tmp_path, monkeypatch,
     _, text, _ = run_audit(capsys, tmp_path, "json", "--id", "INQ1",
                            "--params", "a=1,b=1", "--grid", "2:4:3")
     summary = json.loads(text)["summary"]
-    records = list(res)
+    records = records_of(res)
     expect = min(records, key=lambda r: r.margin)
     assert summary["worst_point"] == list(records[worst].point)
     assert summary["worst_point"] == list(expect.point)

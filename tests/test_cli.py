@@ -297,6 +297,21 @@ class TestCertify:
         assert payload["family"]["kind"] == "symmetric"
         assert "certified" in out
 
+    def test_large_z_roundoff_is_not_a_violation(self, capsys, tmp_path):
+        # the finite differences at z = 1e6 are rounding noise within
+        # their budget, not a violation
+        f = tmp_path / "r.json"
+        code, out, _ = run(capsys, "certify", "--family", "two-param",
+                           "--params", "a=0.5,b=0.7", "--grid",
+                           "1.21:1e6:20:log", "--out", str(f))
+        assert code == 0
+        payload = json.loads(f.read_text())
+        fd = payload["routes"]["finite_diff"]
+        assert payload["verdict"] == fd["verdict"] == "certified"
+        assert min(r["margin"] for r in fd["rows"]) < -fd["tol"] * \
+            fd["fd_scale"]
+        assert "verdict=certified" in out
+
     def test_majorized_refusal(self, capsys):
         code, _, err = run(capsys, "certify", "--family", "majorized",
                            "--params", "a=5;5,b=0;9", "--grid", "10:20:5")
@@ -408,8 +423,29 @@ class TestBounds:
         assert code == 1
         assert "z" in err
 
+    def test_overflowing_value_is_an_error(self, capsys):
+        # B(1e-308, 1e-308) ~ 2e308 overflows double precision
+        code, out, err = run(capsys, "bounds", "beta", "--params",
+                             "a=1e-308,b=1e-308")
+        assert code == 1 and out == ""
+        assert err == ("error: BETA_UB: side value exp(709.8893558227261) "
+                       "overflows double precision at point "
+                       "(1e-308, 1e-308)\n")
+
 
 class TestCompare:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_value_is_an_error(self, capsys, tmp_path, fmt):
+        f = tmp_path / f"r.{fmt}"
+        code, out, err = run(capsys, "compare", "--id",
+                             "BETA_UB,BETA_UB_DRAGOMIR", "--params",
+                             "a=1e-308,b=1e-308", "--format", fmt,
+                             "--out", str(f))
+        assert code == 1 and out == "" and not f.exists()
+        assert err == ("error: BETA_UB: side value exp(709.8893558227261) "
+                       "overflows double precision at point "
+                       "(1e-308, 1e-308)\n")
+
     def test_explicit_point_csv(self, capsys):
         code, out, _ = run(capsys, "compare", "--id",
                            "INQ58,INQ58_BASE_RATIO,INQ58_BASE_SHIFT",

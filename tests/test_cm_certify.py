@@ -23,7 +23,9 @@ from cmgamma.kernels import (
     Symmetric,
     TwoParam,
     domain_lower_bound,
+    log_f,
 )
+from cmgamma.specfun import log_gamma
 
 from _samplers import _major_pair
 
@@ -167,7 +169,7 @@ class TestFiniteDiffRoute:
         report = certify_cm_finite_diff(fam, _config(lo, hi))
         assert report.verdict == "certified"
         assert report.fd_scale > 0.0
-        assert len(report.fd_rows) == 30 * 8
+        assert report.fd_margins.shape == (30, 8)
 
     @pytest.mark.parametrize("h", [1e-3, 1e-2, 1e-1])
     def test_step_sizes_concur(self, h):
@@ -179,7 +181,7 @@ class TestFiniteDiffRoute:
         report = certify_cm_finite_diff(TwoParam(0.0, 0.0),
                                         _config(1.0, 5.0))
         assert report.verdict == "certified"
-        assert all(r.margin == 0.0 for r in report.fd_rows)
+        assert np.all(report.fd_margins == 0.0)
 
     def test_counterexample_refused(self):
         fam = Majorized((5.0, 5.0), (0.0, 9.0))
@@ -198,6 +200,70 @@ class TestFiniteDiffRoute:
         back = json.loads(json.dumps(report.to_dict()))
         assert back["method"] == "finite-diff"
         assert back["fd_step"] == 1e-2
+        # the rows as columns, z-major
+        assert back["rows"]["z"][:4] == [report.z_grid[0]] * 3 \
+            + [report.z_grid[1]]
+        assert back["rows"]["n"][:4] == [1, 2, 3, 1]
+        assert back["rows"]["margin"] == report.fd_margins.ravel().tolist()
+
+    def test_roundoff_at_large_z_is_not_a_violation(self):
+        # f - 1 ~ 1e-13 at z = 1e6, while each f value is only good to
+        # about 20 u M ~ 1e-7 of itself: the margins are roundoff
+        fam = TwoParam(0.5, 0.7)
+        cfg = CertConfig(z_grid=tuple(np.geomspace(1.21, 1e6, 20)))
+        report = certify_cm_finite_diff(fam, cfg)
+        assert report.verdict == "certified"
+        # below the bare -tol * scale that once called it violated
+        assert report.worst[2] < -cfg.tol * report.fd_scale
+
+    @pytest.mark.parametrize("factor, verdict", [(2.0, "violated"),
+                                                 (0.5, "certified")])
+    def test_violation_beyond_the_budget(self, monkeypatch, factor, verdict):
+        # raise f at the second stencil point of the first z so that its
+        # first difference falls to -factor times its budget
+        fam, lo, hi = FIXTURES[0]
+        cfg = _config(lo, hi, n_max=1)
+        true_log_f = cmc.log_f
+        stencil = np.asarray(cfg.z_grid)[:, None] + np.arange(2) * cfg.fd_step
+        f = np.exp(true_log_f(fam, stencil))
+        delta = cmc._f_error_bound(fam, stencil[0]).max() + 2 * cmc._U
+        budget = (cfg.tol + 2.0 * delta) * f.max()
+        rise = f[0, 0] - f[0, 1] + factor * budget
+        monkeypatch.setattr(cmc, "log_f", lambda fam, z: true_log_f(fam, z)
+                            + np.where(z == stencil[0, 1],
+                                       math.log1p(rise / f[0, 1]), 0.0))
+        report = certify_cm_finite_diff(fam, cfg)
+        assert report.verdict == verdict
+        assert report.worst[:2] == (lo, 1)
+        assert report.worst[2] == pytest.approx(-factor * budget, rel=1e-3)
+
+
+class TestFiniteDiffErrorBound:
+    """The FD budget's delta bounds the true relative error of every f value
+    the route computes, up to z = 1e6."""
+
+    @pytest.mark.parametrize("fam,lo,hi", FIXTURES,
+                             ids=lambda v: getattr(v, "kind", ""))
+    def test_log_f_error_within_delta(self, fam, lo, hi):
+        mpmath = pytest.importorskip("mpmath")
+        zs = np.concatenate([np.linspace(lo, hi, 40),
+                             np.geomspace(hi, 1e6, 60)])
+        got = log_f(fam, zs)
+        bound = cmc._f_error_bound(fam, zs)
+        with mpmath.workdps(40):
+            for z, g, d in zip(zs.tolist(), got.tolist(), bound.tolist()):
+                true = mpmath.fsum(
+                    coef * mpmath.loggamma(mpmath.fsum([z, *offsets]))
+                    for coef, offsets in fam.rows)
+                rel = abs(mpmath.expm1(mpmath.mpf(g) - true))
+                assert rel <= d, (z, float(rel), d)
+
+    def test_delta_scales_with_the_terms_not_the_sum(self):
+        # at z = 1e6 ln f ~ 3.5e-13 but its terms reach 1.3e7
+        fam = TwoParam(0.5, 0.7)
+        mag = sum(abs(c * log_gamma(x)) for c, x in fam.shifted_args(1e6))
+        delta = float(cmc._f_error_bound(fam, 1e6))
+        assert 10 * cmc._U * mag <= delta <= 30 * cmc._U * mag
 
 
 class TestConfigValidation:

@@ -1,11 +1,13 @@
 """Inequality registry: frozen margins, boundary identities, sweeps, ranking."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import cmgamma.inequalities as iq
+from cmgamma.cli import main
 from cmgamma.errors import DomainError, UsageError
 
 from _samplers import draw_params
@@ -62,31 +64,31 @@ class TestFrozenMargins:
                          (5.0,)) == pytest.approx(math.log(1.5), abs=1e-12)
 
     def test_symmetric_sweep_frozen(self):
-        records = iq.sweep("SYM_GE1", (0.5,),
-                           [(1.0,), (2.0,), (5.0,), (10.0,)])
-        margins = [r.margin for r in records]
+        res = iq.sweep("SYM_GE1", (0.5,),
+                       [(1.0,), (2.0,), (5.0,), (10.0,)])
+        margins = res.margin.tolist()
         frozen = [0.4515827052894549, 0.16390063283767395,
                   0.055442877765267275, 0.026303680038092893]
         assert margins == pytest.approx(frozen, abs=1e-12)
-        assert all(r.holds for r in records)
+        assert all(m >= -iq.HOLDS_TOL for m in margins)
 
     def test_beta_bound_values(self):
         res = iq.tightness_compare(("BETA_UB", "BETA_UB_DRAGOMIR"), (),
                                    (0.4, 0.4))
-        by_id = {e[0]: e[2] for e in res.entries}
+        by_id = dict(zip(res.ids, np.exp(res.rhs_log[:, 0])))
         assert by_id["BETA_UB"] == pytest.approx(5.0, rel=1e-12)
         assert by_id["BETA_UB_DRAGOMIR"] == pytest.approx(6.25, rel=1e-12)
-        assert res.tightest_id == "BETA_UB"
+        assert res.ids[res.order[0, 0]] == "BETA_UB"
 
     def test_square_ratio_ranking(self):
         ids = ("INQ58", "INQ58_BASE_RATIO", "INQ58_BASE_SHIFT")
         res = iq.tightness_compare(ids, (1.0,), (4.0,))
-        by_id = {e[0]: e[2] for e in res.entries}
+        by_id = dict(zip(res.ids, np.exp(res.rhs_log[:, 0])))
         assert by_id["INQ58"] == pytest.approx(1.125, rel=1e-12)
         assert by_id["INQ58_BASE_RATIO"] == pytest.approx(1.25, rel=1e-12)
         assert by_id["INQ58_BASE_SHIFT"] == pytest.approx(1.5, rel=1e-12)
-        assert res.tightest_id == "INQ58_BASE_SHIFT"
-        assert math.exp(res.lhs_log) == pytest.approx(1.5, rel=1e-12)
+        assert res.ids[res.order[0, 0]] == "INQ58_BASE_SHIFT"
+        assert math.exp(res.lhs_log[0]) == pytest.approx(1.5, rel=1e-12)
 
 
 class TestEqualityBoundaries:
@@ -164,42 +166,45 @@ class TestBoundaryMonotonicity:
     def test_decreasing_along_top_edge(self):
         xs = np.linspace(self.A + self.B, self.M, 50)
         pts = [(float(x), self.M) for x in xs]
-        margins = [r.margin for r in iq.sweep("H_OMEGA", (self.A, self.B),
-                                              pts)]
+        margins = iq.sweep("H_OMEGA", (self.A, self.B), pts).margin
         assert len(margins) == 50
         assert np.all(np.diff(margins) <= 1e-12)
 
     def test_increasing_along_left_edge(self):
         ys = np.linspace(self.A + self.B, self.M, 50)
         pts = [(self.A + self.B, float(y)) for y in ys]
-        margins = [r.margin for r in iq.sweep("H_OMEGA", (self.A, self.B),
-                                              pts)]
+        margins = iq.sweep("H_OMEGA", (self.A, self.B), pts).margin
         assert len(margins) == 50
         assert np.all(np.diff(margins) >= -1e-12)
 
 
 class TestSweep:
     def test_skips_out_of_domain(self):
-        records = iq.sweep("INQ1", (1.0, 1.0), [(0.5,), (1.5,), (3.0,)])
-        assert [r.point for r in records] == [(1.5,), (3.0,)]
+        res = iq.sweep("INQ1", (1.0, 1.0), [(0.5,), (1.5,), (3.0,)])
+        assert res.points.tolist() == [[1.5], [3.0]]
 
     def test_sorted_by_point(self):
-        records = iq.sweep("WALLIS_LB", (), [(5.0,), (1.0,), (3.0,)])
-        assert [r.point[0] for r in records] == [1.0, 3.0, 5.0]
+        res = iq.sweep("WALLIS_LB", (), [(5.0,), (1.0,), (3.0,)])
+        assert res.points[:, 0].tolist() == [1.0, 3.0, 5.0]
 
     def test_record_fields(self):
-        (rec,) = iq.sweep("INQ1", (1.0, 1.0), [(2.0,)])
-        assert rec.id == "INQ1"
-        assert rec.params == (1.0, 1.0)
-        assert rec.point == (2.0,)
-        assert isinstance(rec.point[0], float)
-        assert rec.margin == pytest.approx(rec.lhs_log - rec.rhs_log)
-        assert rec.holds
+        res = iq.sweep("INQ1", (1.0, 1.0), [(2.0,)])
+        assert len(res) == 1
+        assert res.id == "INQ1"
+        assert res.params == (1.0, 1.0)
+        assert res.points.tolist() == [[2.0]]
+        assert res.margin[0] == pytest.approx(res.lhs_log[0] - res.rhs_log[0])
+        assert res.margin[0] >= -iq.HOLDS_TOL
 
-    def test_to_dict_field_names(self):
-        (rec,) = iq.sweep("INQ1", (1.0, 1.0), [(2.0,)])
-        assert list(rec.to_dict()) == ["id", "params", "point", "lhs_log",
-                                       "rhs_log", "margin", "holds"]
+    def test_to_dict_field_names(self, tmp_path, capsys):
+        # a record of an audit JSON report is one point of a sweep
+        out = tmp_path / "audit.json"
+        assert main(["audit", "--id", "INQ1", "--params", "a=1,b=1,z=2",
+                     "--format", "json", "--out", str(out)]) == 0
+        capsys.readouterr()
+        (rec,) = json.loads(out.read_text())["records"]
+        assert list(rec) == ["id", "params", "point", "lhs_log", "rhs_log",
+                             "margin", "holds"]
 
     @pytest.mark.parametrize("case_id, grid", [
         ("BETA_UB", [1.0, 2.0]),
@@ -215,8 +220,10 @@ class TestSweep:
     def test_grid_shapes_accepted(self):
         flat = iq.sweep("INQ1", (1.0, 1.0), [3.0, 2.0])
         rows = iq.sweep("INQ1", (1.0, 1.0), np.array([[3.0], [2.0]]))
-        assert flat == rows and [r.point for r in flat] == [(2.0,), (3.0,)]
-        assert iq.sweep("BETA_UB", (), []) == []
+        for col in ("points", "lhs_log", "rhs_log", "margin"):
+            assert np.array_equal(getattr(flat, col), getattr(rows, col))
+        assert flat.points.tolist() == [[2.0], [3.0]]
+        assert len(iq.sweep("BETA_UB", (), [])) == 0
 
     def test_bad_params_fail_loud(self):
         with pytest.raises(DomainError):
@@ -261,31 +268,40 @@ class TestTightness:
         res = iq.tightness_compare(
             ("INQ58", "INQ58_BASE_RATIO", "INQ58_BASE_SHIFT"), (1.0,),
             (4.0,))
-        values = [e[2] for e in res.entries]
+        values = res.rhs_log[res.order[:, 0], 0].tolist()
         assert values == sorted(values, reverse=True)  # ge: largest first
 
-    def test_to_dict(self):
-        res = iq.tightness_compare(("BETA_UB", "BETA_UB_DRAGOMIR"), (),
-                                   (0.5, 0.5))
-        d = res.to_dict()
-        assert d["tightest"] == res.tightest_id
+    def test_to_dict(self, tmp_path, capsys):
+        # a row of a compare JSON report is one point of the ranking
+        ids = ("BETA_UB", "BETA_UB_DRAGOMIR")
+        res = iq.tightness_compare(ids, (), (0.5, 0.5))
+        out = tmp_path / "compare.json"
+        assert main(["compare", "--id", ",".join(ids), "--params",
+                     "a=0.5,b=0.5", "--format", "json",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        (d,) = json.loads(out.read_text())["rows"]
+        assert d["tightest"] == res.ids[res.order[0, 0]]
+        assert [e["id"] for e in d["entries"]] == [res.ids[k]
+                                                   for k in res.order[:, 0]]
         assert len(d["entries"]) == 2
-
 
     def test_sweep_matches_compare(self):
         ids = ("INQ58", "INQ58_BASE_RATIO", "INQ58_BASE_SHIFT")
         grid = [(6.0,), (1.5,), (3.0,), (2.5,)]
-        results = iq.tightness_sweep(ids, (1.0,), grid)
-        assert [r.point for r in results] == [(2.5,), (3.0,), (6.0,)]
-        for res in results:
-            assert res == iq.tightness_compare(ids, (1.0,), res.point)
+        res = iq.tightness_sweep(ids, (1.0,), grid)
+        assert res.points.tolist() == [[2.5], [3.0], [6.0]]
+        for k, point in enumerate(res.points.tolist()):
+            one = iq.tightness_compare(ids, (1.0,), tuple(point))
+            assert one.points.tolist() == [point]
+            assert one.lhs_log[0] == res.lhs_log[k]
+            assert one.rhs_log[:, 0].tolist() == res.rhs_log[:, k].tolist()
+            assert one.order[:, 0].tolist() == res.order[:, k].tolist()
 
     def test_sweep_two_coordinate_order(self):
         grid = np.array([[0.5, 0.2], [0.2, 0.9], [0.2, 0.5], [2.0, 2.0]])
-        results = iq.tightness_sweep(("BETA_UB", "BETA_UB_DRAGOMIR"), (),
-                                     grid)
-        assert [r.point for r in results] == [(0.2, 0.5), (0.2, 0.9),
-                                              (0.5, 0.2)]
+        res = iq.tightness_sweep(("BETA_UB", "BETA_UB_DRAGOMIR"), (), grid)
+        assert res.points.tolist() == [[0.2, 0.5], [0.2, 0.9], [0.5, 0.2]]
 
     def test_sweep_checks_ids_before_points(self):
         with pytest.raises(UsageError, match="different expressions"):
@@ -310,12 +326,12 @@ class TestTightness:
         monkeypatch.setattr(iq, "_lg", counted)
         ids = ("INQ58", "INQ58_BASE_RATIO", "INQ58_BASE_SHIFT")
         grid = np.linspace(2.5, 40.0, 100)
-        results = iq.tightness_sweep(ids, (1.0,), grid)
+        res = iq.tightness_sweep(ids, (1.0,), grid)
         assert len(calls) == 3
-        assert len(results) == sum(calls) // 3 == 100
-        for res in results[::33]:
-            lhs, _ = iq.get_case("INQ58").sides((1.0,), [res.point])
-            assert res.lhs_log == lhs[0]
+        assert len(res) == sum(calls) // 3 == 100
+        for k in range(0, 100, 33):
+            lhs, _ = iq.get_case("INQ58").sides((1.0,), [res.points[k]])
+            assert res.lhs_log[k] == lhs[0]
 
 
 class TestSamplers:
