@@ -17,9 +17,13 @@ short polygamma combination:
 
 The two routes share only the table and are otherwise computed by
 independent machinery (adaptive quadrature versus recurrence-plus-series),
-which is what makes cross-checking them meaningful.  K >= 0 whenever the
-denominator exponents are weakly submajorized by the numerator exponents
-(Tomic-Weyl: e^(xt) is increasing and convex in x for t >= 0).
+which is what makes cross-checking them meaningful.  The kernel is
+described once, by the family's exact term list (:attr:`RatioFamily.terms`):
+integer exponents over a power-of-two denominator, equal exponents merged
+and zero coefficients dropped.  The kernel values, the quadrature
+integrand and the certification gate all read that list.  K >= 0 whenever
+the denominator exponents are weakly submajorized by the numerator
+exponents (Tomic-Weyl: e^(xt) is increasing and convex in x for t >= 0).
 
 Families (factories returning a :class:`RatioFamily`)
 --------
@@ -37,13 +41,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
 from . import specfun
 from .errors import ConvergenceError, DomainError, UsageError
-from .quad import QuadOptions, integrate_half_line
+from .quad import integrate_half_line
 
 __all__ = [
     "TwoParam",
@@ -130,9 +134,17 @@ class RatioFamily:
         return max(reduce(operator.sub, offsets, 0.0)
                    for _, offsets in self.rows)
 
-    def _exact_terms(self):
-        """(den, [(X_j, c_j), ...]): the kernel exponent d_j - r of row j is
-        exactly X_j / den, with den a power of two."""
+    @cached_property
+    def terms(self):
+        """(den, r, terms): the kernel K(t) = sum_j c_j e^(x_j t) as integer
+        pairs (X_j, c_j), x_j = X_j / den exactly, with den a power of two.
+
+        Rows with equal exponents are merged and zero coefficients dropped,
+        so cancelling factors leave no trace; ``terms`` ascends in X.  The
+        integer r is den times the reference exponent, so row j's own
+        exponent is d_j = (X_j + r) / den.  Computed once per family: the
+        kernel, the quadrature integrand and the certify gate all read it.
+        """
         groups = self.exact or tuple(offsets for _, offsets in self.rows)
         den = max((o.as_integer_ratio()[1]
                    for g in (self.ref,) + groups for o in g), default=1)
@@ -142,35 +154,39 @@ class RatioFamily:
                         for n, d in (o.as_integer_ratio() for o in offsets))
 
         r = scaled(self.ref)
-        return den, [(scaled(g) - r, int(coef))
-                     for (coef, _), g in zip(self.rows, groups)]
+        merged: dict[int, int] = {}
+        for (coef, _), g in zip(self.rows, groups):
+            x = scaled(g) - r
+            merged[x] = merged.get(x, 0) + int(coef)
+        return den, r, tuple(sorted((x, c) for x, c in merged.items() if c))
 
-    def exponents(self):
-        """(numerator, denominator) kernel exponents, each repeated by its
-        multiplicity: K(t) = sum e^(xt) over the first minus the second."""
-        den, terms = self._exact_terms()
-        num_exps, den_exps = [], []
-        for x, c in terms:
-            (num_exps if c > 0 else den_exps).extend([x / den] * abs(c))
-        return num_exps, den_exps
+    def abel(self, t):
+        """A(t) = e^(-x_m t) K(t), x_m the top exponent, for t >= 0 of any
+        shape: over ascending x_1 < ... < x_m and the partial sums
+        C_j = c_1 + ... + c_j, the Abel sum
+        sum_j C_j expm1((x_j - x_(j+1)) t) e^((x_(j+1) - x_m) t).  It
+        reproduces product forms such as (1 - e^-at)(1 - e^-bt), and each
+        nearly equal pair of exponents cancels inside one expm1 of its
+        exact gap.
+        """
+        den, _, terms = self.terms
+        top, partial = terms[-1][0], 0
+        out = np.zeros_like(t)
+        for (x0, c0), (x1, _) in zip(terms, terms[1:]):
+            partial += c0
+            out += (partial * np.expm1((x0 - x1) / den * t)
+                    * np.exp((x1 - top) / den * t))
+        return out
 
     def kernel(self, t):
-        """K(t) = sum_j c_j e^(x_j t), with equal exponents merged first so
-        that cancelling factors drop out exactly.
+        """K(t) = sum_j c_j e^(x_j t) over the merged :attr:`terms`.
 
         Where every |x_j t| <= 1, K is its Taylor series with the moments
         sum_j c_j x_j^p computed exactly, so the cancellation at small t
-        costs no digits.  Elsewhere, over ascending x_1 < ... < x_m and the
-        partial sums C_j = c_1 + ... + c_j, K is the Abel sum
-        e^(x_m t) sum_j C_j expm1((x_j - x_(j+1)) t) e^((x_(j+1) - x_m) t),
-        which reproduces product forms such as (1 - e^-at)(1 - e^-bt) and
-        overflows to +-inf only when the kernel does.
+        costs no digits.  Elsewhere K is e^(x_m t) times the Abel sum
+        :meth:`abel`, which overflows to +-inf only when the kernel does.
         """
-        den, rows = self._exact_terms()
-        merged: dict[int, int] = {}
-        for x, c in rows:
-            merged[x] = merged.get(x, 0) + c
-        terms = sorted((x, c) for x, c in merged.items() if c)
+        den, _, terms = self.terms
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros_like(t)
@@ -183,25 +199,9 @@ class RatioFamily:
                 mu = sum(c * x ** p for x, c in terms)
                 series = (series + mu / (den ** p * math.factorial(p))) * tn
             out[near] = series
-            top, partial = terms[-1][0], 0
-            inner = np.zeros_like(tf)
-            for (x0, c0), (x1, _) in zip(terms, terms[1:]):
-                partial += c0
-                inner += (partial * np.expm1((x0 - x1) / den * tf)
-                          * np.exp((x1 - top) / den * tf))
             with np.errstate(over="ignore"):
-                out[~near] = np.exp(top / den * tf) * inner
+                out[~near] = np.exp(terms[-1][0] / den * tf) * self.abel(tf)
         return float(out[0]) if scalar else out
-
-    def kernel_scale(self, t):
-        """sum_j |c_j expm1(x_j t)|, the magnitude that bounds the kernel's
-        roundoff."""
-        t = np.asarray(t, dtype=float)
-        den, terms = self._exact_terms()
-        with np.errstate(over="ignore"):
-            s = sum((abs(c) * np.abs(np.expm1(x / den * t))
-                     for x, c in terms), np.zeros_like(t))
-        return s if t.ndim else float(s)
 
 
 def TwoParam(a, b) -> RatioFamily:
@@ -232,7 +232,7 @@ def MultiParam(a) -> RatioFamily:
 def Majorized(a, b) -> RatioFamily:
     """f(z) = prod G(z-a_i) / prod G(z-b_i) for z > max(entries).
 
-    Nonnegativity of the kernel requires the b entries to be weakly
+    The kernel is nonnegative when the b entries are weakly
     submajorized by the a entries (checked by the certification module,
     not at construction, so diagnostic scans can run on violating pairs).
     """
@@ -374,96 +374,61 @@ def log_deriv_polygamma(fam: RatioFamily, z, n) -> LogDerivResult:
     return _route_result(z, n, shape, value, err, "polygamma")
 
 
-def log_deriv_quadrature(fam: RatioFamily, z, n,
-                         opts: QuadOptions | None = None) -> LogDerivResult:
+def log_deriv_quadrature(fam: RatioFamily, z, n) -> LogDerivResult:
     """(-1)^n (ln f)^(n)(z) via the Laplace integral route.
 
-    The integrand combines weight and kernel into a signed sum of decaying
-    exponentials whose coefficients cancel at t = 0.  Over the ascending
-    arguments mu_0 < ... < mu_m and the partial sums C_j = c_0 + ... + c_j
-    it is evaluated as the Abel sum
-    e^(-mu_0 t) sum_j C_j e^(-(mu_j - mu_0) t) (-expm1(-(mu_(j+1) - mu_j) t)),
-    which avoids the cancellation near 0, any overflow at large t, and the
-    roundoff noise that nearly equal arguments (a tiny parameter) would
-    leave in a sum of separately rounded exponentials.
+    The integrand is e^(-(z - d_m) t) A(t) t^(n-1) / (1 - e^-t), where d_m
+    is the top row exponent of the merged kernel terms and A(t) =
+    e^(-x_m t) K(t) is the family's Abel sum (:meth:`RatioFamily.abel`).
+    A is built from the exact kernel exponents, not from the rounded
+    arguments z - d_j, so it keeps the cancellation of the kernel's first
+    moment at any z and avoids any overflow at large t; a family whose
+    terms all cancel gives 0.
 
     z may be an array of points and n an array of orders; the result then
     holds one value per (z, n) pair, shaped ``np.shape(z) + np.shape(n)``.
     All pairs are integrated in one vector-valued pass on shared nodes: at
-    each node the Abel sum is formed once per z and multiplied by t^(n-1)
-    per order.  Each pair gets exactly the value and error estimate of its
-    own scalar call.  Non-convergence of
-    any pair propagates as :class:`~cmgamma.errors.ConvergenceError`, with
-    the values, error estimates and ``converged`` flags of every pair.
+    each node A is formed once and e^(-(z - d_m) t) A(t) once per z, then
+    multiplied by t^(n-1) per order.  Each pair gets exactly the value and
+    error estimate of its own scalar call.  Non-convergence of any pair
+    propagates as :class:`~cmgamma.errors.ConvergenceError`, with the
+    values, error estimates and ``converged`` flags of every pair.
     """
     zs, orders, shape = _route_grid(fam, z, n)
     n_ord = len(orders)
-    cols = [(coef, arg.tolist()) for coef, arg in fam.shifted_args(zs)]
-    live, mu0, terms = [], [], []
-    for i in range(zs.size):
-        # equal arguments merge, so that cancelling factors drop out
-        merged: dict[float, float] = {}
-        for coef, col in cols:
-            merged[col[i]] = merged.get(col[i], 0.0) + coef
-        row = sorted((mu, c) for mu, c in merged.items() if c != 0.0)
-        if row:
-            live.append(i)
-            mu0.append(row[0][0])
-            # (mu_j - mu_0, mu_(j+1) - mu_j, C_j); C_m = 0 drops out
-            partial = np.cumsum([c for _, c in row[:-1]])
-            terms.append([(lo - row[0][0], hi - lo, cj) for (lo, _), (hi, _),
-                          cj in zip(row, row[1:], partial)])
-    value = np.zeros((zs.size, n_ord))
-    err = np.zeros_like(value)
-    if live:
-        # offsets nu, gaps and partial sums, one column per live z; a
-        # short column is padded with C = 0, which adds exact zeros
-        nus = np.zeros((max(map(len, terms)), len(live)))
-        gaps, sums = np.zeros_like(nus), np.zeros_like(nus)
-        for i, row in enumerate(terms):
-            nus[:len(row), i], gaps[:len(row), i], sums[:len(row), i] = \
-                zip(*row)
-        mu0 = np.array(mu0)
+    den, r, terms = fam.terms
+    if not terms:  # every factor cancels: f = 1
+        return _route_result(z, n, shape, np.zeros((zs.size, n_ord)),
+                             np.zeros((zs.size, n_ord)), "quadrature")
+    shift = zs - (terms[-1][0] + r) / den
 
-        def integrand(nodes):
-            t, rows = nodes
-            zi, oi = np.divmod(rows, n_ord)
-            uz, first, inv = np.unique(zi, return_index=True,
-                                       return_inverse=True)
-            tz = t if t.ndim == 1 else t[first]
-            acc = np.zeros((uz.size, tz.shape[-1]))
-            for nu, gap, cj in zip(nus[:, uz], gaps[:, uz], sums[:, uz]):
-                acc -= (cj[:, None] * np.exp(-nu[:, None] * tz)
-                        * np.expm1(-gap[:, None] * tz))
-            base = np.exp(-mu0[uz, None] * tz) * acc
-            den = -np.expm1(-tz)
-            out = np.empty((rows.size, tz.shape[-1]))
-            for j in np.unique(oi).tolist():
-                sel = oi == j
-                num = base[inv[sel]]
-                pol = orders[j] - 1
-                if pol:
-                    tp = tz ** pol
-                    num = num * (tp if tz.ndim == 1 else tp[inv[sel]])
-                out[sel] = num / (den if tz.ndim == 1 else den[inv[sel]])
-            return out
+    def integrand(nodes):
+        t, rows = nodes
+        zi, oi = np.divmod(rows, n_ord)
+        uz, first, inv = np.unique(zi, return_index=True, return_inverse=True)
+        tz = t if t.ndim == 1 else t[first]
+        base = np.exp(-shift[uz, None] * tz) * fam.abel(tz)
+        denom = -np.expm1(-tz)
+        out = np.empty((rows.size, tz.shape[-1]))
+        for j in np.unique(oi).tolist():
+            sel = oi == j
+            num = base[inv[sel]]
+            pol = orders[j] - 1
+            if pol:
+                tp = tz ** pol
+                num = num * (tp if tz.ndim == 1 else tp[inv[sel]])
+            out[sel] = num / (denom if tz.ndim == 1 else denom[inv[sel]])
+        return out
 
-        decay = np.repeat(zs[live] - fam.lower_bound(), n_ord)
-        try:
-            res = integrate_half_line(integrand, decay, opts)
-        except ConvergenceError as exc:
-            ok = np.ones(value.shape, dtype=bool)
-            for out, part in ((value, exc.value), (err, exc.err_estimate),
-                              (ok, exc.converged)):
-                out[live] = np.reshape(part, (-1, n_ord))
-            raise ConvergenceError(
-                str(exc), value=_shaped(value, shape),
-                err_estimate=_shaped(err, shape),
-                evaluations=exc.evaluations, converged=_shaped(ok, shape)
-            ) from exc
-        value[live] = res.value.reshape(-1, n_ord)
-        err[live] = res.err_estimate.reshape(-1, n_ord)
-    return _route_result(z, n, shape, value, err, "quadrature")
+    try:
+        res = integrate_half_line(integrand,
+                                  np.repeat(zs - fam.lower_bound(), n_ord))
+    except ConvergenceError as exc:
+        for name in ("value", "err_estimate", "converged"):
+            setattr(exc, name, _shaped(getattr(exc, name), shape))
+        raise
+    return _route_result(z, n, shape, res.value, res.err_estimate,
+                         "quadrature")
 
 
 def _validate_order(n) -> None:

@@ -318,6 +318,16 @@ class TestCertify:
         assert code == 1
         assert "not certifiable" in err
 
+    def test_one_ulp_above_majorization_refused(self, capsys):
+        # the 2s cancel and K(t) = e^t - e^((1 + 1e-13) t) < 0 for t > 0;
+        # a float slack on the partial sums used to certify it
+        code, out, err = run(capsys, "certify", "--family", "majorized",
+                             "--params", "a=1;2,b=1.0000000000001;2",
+                             "--grid", "3:1e3:10:log")
+        assert code == 1
+        assert "not certifiable" in err
+        assert "certified" not in out
+
     def test_csv_format_rejected(self, capsys):
         code, _, err = run(capsys, "certify", "--family", "symmetric",
                            "--params", "a=0", "--grid", "1:10:6",
@@ -346,7 +356,7 @@ class TestCertify:
         assert flag[0] in err
 
     def test_inconclusive_exits_three(self, capsys, monkeypatch):
-        def broken(fam, z, n, opts=None):
+        def broken(fam, z, n):
             raise ConvergenceError("no convergence", value=math.nan,
                                    err_estimate=math.inf, evaluations=1)
         monkeypatch.setattr(cmc, "log_deriv_quadrature", broken)

@@ -2,9 +2,13 @@
 
 import json
 import math
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cmgamma.cm_certify as cmc
 from cmgamma.cm_certify import (
@@ -73,15 +77,86 @@ class TestSubmajorization:
 
     def test_transfer_pairs_scan_nonnegative(self):
         rng = np.random.default_rng(77)
+        refused = 0
         for _ in range(1000):
             flat = _major_pair(rng)
             k = len(flat) // 2
             fam = Majorized(flat[:k], flat[k:])
+            # the float transfers can leave b's total an ulp above a's, and
+            # then K < 0 near t = 0+: the exact gate refuses exactly those
+            accepted = _gate_accepts(fam)
+            assert accepted == _fraction_majorized(flat[:k], flat[k:]), flat
+            refused += not accepted
             kmin, argmin = kernel_nonneg_scan(fam, t_points=120)
-            scale = float(fam.kernel_scale(argmin))
+            # sum_j |c_j expm1(x_j t)|, the magnitude behind the roundoff
+            with np.errstate(over="ignore"):
+                scale = float(sum(abs(np.expm1(x * argmin))
+                                  for x in flat))
             if not math.isfinite(scale):
                 scale = abs(kmin)
             assert kmin >= -1e-12 * max(1.0, scale), (flat, kmin, argmin)
+        assert 0 < refused < 1000
+
+
+def _gate_accepts(fam) -> bool:
+    try:
+        cmc._require_certifiable(fam)
+    except UsageError as exc:
+        assert "not certifiable" in str(exc)
+        return False
+    return True
+
+
+def _fraction_majorized(a, b) -> bool:
+    """Weak submajorization of b by a, in exact rational arithmetic."""
+    pa = accumulate(sorted(map(Fraction, a), reverse=True))
+    pb = accumulate(sorted(map(Fraction, b), reverse=True))
+    return all(sb <= sa for sa, sb in zip(pa, pb))
+
+
+@st.composite
+def _majorized_pairs(draw):
+    """(a, b) near the gate's edge: b is a free draw, a permutation of a or
+    a transfer between two entries of a, then one entry of b is moved by
+    one ulp either way, or left alone."""
+    entry = st.floats(min_value=0.0, max_value=5.0)
+    a = draw(st.lists(entry, min_size=1, max_size=4))
+    shape = draw(st.sampled_from(("free", "permuted", "transfer")))
+    if shape == "free":
+        b = draw(st.lists(entry, min_size=len(a), max_size=len(a)))
+    else:
+        b = list(draw(st.permutations(a)))
+        if shape == "transfer" and len(b) > 1:
+            lo, hi = b.index(min(b)), b.index(max(b))
+            delta = draw(st.floats(0.0, 0.5)) * (b[hi] - b[lo])
+            b[hi], b[lo] = b[hi] - delta, b[lo] + delta
+    i = draw(st.integers(0, len(b) - 1))
+    toward = draw(st.sampled_from((None, -math.inf, math.inf)))
+    if toward is not None:
+        b[i] = max(0.0, math.nextafter(b[i], toward))
+    return a, b
+
+
+class TestExactGate:
+    def test_motivating_pair_refused(self):
+        # K(t) = e^t - e^((1 + 1e-13) t) < 0 for every t > 0
+        fam = Majorized((1.0, 2.0), (1.0000000000001, 2.0))
+        with pytest.raises(UsageError, match="not certifiable"):
+            certify_log_cm(fam, _config(3.0, 1e3))
+        assert kernel_nonneg_scan(fam)[0] < 0.0
+
+    def test_one_ulp_either_way(self):
+        a = (1.0, 2.0)
+        assert _gate_accepts(Majorized(a, (math.nextafter(1.0, 0.0), 2.0)))
+        assert not _gate_accepts(
+            Majorized(a, (math.nextafter(1.0, 2.0), 2.0)))
+        assert _gate_accepts(Majorized(a, (2.0, 1.0)))
+
+    @given(_majorized_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_exactly_the_fraction_majorized(self, pair):
+        a, b = pair
+        assert _gate_accepts(Majorized(a, b)) == _fraction_majorized(a, b)
 
 
 class TestKernelScan:
@@ -140,7 +215,7 @@ class TestLogCmRoute:
         assert back["kernel_scan"]["min"] >= 0.0
 
     def test_inconclusive_when_quadrature_fails(self, monkeypatch):
-        def broken(fam, z, n, opts=None):
+        def broken(fam, z, n):
             raise ConvergenceError("no convergence", value=math.nan,
                                    err_estimate=math.inf, evaluations=1)
         monkeypatch.setattr(cmc, "log_deriv_quadrature", broken)
@@ -170,6 +245,24 @@ class TestFiniteDiffRoute:
         assert report.verdict == "certified"
         assert report.fd_scale > 0.0
         assert report.fd_margins.shape == (30, 8)
+
+    @pytest.mark.parametrize("fam,lo,hi", FIXTURES,
+                             ids=lambda v: getattr(v, "kind", ""))
+    def test_margins_match_the_per_order_sums(self, fam, lo, hi):
+        # the reference: each alternating binomial sum, correctly rounded;
+        # the route's one matrix product may round in any order, so allow
+        # 2 (n + 1) u of the summed magnitudes
+        config = _config(lo, hi, n_max=12)
+        report = certify_cm_finite_diff(fam, config)
+        h = config.fd_step
+        for i, z in enumerate(config.z_grid):
+            fvals = np.exp(log_f(fam, z + np.arange(13) * h))
+            for n in range(1, 13):
+                terms = [(-1.0) ** j * math.comb(n, j) * fvals[j]
+                         for j in range(n + 1)]
+                ref, mag = math.fsum(terms), math.fsum(map(abs, terms))
+                assert abs(report.fd_margins[i, n - 1] - ref) \
+                    <= 2 * (n + 1) * 2.0 ** -53 * mag, (z, n)
 
     @pytest.mark.parametrize("h", [1e-3, 1e-2, 1e-1])
     def test_step_sizes_concur(self, h):

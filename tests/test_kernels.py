@@ -224,6 +224,37 @@ class TestDerivativeRoutes:
         assert q.path == "quadrature"
         assert q.err_estimate >= 0.0
 
+    def test_quadrature_keeps_cancellation_at_large_z(self):
+        # the rounded arguments z - a_i + 1 lose the offsets' low bits at
+        # z ~ 1e6; the exact kernel terms do not
+        a = (0.22022406367481134, 0.5899678003889793, 0.622488105747265)
+        z = 955648.486428126
+        with mpmath.workdps(60):
+            zm = mpmath.mpf(z)
+            ref = float(-(2 * mpmath.psi(0, zm + 1)
+                          + mpmath.psi(0, zm + 1 - mpmath.fsum(a))
+                          - mpmath.fsum(mpmath.psi(0, zm + 1 - v)
+                                        for v in a)))
+        q = log_deriv_quadrature(MultiParam(a), z, 1).signed_value
+        assert abs(q - ref) <= 1e-8 * abs(ref)
+
+    @pytest.mark.parametrize("n", [1, 4, 12])
+    def test_quadrature_decays_at_the_top_merged_exponent(self, n):
+        # the top rows G(z-2) cancel: the integrand decays like
+        # e^(-(z - 0.7) t), not like e^(-(z - lower_bound) t) = e^(-(z - 2) t)
+        fam = Majorized((2.0, 0.5), (2.0, 0.7))
+        for z in (2.5, 40.0):
+            p = log_deriv_polygamma(fam, z, n)
+            q = log_deriv_quadrature(fam, z, n)
+            assert abs(q.signed_value - p.signed_value) <= max(
+                1e-8 * abs(p.signed_value), 1e-9)
+
+    def test_quadrature_sees_a_gap_below_the_ulp_of_z(self):
+        # z - 0.5000000000001 and z - 0.5 round to one argument at z = 1e6,
+        # but the kernel e^(0.5000000000001 t) - e^(0.5 t) is positive
+        fam = Majorized((2.0, 0.5000000000001), (2.0, 0.5))
+        assert log_deriv_quadrature(fam, 1e6, 1).signed_value > 0.0
+
     def test_symmetric_zero_derivatives_vanish(self):
         fam = Symmetric(0.0)
         for n in (1, 2, 5):

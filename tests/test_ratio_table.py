@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmgamma import specfun
-from cmgamma.cm_certify import weak_submajorization_failure
+from cmgamma.cm_certify import _require_certifiable
 from cmgamma.kernels import (MultiParam, Symmetric, TwoParam,
                              domain_lower_bound, log_deriv_polygamma,
                              log_deriv_quadrature, log_f)
@@ -16,20 +16,17 @@ class TestCertifiability:
     @given(params, params)
     @settings(max_examples=200, deadline=None)
     def test_two_param_accepted(self, a, b):
-        assert weak_submajorization_failure(*TwoParam(a, b).exponents()) \
-            is None
+        _require_certifiable(TwoParam(a, b))  # the exact gate of certify
 
     @given(st.lists(params, min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_multi_param_accepted(self, a):
-        assert weak_submajorization_failure(*MultiParam(a).exponents()) \
-            is None
+        _require_certifiable(MultiParam(a))  # the exact gate of certify
 
     @given(params)
     @settings(max_examples=100, deadline=None)
     def test_symmetric_accepted(self, a):
-        assert weak_submajorization_failure(*Symmetric(a).exponents()) \
-            is None
+        _require_certifiable(Symmetric(a))  # the exact gate of certify
 
 
 def _magnitude(fam, z, n):
