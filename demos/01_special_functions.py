@@ -1,7 +1,7 @@
 """Tour of the real-argument gamma-family special functions.
 
 Everything downstream (kernels, certification, inequality audits) is built
-on these six functions, so this script shows the values they produce, the
+on these five functions, so this script shows the values they produce, the
 identities that pin them down, and how they behave on arrays.
 
 Run:  python3 demos/01_special_functions.py
@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from cmgamma import (EULER_GAMMA, digamma, gen_binom, log_beta, log_gamma,
-                     polygamma, reflection_product)
+from cmgamma import (digamma, log_beta, log_gamma, polygamma,
+                     reflection_product)
 
 
 def section(title):
@@ -32,7 +32,7 @@ print(f"  x = {x}: |lhs - rhs| = {abs(lhs - rhs):.2e}")
 
 section("digamma and the Euler constant")
 print(f"  psi(1)      = {digamma(1.0): .15f}")
-print(f"  -gamma      = {-EULER_GAMMA: .15f}")
+print(f"  -gamma      = {-np.euler_gamma: .15f}")
 print(f"  psi(0.5)    = {digamma(0.5): .15f}  (= -gamma - 2 ln 2)")
 
 section("polygamma: psi^(n), here psi'(1) = pi^2/6")
@@ -43,10 +43,6 @@ print(f"  psi''(1)    = {polygamma(2, 1.0): .15f}  (= -2 zeta(3))")
 section("log_beta via log-gamma, symmetric in its arguments")
 print(f"  ln B(2.5, 3.5) = {log_beta(2.5, 3.5): .15f}")
 print(f"  ln B(3.5, 2.5) = {log_beta(3.5, 2.5): .15f}")
-
-section("generalized binomial: real upper argument")
-print(f"  C(5,   2)   = {gen_binom(5.0, 2.0):.1f}")
-print(f"  C(5.5, 2.5) = {gen_binom(5.5, 2.5):.12f}")
 
 section("reflection product G(1-x) G(1+x) = pi x / sin(pi x)")
 for x in (0.25, 0.5, 0.9):

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from cmgamma import (EULER_GAMMA, TwoParam, digamma, integrate_half_line,
+from cmgamma import (TwoParam, digamma, integrate_half_line,
                      log_deriv_polygamma, log_deriv_quadrature)
 
 
@@ -45,7 +45,7 @@ for z in (0.5, 1.0, 2.0, 7.3):
     res = integrate_half_line(
         lambda t: (np.expm1(-t) - np.expm1(-z * t)) / (-np.expm1(-t)),
         decay_rate=min(1.0, z))
-    got = -EULER_GAMMA + res.value
+    got = -np.euler_gamma + res.value
     print(f"  z = {z:>4}: integral route {got: .12f}, "
           f"digamma {digamma(z): .12f}, diff {abs(got - digamma(z)):.1e}")
 

@@ -46,11 +46,9 @@ from .kernels import (
     log_deriv_quadrature,
     log_f,
 )
-from .quad import QuadOptions, QuadResult, integrate_half_line
+from .quad import QuadResult, integrate_half_line
 from .specfun import (
-    EULER_GAMMA,
     digamma,
-    gen_binom,
     log_beta,
     log_gamma,
     polygamma,
@@ -64,13 +62,11 @@ __all__ = [
     "CertReport",
     "ConvergenceError",
     "DomainError",
-    "EULER_GAMMA",
     "HOLDS_TOL",
     "InequalityCase",
     "LogDerivResult",
     "Majorized",
     "MultiParam",
-    "QuadOptions",
     "QuadResult",
     "SweepResult",
     "Symmetric",
@@ -82,7 +78,6 @@ __all__ = [
     "check_weak_submajorization",
     "digamma",
     "domain_lower_bound",
-    "gen_binom",
     "get_case",
     "integrate_half_line",
     "kernel_nonneg_scan",

@@ -52,6 +52,12 @@ _FAMILY_KINDS = {
     "symmetric": (Symmetric, ("a",)),
 }
 
+# a --config value passes its flag's check: text, or a number for a numeric
+# flag, read by the flag's type; any other key is text
+_CONFIG_TYPES = {"samples": int, "seed": int, "n_max": int, "tol": float,
+                 "fd_step": float}
+_CONFIG_CHOICES = {"family": sorted(_FAMILY_KINDS), "format": ("csv", "json")}
+
 # bounds targets: primary ids, reference ids; the coordinates are the
 # first primary case's parameters and point
 _BOUNDS_TARGETS = {
@@ -182,8 +188,27 @@ def _build_config(args) -> RunConfig:
         if not isinstance(filecfg, dict):
             raise UsageError("config file must hold a JSON object")
 
-    def pick(flag, key):
-        return flag if flag is not None else filecfg.get(key)
+    def from_file(key):
+        val = filecfg.get(key)
+        if val is None or (key == "params" and isinstance(val, dict)):
+            return val
+        kind = _CONFIG_TYPES.get(key, str)
+        bad = UsageError(f"config {key!r}: malformed value {val!r}")
+        if not (isinstance(val, str)
+                or kind is not str and type(val) in (int, float)):
+            raise bad
+        try:
+            val = kind(str(val))
+        except ValueError:
+            raise bad from None
+        if val not in _CONFIG_CHOICES.get(key, (val,)):
+            raise UsageError(f"config {key!r}: {val!r} is not one of "
+                             f"{', '.join(_CONFIG_CHOICES[key])}")
+        return val
+
+    def pick(flag, key, default=None):
+        val = flag if flag is not None else from_file(key)
+        return default if val is None else val
 
     ids_text = pick(getattr(args, "id", None), "id")
     ids = tuple(s.strip() for s in ids_text.split(",") if s.strip()) \
@@ -199,32 +224,25 @@ def _build_config(args) -> RunConfig:
     if flag_grid is not None or flag_samples is not None:
         grid_val, samples = flag_grid, flag_samples
     else:
-        grid_val, samples = filecfg.get("grid"), filecfg.get("samples")
+        grid_val, samples = from_file("grid"), from_file("samples")
     grid = _parse_grid(grid_val) if grid_val else None
-    if samples is not None:
-        samples = int(samples)
-        if samples < 1:
-            raise UsageError(f"sample count must be >= 1, got {samples}")
-    tol = pick(args.tol, "tol")
-    tol = iq.HOLDS_TOL if tol is None else float(tol)
+    if samples is not None and samples < 1:
+        raise UsageError(f"sample count must be >= 1, got {samples}")
+    tol = pick(args.tol, "tol", iq.HOLDS_TOL)
     if not (math.isfinite(tol) and tol > 0):
         raise UsageError(f"tolerance must be positive, got {tol!r}")
-    n_max = pick(getattr(args, "n_max", None), "n_max")
-    n_max = 8 if n_max is None else int(n_max)
-    fd_step = pick(getattr(args, "fd_step", None), "fd_step")
-    fd_step = 1e-2 if fd_step is None else float(fd_step)
+    n_max = pick(getattr(args, "n_max", None), "n_max", 8)
+    fd_step = pick(getattr(args, "fd_step", None), "fd_step", 1e-2)
     fmt = pick(args.format, "format")
-    if fmt is not None and fmt not in ("csv", "json"):
-        raise UsageError(f"format must be csv or json, got {fmt!r}")
     return RunConfig(
         command=args.command,
         ids=ids,
         family=pick(getattr(args, "family", None), "family"),
-        target=getattr(args, "target", None) or filecfg.get("target"),
+        target=getattr(args, "target", None) or from_file("target"),
         params=params,
         grid=grid,
         samples=samples,
-        seed=_resolve_seed(getattr(args, "seed", None), filecfg.get("seed")),
+        seed=_resolve_seed(getattr(args, "seed", None), from_file("seed")),
         out=pick(args.out, "out"),
         fmt=fmt,
         tol=tol,

@@ -91,9 +91,14 @@ def _clean_scalar(value, name: str) -> float:
     return v
 
 
-# Taylor terms of the kernel where every |x_j t| <= 1: the first omitted
-# term is below 1/21! ~ 2e-20 of the term magnitudes.
-_TAYLOR_TERMS = 20
+# Taylor terms of the kernel where every |x_j t| <= 1/16: the first
+# omitted term is below 16^-11 / 11! ~ 1.4e-21 of the term magnitudes.
+_TAYLOR_TERMS = 10
+
+# A kernel whose Taylor coefficients are all below 2^-_LIFT is evaluated
+# times 2^_LIFT, so that no intermediate of the integrand is subnormal.  An
+# exponent gap below 2^-_LIFT stays in expm1's linear range for t < 2^546.
+_LIFT = 600
 
 _FACTORY_NAMES = {"two-param": "TwoParam", "multi-param": "MultiParam",
                   "majorized": "Majorized", "symmetric": "Symmetric"}
@@ -160,48 +165,59 @@ class RatioFamily:
             merged[x] = merged.get(x, 0) + int(coef)
         return den, r, tuple(sorted((x, c) for x, c in merged.items() if c))
 
+    @cached_property
+    def _taylor(self):
+        """(x_max, lift, coefs): every |x_j t| <= 1/16 where x_max t <= 1/16,
+        and there 2^lift K(t) = polyval(coefs, t), each 2^lift mu_p / p!
+        rounded once from the exact integer moment mu_p = sum_j c_j x_j^p.
+        lift is _LIFT if every mu_p / p! is below 2^-_LIFT, else 0."""
+        den, _, terms = self.terms
+        moments = [(sum(c * x ** p for x, c in terms),
+                     den ** p * math.factorial(p))
+                    for p in range(_TAYLOR_TERMS + 1)]
+        lift = _LIFT if all(abs(mu) << _LIFT < s for mu, s in moments) else 0
+        coefs = [(mu << lift) / s for mu, s in reversed(moments)]
+        return max((abs(x) for x, _ in terms), default=0) / den, lift, coefs
+
     def abel(self, t):
-        """A(t) = e^(-x_m t) K(t), x_m the top exponent, for t >= 0 of any
-        shape: over ascending x_1 < ... < x_m and the partial sums
-        C_j = c_1 + ... + c_j, the Abel sum
+        """2^lift A(t), where A(t) = e^(-x_m t) K(t), x_m is the top exponent
+        and lift is 0 unless K is tiny (:attr:`_taylor`), for t >= 0 of any
+        shape (0 if all terms cancel).  Over ascending x_1 < ... < x_m and
+        the partial sums C_j = c_1 + ... + c_j, A is the Abel sum
         sum_j C_j expm1((x_j - x_(j+1)) t) e^((x_(j+1) - x_m) t).  It
         reproduces product forms such as (1 - e^-at)(1 - e^-bt), and each
         nearly equal pair of exponents cancels inside one expm1 of its
-        exact gap.
+        exact gap.  Where every |x_j t| <= 1/16 the pairs cancel against
+        each other, so there A is e^(-x_m t) times K's Taylor series on
+        the exact moments instead.
         """
         den, _, terms = self.terms
-        top, partial = terms[-1][0], 0
+        t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
+        x_max, lift, coefs = self._taylor
+        top, partial = (terms[-1][0] if terms else 0), 0
         for (x0, c0), (x1, _) in zip(terms, terms[1:]):
             partial += c0
-            out += (partial * np.expm1((x0 - x1) / den * t)
-                    * np.exp((x1 - top) / den * t))
+            if (x1 - x0) << _LIFT < den:  # expm1 is linear: lift the gap
+                rise = ((x0 - x1) << lift) / den * t * partial
+            else:
+                rise = np.expm1((x0 - x1) / den * t) * (partial * 2.0 ** lift)
+            out += rise * np.exp((x1 - top) / den * t)
+        near = x_max * t <= 0.0625
+        if near.any():
+            tn = t[near]
+            out[near] = np.exp(-top / den * tn) * np.polyval(coefs, tn)
         return out
 
     def kernel(self, t):
-        """K(t) = sum_j c_j e^(x_j t) over the merged :attr:`terms`.
-
-        Where every |x_j t| <= 1, K is its Taylor series with the moments
-        sum_j c_j x_j^p computed exactly, so the cancellation at small t
-        costs no digits.  Elsewhere K is e^(x_m t) times the Abel sum
-        :meth:`abel`, which overflows to +-inf only when the kernel does.
-        """
+        """K(t) = sum_j c_j e^(x_j t) = e^(x_m t) A(t), from :meth:`abel`;
+        it overflows to +-inf only where the kernel does."""
         den, _, terms = self.terms
-        scalar = np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros_like(t)
-        if terms:
-            near = max(abs(x) for x, _ in terms) / den * t <= 1.0
-            tn, tf = t[near], t[~near]
-            series = np.zeros_like(tn)
-            for p in range(_TAYLOR_TERMS, 0, -1):
-                # exact integer moment; int / int rounds once
-                mu = sum(c * x ** p for x, c in terms)
-                series = (series + mu / (den ** p * math.factorial(p))) * tn
-            out[near] = series
-            with np.errstate(over="ignore"):
-                out[~near] = np.exp(terms[-1][0] / den * tf) * self.abel(tf)
-        return float(out[0]) if scalar else out
+        t = np.asarray(t, dtype=float)
+        top = terms[-1][0] / den if terms else 0.0
+        with np.errstate(over="ignore"):
+            out = np.exp(top * t) * np.ldexp(self.abel(t), -self._taylor[1])
+        return float(out) if out.ndim == 0 else out
 
 
 def TwoParam(a, b) -> RatioFamily:
@@ -379,20 +395,21 @@ def log_deriv_quadrature(fam: RatioFamily, z, n) -> LogDerivResult:
 
     The integrand is e^(-(z - d_m) t) A(t) t^(n-1) / (1 - e^-t), where d_m
     is the top row exponent of the merged kernel terms and A(t) =
-    e^(-x_m t) K(t) is the family's Abel sum (:meth:`RatioFamily.abel`).
-    A is built from the exact kernel exponents, not from the rounded
-    arguments z - d_j, so it keeps the cancellation of the kernel's first
-    moment at any z and avoids any overflow at large t; a family whose
-    terms all cancel gives 0.
+    e^(-x_m t) K(t) comes from :meth:`RatioFamily.abel`, the evaluator the
+    kernel values use too.  A is built from the exact kernel exponents, not
+    from the rounded arguments z - d_j, so it keeps the cancellation of the
+    kernel's first moments at any z, near t = 0 included, and avoids any
+    overflow at large t; a family whose terms all cancel gives 0.  A tiny
+    kernel stays lifted by 2^lift until the last product.
 
     z may be an array of points and n an array of orders; the result then
     holds one value per (z, n) pair, shaped ``np.shape(z) + np.shape(n)``.
     All pairs are integrated in one vector-valued pass on shared nodes: at
     each node A is formed once and e^(-(z - d_m) t) A(t) once per z, then
-    multiplied by t^(n-1) per order.  Each pair gets exactly the value and
-    error estimate of its own scalar call.  Non-convergence of any pair
-    propagates as :class:`~cmgamma.errors.ConvergenceError`, with the
-    values, error estimates and ``converged`` flags of every pair.
+    multiplied by t^(n-1) / (1 - e^-t) per order.  Each pair gets exactly
+    the value and error estimate of its own scalar call.  Non-convergence
+    of any pair propagates as :class:`~cmgamma.errors.ConvergenceError`,
+    with the values, error estimates and ``converged`` flags of every pair.
     """
     zs, orders, shape = _route_grid(fam, z, n)
     n_ord = len(orders)
@@ -401,6 +418,7 @@ def log_deriv_quadrature(fam: RatioFamily, z, n) -> LogDerivResult:
         return _route_result(z, n, shape, np.zeros((zs.size, n_ord)),
                              np.zeros((zs.size, n_ord)), "quadrature")
     shift = zs - (terms[-1][0] + r) / den
+    lift = fam._taylor[1]
 
     def integrand(nodes):
         t, rows = nodes
@@ -408,17 +426,13 @@ def log_deriv_quadrature(fam: RatioFamily, z, n) -> LogDerivResult:
         uz, first, inv = np.unique(zi, return_index=True, return_inverse=True)
         tz = t if t.ndim == 1 else t[first]
         base = np.exp(-shift[uz, None] * tz) * fam.abel(tz)
-        denom = -np.expm1(-tz)
-        out = np.empty((rows.size, tz.shape[-1]))
-        for j in np.unique(oi).tolist():
-            sel = oi == j
-            num = base[inv[sel]]
-            pol = orders[j] - 1
-            if pol:
-                tp = tz ** pol
-                num = num * (tp if tz.ndim == 1 else tp[inv[sel]])
-            out[sel] = num / (denom if tz.ndim == 1 else denom[inv[sel]])
-        return out
+        uo, oinv = np.unique(oi, return_inverse=True)
+        # t^(n-1) / (1 - e^-t) once per open order; each power takes a
+        # scalar exponent, as in a scalar call, so the bits agree
+        powers = [tz ** (orders[j] - 1) for j in uo.tolist()]
+        factor = np.stack(powers, axis=-2) / -np.expm1(-tz)[..., None, :]
+        return np.ldexp(base[inv] * (factor[oinv] if tz.ndim == 1
+                                     else factor[inv, oinv]), -lift)
 
     try:
         res = integrate_half_line(integrand,

@@ -2,11 +2,11 @@
 
 The integrators here target Laplace-type integrands: finite at 0+,
 eventually dominated by an exponential ``exp(-decay_rate * t)``.  The half
-line is split at a configurable point.  Each side uses a tanh-sinh
-(double-exponential) rule whose nodes cluster toward, but never touch, the
-interval endpoints, so integrands may be singular in a removable way at 0
-and are simply never sampled there.  The unbounded side is first mapped to
-(0, 1] with ``u = exp(-decay_rate (t - split))``; under that substitution a
+line is split at t = 1.  Each side uses a tanh-sinh (double-exponential)
+rule whose nodes cluster toward, but never touch, the interval endpoints,
+so integrands may be singular in a removable way at 0 and are simply
+never sampled there.  The unbounded side is first mapped to (0, 1] with
+``u = exp(-decay_rate (t - 1))``; under that substitution a
 pure exponential tail becomes a constant, and slower polynomial factors
 turn into integrable logarithmic endpoint behavior that the
 double-exponential rule absorbs.  Nodes past the point where the mapped
@@ -20,6 +20,10 @@ own stopping test passes, with exactly the value and error estimate that it
 would get alone, and later levels evaluate only the components still open.
 A scalar integrand is a batch of one.  Integrands must accept numpy arrays
 (nodes are evaluated in level-sized batches).
+
+The limits are fixed.  A side stops once two successive levels agree to a
+relative 1e-10, or to the smallest normal double, below which a value has
+no relative precision; it fails after 12 levels.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, UsageError
 
-__all__ = ["QuadOptions", "QuadResult", "integrate_half_line"]
+__all__ = ["QuadResult", "integrate_half_line"]
 
 # Largest |tau| used by the double-exponential rule.  At this abscissa the
 # endpoint offset is ~1e-262: still a normal double, never rounding a node
@@ -42,30 +46,19 @@ _TAU_MAX = 5.95
 
 _EPS = float(np.finfo(float).eps)
 
+# Relative stopping tolerance per side, the split point of the half line
+# and the last refinement level.
+_REL_TOL = 1e-10
+_SPLIT = 1.0
+_MAX_LEVELS = 12
+
+# Smallest normal double: a side whose successive levels differ by less
+# has converged, since a subnormal value carries no relative precision.
+_TINY = float(np.finfo(float).tiny)
+
 # Most integrand values requested in one call.  Deep levels with many open
 # components are split by component, so memory stays bounded.
 _MAX_VALUES = 1 << 16
-
-
-@dataclass(frozen=True)
-class QuadOptions:
-    """Tolerances and refinement limits for the half-line integrator."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    split_point: float = 1.0
-    max_levels: int = 12
-
-    def validate(self) -> None:
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise UsageError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0):
-            raise UsageError(f"abs_tol must be nonnegative, got {self.abs_tol!r}")
-        if not (math.isfinite(self.split_point) and self.split_point > 0):
-            raise UsageError(
-                f"split_point must be positive, got {self.split_point!r}")
-        if self.max_levels < 2:
-            raise UsageError(f"max_levels must be >= 2, got {self.max_levels!r}")
 
 
 @dataclass(frozen=True)
@@ -110,25 +103,23 @@ def _require_finite(vals, x) -> None:
         raise DomainError(f"integrand not finite at node x={xi[bad[i]][0]!r}")
 
 
-def _tanh_sinh_open(f: Callable, a: float, b: float, k: int, rel_tol: float,
-                    abs_tol: float, max_levels: int):
-    """Tanh-sinh rule on the open interval (a, b), never sampling a or b.
+def _tanh_sinh_open(f: Callable, b: float, k: int):
+    """Tanh-sinh rule on the open interval (0, b), never sampling 0 or b.
 
     ``f(x, rows)`` returns the values of the components ``rows`` at the
     shared nodes x, one row per component.  Returns per-component value,
     error estimate and convergence flag, and the number of nodes evaluated.
     """
-    d = 0.5 * (b - a)
-    c = a + d
+    d = 0.5 * b
     err = np.full(k, math.inf)
     done = np.zeros(k, dtype=bool)
     rows = np.arange(k)
     evals = 0
-    for level in range(max_levels + 1):
+    for level in range(_MAX_LEVELS + 1):
         delta, weight = _de_nodes(level)
-        x = np.concatenate((a + d * delta, b - d * delta))
+        x = np.concatenate((d * delta, b - d * delta))
         if not level:
-            x = np.append(x, c)
+            x = np.append(x, d)
         m = delta.size
         dots, center = [], []
         step = max(1, _MAX_VALUES // x.size)
@@ -150,7 +141,7 @@ def _tanh_sinh_open(f: Callable, a: float, b: float, k: int, rel_tol: float,
         new = 0.5 * prev + d * 0.5 ** level * dots
         new_err = np.abs(new - prev)
         value[rows], err[rows] = new, new_err
-        tol = np.maximum(rel_tol * np.abs(new), abs_tol)
+        tol = np.maximum(_REL_TOL * np.abs(new), _TINY)
         stop = (new_err <= tol) & ((level >= 2) | (new_err == 0.0))
         err[rows[stop]] = np.maximum(new_err[stop], _EPS * np.abs(new[stop]))
         done[rows[stop]] = True
@@ -160,9 +151,11 @@ def _tanh_sinh_open(f: Callable, a: float, b: float, k: int, rel_tol: float,
     return value, err, done, evals
 
 
-def integrate_half_line(f: Callable, decay_rate,
-                        opts: QuadOptions | None = None) -> QuadResult:
+def integrate_half_line(f: Callable, decay_rate) -> QuadResult:
     """Integrate f over (0, inf) for integrands with exponential decay.
+
+    Each side stops at a relative 1e-10, or at the smallest normal double,
+    and fails after 12 levels (see the module notes).
 
     Parameters
     ----------
@@ -179,8 +172,6 @@ def integrate_half_line(f: Callable, decay_rate,
         Positive rate r, one per component, such that
         ``f(t) = O(exp(-r t))`` as t -> inf, possibly times a polynomial.
         Used to map the tail; a conservative (small) value is safe.
-    opts : QuadOptions, optional
-        Tolerances and refinement limits.
 
     Returns
     -------
@@ -194,18 +185,15 @@ def integrate_half_line(f: Callable, decay_rate,
     Raises
     ------
     UsageError
-        If a decay rate is not positive and finite, or options are invalid.
+        If a decay rate is not positive and finite.
     ConvergenceError
-        If either side of some component fails to converge within
-        ``max_levels``.  The exception carries the best values, error
+        If either side of some component fails to converge within 12
+        levels.  The exception carries the best values, error
         estimates and a ``converged`` flag, per component for a vector
         integrand; the components that converged keep their exact results.
     DomainError
         If the integrand returns a non-finite value at a node.
     """
-    if opts is None:
-        opts = QuadOptions()
-    opts.validate()
     lam = np.asarray(decay_rate, dtype=float)
     vector = lam.ndim == 1
     if lam.ndim > 1 or not lam.size or not (
@@ -220,20 +208,15 @@ def integrate_half_line(f: Callable, decay_rate,
             return np.asarray(f((t, rows)), dtype=float)
         return np.asarray(f(np.ravel(t)), dtype=float).reshape(1, -1)
 
-    s = opts.split_point
-
     def mapped_tail(u, rows):
         rate = lam[rows, None]
-        t = s - np.log(u) / rate
+        t = _SPLIT - np.log(u) / rate
         vals = call(t, rows)
         _require_finite(vals, t)
         return vals / (rate * u)
 
-    val_a, err_a, ok_a, ev_a = _tanh_sinh_open(
-        call, 0.0, s, k, opts.rel_tol, 0.5 * opts.abs_tol, opts.max_levels)
-    val_b, err_b, ok_b, ev_b = _tanh_sinh_open(
-        mapped_tail, 0.0, 1.0, k, opts.rel_tol, 0.5 * opts.abs_tol,
-        opts.max_levels)
+    val_a, err_a, ok_a, ev_a = _tanh_sinh_open(call, _SPLIT, k)
+    val_b, err_b, ok_b, ev_b = _tanh_sinh_open(mapped_tail, 1.0, k)
 
     value, err, ok = val_a + val_b, err_a + err_b, ok_a & ok_b
     evals = ev_a + ev_b
@@ -246,7 +229,7 @@ def integrate_half_line(f: Callable, decay_rate,
                 f"{float(err[0])!r})" if k == 1
                 else f"for {k - int(ok.sum())} of {k} components")
         raise ConvergenceError(
-            f"no convergence within {opts.max_levels} refinement levels "
+            f"no convergence within {_MAX_LEVELS} refinement levels "
             f"{what}", value=shaped(value), err_estimate=shaped(err),
             evaluations=evals, converged=shaped(ok))
     return QuadResult(value=shaped(value), err_estimate=shaped(err),

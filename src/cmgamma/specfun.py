@@ -26,17 +26,12 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "EULER_GAMMA",
     "log_gamma",
     "digamma",
     "polygamma",
     "log_beta",
-    "gen_binom",
     "reflection_product",
 ]
-
-# Euler-Mascheroni constant, double precision.
-EULER_GAMMA = 0.5772156649015329
 
 # Bernoulli numbers B_2, B_4, ..., B_30.
 _BERN = (
@@ -222,33 +217,6 @@ def log_beta(a, b):
     b_arr, sb = _as_positive_array(b, "b")
     out = log_gamma(a_arr) + log_gamma(b_arr) - log_gamma(a_arr + b_arr)
     return _maybe_scalar(np.asarray(out), sa and sb)
-
-
-def gen_binom(alpha, beta):
-    """Generalized binomial coefficient Gamma(a+1)/(Gamma(b+1) Gamma(a-b+1)).
-
-    Evaluated in log space and exponentiated, so moderate arguments never
-    overflow intermediate factorials.  All three shifted arguments must be
-    strictly positive; integer-pole cases raise DomainError.
-
-    Examples
-    --------
-    >>> gen_binom(4.0, 2.0)
-    6.0...
-    """
-    a_arr = np.asarray(alpha, dtype=float)
-    b_arr = np.asarray(beta, dtype=float)
-    scalar = a_arr.ndim == 0 and b_arr.ndim == 0
-    for val, name in ((a_arr + 1.0, "alpha + 1"),
-                      (b_arr + 1.0, "beta + 1"),
-                      (a_arr - b_arr + 1.0, "alpha - beta + 1")):
-        if not np.all(np.isfinite(val)):
-            raise DomainError(f"{name} must be finite")
-        if np.any(val <= 0.0):
-            raise DomainError(f"requires {name} > 0")
-    out = np.exp(log_gamma(a_arr + 1.0) - log_gamma(b_arr + 1.0)
-                 - log_gamma(a_arr - b_arr + 1.0))
-    return _maybe_scalar(np.asarray(out), scalar)
 
 
 def reflection_product(a):

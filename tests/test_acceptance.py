@@ -18,7 +18,7 @@ from cmgamma.cm_certify import (CertConfig, certify_cm_finite_diff,
 from cmgamma.kernels import (Majorized, MultiParam, Symmetric, TwoParam,
                              log_deriv_polygamma, log_deriv_quadrature)
 from cmgamma.quad import integrate_half_line
-from cmgamma.specfun import EULER_GAMMA, digamma, log_gamma
+from cmgamma.specfun import digamma, log_gamma
 
 from _samplers import draw_params
 
@@ -53,8 +53,8 @@ def test_02_digamma_integral_representation():
     for z in (0.5, 1.0, 2.0, 7.3):
         res = integrate_half_line(lambda t: integrand(t, z),
                                   decay_rate=min(1.0, z))
-        worst = max(worst, abs(-EULER_GAMMA + res.value - digamma(z)))
-    ok = worst <= 1e-9 and EULER_GAMMA == 0.5772156649015329
+        worst = max(worst, abs(-np.euler_gamma + res.value - digamma(z)))
+    ok = worst <= 1e-9
     _report(2, ok, "digamma(z) = -gamma + half-line integral within 1e-9 "
                    f"at four points (worst abs error {worst:.3e})")
 

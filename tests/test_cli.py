@@ -274,6 +274,32 @@ class TestConfigFile:
         assert code == 1
 
 
+    AUDIT = ("audit", "--id", "INQ1", "--params", "a=1,b=1")
+    CERTIFY = ("certify", "--params", "a=0.5,b=0.7", "--grid", "1.3:5:3")
+
+    # each value is refused as its flag's text would be, naming the key
+    @pytest.mark.parametrize("argv,key,value", [
+        (CERTIFY, "family", "bogus"),
+        (AUDIT[:1] + AUDIT[3:], "id", 5),
+        (AUDIT[:3], "params", 5),
+        (AUDIT, "grid", 5),
+        (AUDIT, "samples", "abc"),
+        (AUDIT, "samples", 2.7),
+        (AUDIT, "samples", True),
+        (AUDIT, "tol", "x"),
+        (AUDIT, "seed", 2.7),
+        (CERTIFY + ("--family", "two-param"), "n_max", 2.5),
+        (("bounds", "--params", "z=2"), "target", [1]),
+    ], ids=lambda v: v[0] if isinstance(v, tuple) else None)
+    def test_malformed_config_value(self, capsys, tmp_path, argv, key,
+                                    value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: config {key!r}: ")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("params", [{"a": "x", "b": 1},
                                         {"a": [1, 2], "b": 1},
                                         {"a": 1, "b": 1, "z": None}])

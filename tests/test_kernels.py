@@ -262,6 +262,88 @@ class TestDerivativeRoutes:
             assert log_deriv_quadrature(fam, 1.5, n).signed_value == 0.0
 
 
+# ordinary, near-cancelling and tiny-parameter families
+ORACLE_FAMILIES = [
+    TwoParam(0.5, 0.7),
+    MultiParam((0.2, 0.5, 0.9)),
+    Majorized((2, 0.5), (1.5, 1)),
+    Symmetric(0.4),
+    Symmetric(1e-6),
+    TwoParam(1.0, 1e-13),
+]
+
+
+def _mp_terms(fam):
+    """(c_j, x_j, d_j) of the family's exact kernel terms, in mpmath: K(t)
+    = sum_j c_j e^(x_j t) and the route sums c_j psi^(n-1)(z - d_j)."""
+    den, r, terms = fam.terms
+    return [(c, mpmath.mpf(x) / den, mpmath.mpf(x + r) / den)
+            for x, c in terms]
+
+
+class TestExactTermOracle:
+    @pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=repr)
+    def test_quadrature_vs_mpmath(self, fam):
+        # from the domain edge to z = 1e12, every order up to the cap
+        zs = [domain_lower_bound(fam) + 1e-3, 100.0, 1e3, 1e6, 1e9, 1e12]
+        ns = list(range(1, N_MAX_ORDER + 1))
+        q = log_deriv_quadrature(fam, zs, ns).signed_value
+        with mpmath.workdps(60):
+            terms = _mp_terms(fam)
+            for i, z in enumerate(zs):
+                for j, n in enumerate(ns):
+                    ref = (-1) ** n * mpmath.fsum(
+                        c * mpmath.psi(n - 1, mpmath.mpf(z) - d)
+                        for c, _, d in terms)
+                    assert abs(q[i, j] - ref) <= 1e-10 * abs(ref), (z, n)
+
+    @pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=repr)
+    def test_kernel_vs_mpmath(self, fam):
+        ts = np.geomspace(1e-12, 50.0, 200)
+        vals = kernel_value(fam, ts)
+        with mpmath.workdps(60):
+            terms = _mp_terms(fam)
+            for t, v in zip(ts, vals):
+                ref = mpmath.fsum(c * mpmath.exp(x * mpmath.mpf(t))
+                                  for c, x, _ in terms)
+                assert abs(v - ref) <= 1e-14 * abs(ref), t
+
+    def test_subnormal_parameter_converges(self):
+        # K is proportional to b and the value (5.3e-312) is subnormal: the
+        # smallest normal double stops the refinement at a subnormal's bits
+        fam = TwoParam(1.0, 2.2250738585e-313)
+        q = log_deriv_quadrature(fam, 1.0, 4).signed_value
+        with mpmath.workdps(400):
+            ref = mpmath.fsum(c * mpmath.psi(3, 1 - d)
+                              for c, _, d in _mp_terms(fam))
+        assert abs(q - ref) <= 1e-6 * abs(ref)
+
+    @pytest.mark.parametrize("fam,offset,n", [
+        (TwoParam(1.0, 2.2250738585e-313), 0.05078125, 7),
+        (TwoParam(0.5, 5e-324), 0.05, 10),
+        (MultiParam((1.192092896e-07, 2.2250738585072014e-308)), 0.05, 7),
+        (Symmetric(1e-160), 0.05, 12),
+    ], ids=repr)
+    def test_tiny_kernel_keeps_its_digits(self, fam, offset, n):
+        # K is subnormal where the integrand's mass lies, but the value is
+        # a normal double, so it must reach the relative tolerance
+        z = domain_lower_bound(fam) + offset
+        q = log_deriv_quadrature(fam, z, n).signed_value
+        with mpmath.workdps(800):
+            ref = (-1) ** n * mpmath.fsum(
+                c * mpmath.psi(n - 1, mpmath.mpf(z) - d)
+                for c, _, d in _mp_terms(fam))
+        assert abs(ref) > 2.2250738585072014e-308
+        assert abs(q - ref) <= 1e-10 * abs(ref)
+
+    def test_fully_cancelling_family_gives_zeros(self):
+        fam = Majorized((1.0,), (1.0,))
+        t = np.array([0.0, 1e-3, 1.0, 50.0])
+        assert fam.terms[2] == ()
+        assert np.array_equal(fam.abel(t), np.zeros(4))
+        assert np.array_equal(kernel_value(fam, t), np.zeros(4))
+
+
 def _mp_digamma(w):
     from conftest import mp_digamma
     return mp_digamma(w)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from cmgamma.errors import ConvergenceError, DomainError, UsageError
-from cmgamma.quad import QuadOptions, QuadResult, integrate_half_line
-from cmgamma.specfun import EULER_GAMMA, digamma
+import cmgamma.quad as quad_mod
+from cmgamma.quad import QuadResult, integrate_half_line
+from cmgamma.specfun import digamma
 
 
 class TestClosedForms:
@@ -59,8 +60,8 @@ class TestDigammaRepresentation:
         def f(t):
             return (np.expm1(-t) - np.expm1(-z * t)) / (-np.expm1(-t))
         res = integrate_half_line(f, decay_rate=min(1.0, z))
-        assert -EULER_GAMMA + res.value == pytest.approx(digamma(z),
-                                                         abs=1e-9)
+        assert -np.euler_gamma + res.value == pytest.approx(digamma(z),
+                                                            abs=1e-9)
 
 
 class TestErrorEstimate:
@@ -70,27 +71,29 @@ class TestErrorEstimate:
         true_err = abs(res.value - 0.25)
         assert true_err <= max(10.0 * res.err_estimate, 1e-12)
 
-    def test_tighter_tolerance_smaller_error(self):
-        loose = integrate_half_line(
-            lambda t: np.exp(-t) * np.cos(t), decay_rate=1.0,
-            opts=QuadOptions(rel_tol=1e-6))
-        tight = integrate_half_line(
-            lambda t: np.exp(-t) * np.cos(t), decay_rate=1.0,
-            opts=QuadOptions(rel_tol=1e-12))
+    def test_tighter_tolerance_smaller_error(self, monkeypatch):
+        def f(t):
+            return np.exp(-t) * np.cos(t)
+        monkeypatch.setattr(quad_mod, "_REL_TOL", 1e-6)
+        loose = integrate_half_line(f, decay_rate=1.0)
+        monkeypatch.setattr(quad_mod, "_REL_TOL", 1e-12)
+        tight = integrate_half_line(f, decay_rate=1.0)
         assert abs(tight.value - 0.5) <= abs(loose.value - 0.5) + 1e-14
         assert tight.value == pytest.approx(0.5, rel=1e-10)
 
 
 class TestFailurePaths:
     def test_convergence_error_carries_partial_value(self):
+        # the integral is 1 + 0.5e4 / (1 + 1e8); the oscillation is too
+        # fast for 12 levels to resolve
         with pytest.raises(ConvergenceError) as exc_info:
             integrate_half_line(
-                lambda t: np.exp(-t),
-                decay_rate=1.0,
-                opts=QuadOptions(rel_tol=1e-15, abs_tol=0.0, max_levels=2))
+                lambda t: np.exp(-t) * (1.0 + 0.5 * np.sin(1e4 * t)),
+                decay_rate=1.0)
         err = exc_info.value
+        assert "within 12 refinement levels" in str(err)
         assert math.isfinite(err.value)
-        assert err.value == pytest.approx(1.0, rel=1e-3)
+        assert err.value == pytest.approx(1.0, rel=1e-2)
         assert err.err_estimate >= 0.0
         assert err.evaluations > 0
 
@@ -106,16 +109,6 @@ class TestFailurePaths:
         with pytest.raises(UsageError):
             integrate_half_line(lambda t: np.exp(-t), decay_rate=math.nan)
 
-    def test_options_validation(self):
-        with pytest.raises(UsageError):
-            QuadOptions(rel_tol=0.0).validate()
-        with pytest.raises(UsageError):
-            QuadOptions(abs_tol=-1.0).validate()
-        with pytest.raises(UsageError):
-            QuadOptions(split_point=0.0).validate()
-        with pytest.raises(UsageError):
-            QuadOptions(max_levels=1).validate()
-
 
 class TestResultShape:
     def test_result_type(self):
@@ -126,10 +119,10 @@ class TestResultShape:
         assert isinstance(res.evaluations, int)
 
 
-def _scalar_parts(f, rate, opts=None):
+def _scalar_parts(f, rate):
     """(value, err_estimate, converged, evaluations) of a scalar call."""
     try:
-        res = integrate_half_line(f, rate, opts)
+        res = integrate_half_line(f, rate)
         return res.value, res.err_estimate, True, res.evaluations
     except ConvergenceError as exc:
         return exc.value, exc.err_estimate, False, exc.evaluations
@@ -152,13 +145,14 @@ class TestVectorIntegrand:
           lambda t: np.exp(-t) / np.sqrt(t))
     RATES = (1.0, 3.0, 0.05, 1.0, 1.0)
 
-    @pytest.mark.parametrize("opts", [None, QuadOptions(rel_tol=1e-6),
-                                      QuadOptions(split_point=2.5)])
-    def test_components_equal_scalar_calls(self, opts):
-        res = integrate_half_line(_stacked(self.FS), np.array(self.RATES),
-                                  opts)
-        scalar = [_scalar_parts(f, r, opts)
-                  for f, r in zip(self.FS, self.RATES)]
+    # at other module limits too, each component keeps its scalar bits
+    @pytest.mark.parametrize("opts", [None, {"_REL_TOL": 1e-6},
+                                      {"_SPLIT": 2.5}])
+    def test_components_equal_scalar_calls(self, opts, monkeypatch):
+        for name, value in (opts or {}).items():
+            monkeypatch.setattr(quad_mod, name, value)
+        res = integrate_half_line(_stacked(self.FS), np.array(self.RATES))
+        scalar = [_scalar_parts(f, r) for f, r in zip(self.FS, self.RATES)]
         assert res.value.shape == res.err_estimate.shape == (len(self.FS),)
         for i, (value, err, ok, _) in enumerate(scalar):
             assert ok
@@ -191,7 +185,6 @@ class TestVectorIntegrand:
         assert min(map(len, seen)) < len(self.FS)
 
     def test_large_batches_split_by_component(self, monkeypatch):
-        import cmgamma.quad as quad_mod
         monkeypatch.setattr(quad_mod, "_MAX_VALUES", 100)
         sizes = []
 

@@ -1,6 +1,6 @@
 """Properties of the coefficient table every ratio family is built from."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmgamma import specfun
@@ -51,6 +51,8 @@ class TestTwoEntryMultiParam:
            st.floats(min_value=0.0, max_value=5.0),
            st.floats(min_value=0.05, max_value=30.0),
            st.integers(min_value=1, max_value=8))
+    # kernel exponents over 2^1075, whose largest is a subnormal
+    @example(5e-324, 5e-324, 1.0, 1)
     @settings(max_examples=60, deadline=None)
     def test_matches_two_param(self, a, b, offset, n):
         two, multi = TwoParam(a, b), MultiParam((a, b))

@@ -1,5 +1,6 @@
 """tools/same_outputs.py lists the ops whose outputs differ between trees."""
 
+import collections
 import pathlib
 import shutil
 import sys
@@ -39,3 +40,33 @@ def test_a_one_character_change_in_a_writer_is_caught(tmp_path, capsys):
     assert lines[0].endswith(" differ in sha256")
     assert lines[-1].startswith("audit seeds [1]: 117 ops, ")
     assert lines[-1] != "audit seeds [1]: 117 ops, 0 differ"
+
+
+def test_differing_json_values_are_counted_by_path(tmp_path, capsys):
+    left, right = _tree(tmp_path, "a"), _tree(tmp_path, "b")
+    cli = right / "src" / "cmgamma" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    assert text.count('"margin": mark(res.margin)') == 1
+    cli.write_text(text.replace('"margin": mark(res.margin)',
+                                '"margin": mark(-res.margin)'),
+                   encoding="utf-8")
+    assert same_outputs.main([str(left), str(right), *SEED_1]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    ops = [line for line in lines if line.startswith("audit seed 1: op ")]
+    assert ops and all(line.endswith(" differ in sha256") for line in ops)
+    # the JSON reports differ in their margins alone
+    paths = lines[len(ops):-1]
+    assert len(paths) == 1 and paths[0].startswith("records[].margin: ")
+    assert int(paths[0].split(": ")[1]) > 0
+
+
+def test_json_differences_by_path():
+    nan = float("nan")
+    a = {"x": 1.0, "rows": [{"q": 1, "p": 2.0}, {"q": 3, "p": nan}],
+         "w": [1, 2], "t": True}
+    b = {"x": 1.0, "rows": [{"q": 1, "p": 5.0}, {"q": 4, "p": nan}],
+         "w": [1], "t": 1, "extra": {"y": 0}}
+    counts = collections.Counter()
+    same_outputs.json_differences(a, b, counts)
+    assert counts == {"rows[].p": 1, "rows[].q": 1, "w": 1, "t": 1,
+                      "extra": 1}

@@ -12,12 +12,17 @@ read-only from this repository.  Run from anywhere::
 
 Every op whose exit code, standard output, standard error or report
 sha256 differ is listed; the exit status is 1 if any differ, else 0.
-The workloads are those ``BENCHMARK.json`` declares.
+Where both reports of an op are JSON and their hashes differ, the values
+that differ are then counted by JSON path over all such ops, list items
+sharing their list's path plus ``[]``: ``routes.log_cm.rows[].quadrature:
+463`` counts 463 differing values.  The workloads are those
+``BENCHMARK.json`` declares.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -35,41 +40,49 @@ sys.path.insert(0, PERFBENCH)
 import run as bench_run  # noqa: E402
 
 
-def _sha256(path):
-    """sha256 of a report file (None when there is none); the file is
-    removed."""
+def _sha256(path, keep):
+    """sha256 of a report file (None when there is none); a JSON report is
+    renamed to ``keep``, any other removed."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
         return None
-    os.remove(path)
+    if data.startswith(b"{"):
+        os.replace(path, keep)
+    else:
+        os.remove(path)
     return hashlib.sha256(data).hexdigest()
+
+
+def _report_name(seed, i):
+    return f"report-{seed}-{i}.json"
 
 
 def run_ops(workload, seeds) -> dict:
     """Run the ops of every seed in this interpreter, in order, from the
-    current directory; seed -> one dict of argv and outputs per op."""
+    current directory, where the JSON reports stay; seed -> one dict of
+    argv and outputs per op."""
     import workloads
     from cmgamma.cli import main
 
     out = {}
     for seed in seeds:
         rows = out[seed] = []
-        for op in workloads.generate(workload, seed):
+        for i, op in enumerate(workloads.generate(workload, seed)):
             sink, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(sink), \
                     contextlib.redirect_stderr(err):
                 rc = main(op["argv"] + ["--out", "op.out"])
             rows.append({"argv": op["argv"], "rc": rc,
                          "stdout": sink.getvalue(), "stderr": err.getvalue(),
-                         "sha256": _sha256("op.out")})
+                         "sha256": _sha256("op.out", _report_name(seed, i))})
     return out
 
 
-def run_tree(tree, workload, seeds) -> dict:
+def run_tree(tree, workload, seeds, cwd) -> dict:
     """``run_ops`` in a fresh interpreter that imports cmgamma from
-    ``tree/src``."""
+    ``tree/src``, in the directory cwd."""
     src = os.path.join(os.path.abspath(tree), "src")
     if not os.path.isfile(os.path.join(src, "cmgamma", "cli.py")):
         raise SystemExit(f"no cmgamma sources under {src!r}")
@@ -80,11 +93,10 @@ def run_tree(tree, workload, seeds) -> dict:
             "import same_outputs, cmgamma; "
             "print(json.dumps({'module': cmgamma.__file__, 'runs': "
             "same_outputs.run_ops(sys.argv[2], json.loads(sys.argv[3]))}))")
-    with tempfile.TemporaryDirectory() as cwd:
-        proc = subprocess.run(
-            [sys.executable, "-c", code, os.path.join(ROOT, "tools"),
-             workload, json.dumps(list(seeds))],
-            cwd=cwd, env=env, capture_output=True, text=True, check=False)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, os.path.join(ROOT, "tools"), workload,
+         json.dumps(list(seeds))],
+        cwd=cwd, env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise SystemExit(f"run against {tree!r} failed:\n{proc.stderr}")
     result = json.loads(proc.stdout)
@@ -109,6 +121,43 @@ def differences(left, right) -> list:
     return out
 
 
+def _same(a, b) -> bool:
+    return a == b or (a != a and b != b)  # NaN reads back as NaN
+
+
+def json_differences(a, b, counts, path="") -> None:
+    """Add to ``counts[path]`` one per value of JSON document a that
+    differs from b; a key present on one side only, or a list whose
+    length differs, counts once at its own path."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in list(a) + [k for k in b if k not in a]:
+            json_differences(a.get(key), b.get(key), counts,
+                             f"{path}.{key}" if path else key)
+    elif (isinstance(a, list) and isinstance(b, list)
+          and len(a) == len(b)):
+        for x, y in zip(a, b):
+            json_differences(x, y, counts, path + "[]")
+    elif type(a) is not type(b) or not _same(a, b):
+        counts[path] += 1
+
+
+def report_differences(dirs, diffs) -> collections.Counter:
+    """Differing values by JSON path, over the ops whose reports are JSON
+    in both runs and differ in sha256; dirs holds each run's reports."""
+    counts = collections.Counter()
+    for seed, i, _, fields in diffs:
+        if i is None or "sha256" not in fields:
+            continue
+        paths = [os.path.join(d, _report_name(seed, i)) for d in dirs]
+        if all(map(os.path.isfile, paths)):
+            docs = []
+            for path in paths:
+                with open(path, encoding="utf-8") as fh:
+                    docs.append(json.load(fh))
+            json_differences(*docs, counts)
+    return counts
+
+
 def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         names = [w["name"] for w in json.load(fh)["workloads"]]
@@ -119,14 +168,21 @@ def main(argv=None) -> int:
                     choices=names)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     args = ap.parse_args(argv)
-    runs = [run_tree(tree, args.workload, args.seeds)
-            for tree in (args.left, args.right)]
-    diffs = differences(*runs)
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = [os.path.join(tmp, side) for side in ("left", "right")]
+        runs = []
+        for tree, cwd in zip((args.left, args.right), dirs):
+            os.mkdir(cwd)
+            runs.append(run_tree(tree, args.workload, args.seeds, cwd))
+        diffs = differences(*runs)
+        counts = report_differences(dirs, diffs)
     n_ops = sum(len(rows) for rows in runs[0].values())
     for seed, i, op_argv, fields in diffs:
         where = "the generated ops" if i is None else f"op {i} {op_argv}"
         print(f"{args.workload} seed {seed}: {where} differ in "
               f"{', '.join(fields)}")
+    for path, count in sorted(counts.items()):
+        print(f"{path}: {count}")
     print(f"{args.workload} seeds {args.seeds}: {n_ops} ops, "
           f"{len(diffs)} differ")
     return 1 if diffs else 0
