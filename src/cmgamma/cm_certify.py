@@ -34,6 +34,7 @@ no verdict and runs on any family, so it can exhibit the failure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -224,10 +225,18 @@ def kernel_nonneg_scan(fam: RatioFamily, t_points: int = 200):
     """
     if t_points < 2:
         raise UsageError(f"t_points must be >= 2, got {t_points!r}")
-    ts = np.geomspace(_SCAN_T_MIN, _SCAN_T_MAX, int(t_points))
+    ts = _scan_grid(int(t_points))
     vals = np.asarray(kernel_value(fam, ts), dtype=float)
     idx = int(np.nanargmin(vals))
     return float(vals[idx]), float(ts[idx])
+
+
+@functools.cache
+def _scan_grid(t_points: int) -> np.ndarray:
+    """The scan's log-spaced t grid, built once per size; read-only."""
+    ts = np.geomspace(_SCAN_T_MIN, _SCAN_T_MAX, t_points)
+    ts.flags.writeable = False
+    return ts
 
 
 def _worst(z_grid, values) -> tuple:

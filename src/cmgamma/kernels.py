@@ -369,24 +369,27 @@ def log_deriv_polygamma(fam: RatioFamily, z, n) -> LogDerivResult:
 
     z may be an array of points and n an array of orders; the result then
     holds one value per (z, n) pair, shaped ``np.shape(z) + np.shape(n)``.
-    Each order makes one specfun call over the arguments of every table
-    row at every z.
+    The route makes one ``digamma`` call, if order 1 is asked for, and one
+    ``polygamma`` call for every higher order at once, each over the
+    arguments of every table row at every z.
     """
     zs, orders, shape = _route_grid(fam, z, n)
     rows = [(coef, arg) for coef, arg in fam.shifted_args(zs) if coef != 0.0]
     # z-major, so that a pole is reported at the first z that reaches one
     args = np.stack([arg for _, arg in rows], axis=1).ravel()
-    value = np.empty((zs.size, len(orders)))
-    err = np.empty_like(value)
-    for j, order in enumerate(orders):
-        vals = (specfun.digamma(args) if order == 1
-                else specfun.polygamma(order - 1, args))
-        acc = mag = 0.0
-        for (coef, _), v in zip(rows, vals.reshape(zs.size, len(rows)).T):
-            acc = acc + coef * v
-            mag = mag + np.abs(coef * v)
-        value[:, j] = (1.0 if order % 2 == 0 else -1.0) * acc
-        err[:, j] = _POLY_EPS * mag
+    order = np.array(orders)
+    vals = np.empty((order.size, args.size))
+    if (order == 1).any():
+        vals[order == 1] = specfun.digamma(args)
+    if (order > 1).any():
+        vals[order > 1] = specfun.polygamma(order[order > 1] - 1, args)
+    acc = mag = 0.0
+    for (coef, _), v in zip(rows, vals.reshape(order.size, zs.size,
+                                               len(rows)).T):
+        acc = acc + coef * v
+        mag = mag + np.abs(coef * v)
+    value = np.where(order % 2 == 0, 1.0, -1.0) * acc
+    err = _POLY_EPS * mag
     return _route_result(z, n, shape, value, err, "polygamma")
 
 
@@ -404,10 +407,13 @@ def log_deriv_quadrature(fam: RatioFamily, z, n) -> LogDerivResult:
 
     z may be an array of points and n an array of orders; the result then
     holds one value per (z, n) pair, shaped ``np.shape(z) + np.shape(n)``.
-    All pairs are integrated in one vector-valued pass on shared nodes: at
-    each node A is formed once and e^(-(z - d_m) t) A(t) once per z, then
-    multiplied by t^(n-1) / (1 - e^-t) per order.  Each pair gets exactly
-    the value and error estimate of its own scalar call.  Non-convergence
+    All pairs are integrated in one vector-valued pass: the pairs with
+    z - bound >= 1 first try the integrator's fixed Gauss-Laguerre rule,
+    on nodes shared by the orders of one z, and the rest refine on shared
+    tanh-sinh nodes.  At each node A is formed once and e^(-(z - d_m) t)
+    A(t) once per z, then multiplied by t^(n-1) / (1 - e^-t) per order.
+    Each pair gets exactly the value and error estimate of its own scalar
+    call.  Non-convergence
     of any pair propagates as :class:`~cmgamma.errors.ConvergenceError`,
     with the values, error estimates and ``converged`` flags of every pair.
     """
@@ -423,10 +429,15 @@ def log_deriv_quadrature(fam: RatioFamily, z, n) -> LogDerivResult:
     def integrand(nodes):
         t, rows = nodes
         zi, oi = np.divmod(rows, n_ord)
-        uz, first, inv = np.unique(zi, return_index=True, return_inverse=True)
+        # rows ascend, so each z's pairs are adjacent
+        new_z = np.diff(zi, prepend=-1) != 0
+        first, inv = np.flatnonzero(new_z), np.cumsum(new_z) - 1
         tz = t if t.ndim == 1 else t[first]
-        base = np.exp(-shift[uz, None] * tz) * fam.abel(tz)
-        uo, oinv = np.unique(oi, return_inverse=True)
+        base = np.exp(-shift[zi[first], None] * tz) * fam.abel(tz)
+        open_orders = np.zeros(n_ord, dtype=bool)
+        open_orders[oi] = True
+        uo = np.flatnonzero(open_orders)
+        oinv = np.cumsum(open_orders)[oi] - 1
         # t^(n-1) / (1 - e^-t) once per open order; each power takes a
         # scalar exponent, as in a scalar call, so the bits agree
         powers = [tz ** (orders[j] - 1) for j in uo.tolist()]

@@ -1,29 +1,39 @@
-"""Adaptive quadrature on the open half line (0, inf).
+"""Quadrature on the open half line (0, inf).
 
 The integrators here target Laplace-type integrands: finite at 0+,
-eventually dominated by an exponential ``exp(-decay_rate * t)``.  The half
-line is split at t = 1.  Each side uses a tanh-sinh (double-exponential)
-rule whose nodes cluster toward, but never touch, the interval endpoints,
-so integrands may be singular in a removable way at 0 and are simply
-never sampled there.  The unbounded side is first mapped to (0, 1] with
-``u = exp(-decay_rate (t - 1))``; under that substitution a
-pure exponential tail becomes a constant, and slower polynomial factors
-turn into integrable logarithmic endpoint behavior that the
-double-exponential rule absorbs.  Nodes past the point where the mapped
-weight underflows contribute nothing, which truncates the tail
+eventually dominated by an exponential ``exp(-decay_rate * t)``.
+
+A component whose decay rate r is at least 1 first tries a fixed rule:
+Gauss-Laguerre in s = r t, whose nodes and weights come from
+``np.polynomial.laguerre.laggauss`` (Golub and Welsch 1969).  Where the
+integrand is e^(-r t) times a function smooth on the scale of 1/r, the
+16-point and the 32-point rules agree far below the tolerance, at 48 nodes
+whatever r is.  The component reports the 32-point value, with error
+max(|Q_16 - Q_32|, eps |Q_32|); a component whose error is above the
+tolerance below is integrated again, from scratch, by the adaptive rule.
+
+The adaptive rule splits the half line at t = 1.  Each side uses a
+tanh-sinh (double-exponential) rule whose nodes cluster toward, but never
+touch, the interval endpoints, so integrands may be singular in a
+removable way at 0 and are simply never sampled there.  The unbounded side
+is first mapped to (0, 1] with ``u = exp(-decay_rate (t - 1))``; under that
+substitution a pure exponential tail becomes a constant, and slower
+polynomial factors turn into integrable logarithmic endpoint behavior that
+the double-exponential rule absorbs.  Nodes past the point where the
+mapped weight underflows contribute nothing, which truncates the tail
 automatically at the tolerance scale.
 
 An integrand may be vector valued: k components, each with its own decay
-rate, refined in lockstep on shared nodes (Takahasi and Mori 1974; Bailey,
-Jeyabalan and Li 2005).  Each component stops at the first level where its
-own stopping test passes, with exactly the value and error estimate that it
-would get alone, and later levels evaluate only the components still open.
-A scalar integrand is a batch of one.  Integrands must accept numpy arrays
-(nodes are evaluated in level-sized batches).
+rate, evaluated in lockstep on shared nodes (Takahasi and Mori 1974;
+Bailey, Jeyabalan and Li 2005).  Each component stops at the first stage
+or level where its own stopping test passes, with exactly the value and
+error estimate that it would get alone, and later levels evaluate only
+the components still open.  A scalar integrand is a batch of one.
+Integrands must accept numpy arrays (nodes are evaluated in batches).
 
-The limits are fixed.  A side stops once two successive levels agree to a
-relative 1e-10, or to the smallest normal double, below which a value has
-no relative precision; it fails after 12 levels.
+The limits are fixed.  The fixed rule and each side of the adaptive rule
+stop at a relative 1e-10, or at the smallest normal double, below which a
+value has no relative precision; the adaptive rule fails after 12 levels.
 """
 
 from __future__ import annotations
@@ -55,6 +65,12 @@ _MAX_LEVELS = 12
 # Smallest normal double: a side whose successive levels differ by less
 # has converged, since a subnormal value carries no relative precision.
 _TINY = float(np.finfo(float).tiny)
+
+# Point counts of the fixed Gauss-Laguerre rule, and the smallest decay
+# rate that tries it: below 1 the integrand's features at t ~ 1 crowd the
+# origin of s = rate t.
+_GL_POINTS = (16, 32)
+_GL_MIN_RATE = 1.0
 
 # Most integrand values requested in one call.  Deep levels with many open
 # components are split by component, so memory stays bounded.
@@ -91,6 +107,23 @@ def _de_nodes(level: int):
     weight = 0.5 * math.pi * np.cosh(taus) * 4.0 * q / (1.0 + q) ** 2
     delta.flags.writeable = weight.flags.writeable = False
     return delta, weight
+
+
+@functools.cache
+def _gl_rule():
+    """(nodes, weights) of the fixed rule, read-only: the Gauss-Laguerre
+    nodes s of every point count in _GL_POINTS, concatenated, and one row
+    of weights per count, w e^s at its own nodes and 0 elsewhere, so that
+    row i against the values of the integrand itself gives its rule."""
+    rules = [np.polynomial.laguerre.laggauss(m) for m in _GL_POINTS]
+    nodes = np.concatenate([s for s, _ in rules])
+    weights = np.zeros((len(rules), nodes.size))
+    start = 0
+    for row, (s, w) in zip(weights, rules):
+        row[start:start + s.size] = w * np.exp(s)
+        start += s.size
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _require_finite(vals, x) -> None:
@@ -151,11 +184,36 @@ def _tanh_sinh_open(f: Callable, b: float, k: int):
     return value, err, done, evals
 
 
+def _gauss_laguerre(f: Callable, rate, rows):
+    """The fixed rule on the components ``rows`` with decay rates ``rate``.
+
+    ``f(t, rows)`` returns the values of those components at one row of
+    nodes each.  Returns per-component value, error estimate and whether
+    the estimate passes the stopping test.
+    """
+    nodes, weights = _gl_rule()
+    quads = []
+    step = max(1, _MAX_VALUES // nodes.size)
+    for start in range(0, rows.size, step):
+        t = nodes / rate[start:start + step, None]
+        vals = f(t, rows[start:start + step])
+        _require_finite(vals, t)
+        # one dot product per component, so a component's sums do not
+        # depend on the batch around it
+        quads.extend(np.dot(weights, row) for row in vals)
+    quads = np.array(quads) / rate[:, None]
+    value = quads[:, -1]
+    err = np.maximum(np.abs(quads[:, 0] - value), _EPS * np.abs(value))
+    return value, err, err <= np.maximum(_REL_TOL * np.abs(value), _TINY)
+
+
 def integrate_half_line(f: Callable, decay_rate) -> QuadResult:
     """Integrate f over (0, inf) for integrands with exponential decay.
 
-    Each side stops at a relative 1e-10, or at the smallest normal double,
-    and fails after 12 levels (see the module notes).
+    A component with decay rate >= 1 first tries the fixed Gauss-Laguerre
+    rule; it and every other component then go to the adaptive tanh-sinh
+    rule, each side of which stops at a relative 1e-10, or at the smallest
+    normal double, and fails after 12 levels (see the module notes).
 
     Parameters
     ----------
@@ -167,11 +225,15 @@ def integrate_half_line(f: Callable, decay_rate) -> QuadResult:
         as ``f((t, rows))``: ``rows`` lists the components still open, in
         ascending order, and t is either a 1-d array of nodes shared by all
         of them or a 2-d array with one row of nodes per listed component.
+        The fixed rule's calls list the components with rate >= 1; the
+        adaptive rule's first calls list the rest and those the fixed rule
+        left open.
         It returns one row of values per listed component.
     decay_rate : float or 1-d array
         Positive rate r, one per component, such that
         ``f(t) = O(exp(-r t))`` as t -> inf, possibly times a polynomial.
-        Used to map the tail; a conservative (small) value is safe.
+        Used to scale the fixed rule and to map the tail; a conservative
+        (small) value is safe.
 
     Returns
     -------
@@ -215,11 +277,22 @@ def integrate_half_line(f: Callable, decay_rate) -> QuadResult:
         _require_finite(vals, t)
         return vals / (rate * u)
 
-    val_a, err_a, ok_a, ev_a = _tanh_sinh_open(call, _SPLIT, k)
-    val_b, err_b, ok_b, ev_b = _tanh_sinh_open(mapped_tail, 1.0, k)
-
-    value, err, ok = val_a + val_b, err_a + err_b, ok_a & ok_b
-    evals = ev_a + ev_b
+    value, err = np.zeros(k), np.zeros(k)
+    ok = np.ones(k, dtype=bool)
+    evals = 0
+    far = np.flatnonzero(lam >= _GL_MIN_RATE)
+    if far.size:
+        value[far], err[far], ok[far] = _gauss_laguerre(call, lam[far], far)
+        evals += _gl_rule()[0].size
+    rest = np.flatnonzero(~ok | (lam < _GL_MIN_RATE))
+    if rest.size:
+        val_a, err_a, ok_a, ev_a = _tanh_sinh_open(
+            lambda t, rows: call(t, rest[rows]), _SPLIT, rest.size)
+        val_b, err_b, ok_b, ev_b = _tanh_sinh_open(
+            lambda u, rows: mapped_tail(u, rest[rows]), 1.0, rest.size)
+        value[rest], err[rest] = val_a + val_b, err_a + err_b
+        ok[rest] = ok_a & ok_b
+        evals += ev_a + ev_b
 
     def shaped(arr):
         return arr if vector else arr[0].item()

@@ -11,9 +11,9 @@ code).
 All functions accept scalars or numpy arrays and are elementwise over
 arrays.  Arguments at poles (nonpositive reals for ``log_gamma``,
 ``digamma``, ``polygamma``) raise :class:`~cmgamma.errors.DomainError`, and
-so does a ``digamma`` or ``polygamma`` value that overflows double
-precision near a pole (``polygamma(119, 1e-3)``, ``digamma(1e-320)``)
-instead of becoming an infinity.
+so does a value that overflows double precision instead of becoming an
+infinity: ``digamma`` or ``polygamma`` near a pole (``polygamma(119,
+1e-3)``, ``digamma(1e-320)``), ``log_gamma`` above about 2.5e305.
 """
 
 from __future__ import annotations
@@ -144,10 +144,13 @@ def log_gamma(x):
     Returns
     -------
     float or ndarray
-        ln Gamma(x), elementwise.
+        ln Gamma(x), elementwise.  A value that overflows double precision
+        (x above about 2.5e305) raises DomainError.
     """
-    work, shift, scalar = _shift_up(x, 10, np.log)
-    return _shaped(_log_gamma_asymptotic(work) - shift, x, scalar)
+    with np.errstate(over="ignore"):
+        work, shift, scalar = _shift_up(x, 10, np.log)
+        out = _log_gamma_asymptotic(work) - shift
+    return _shaped(_finite(out, x, "log_gamma"), x, scalar)
 
 
 def digamma(x):
@@ -166,7 +169,7 @@ def digamma(x):
     return _shaped(out, x, scalar)
 
 
-def polygamma(n: int, x):
+def polygamma(n, x):
     """n-th derivative of digamma, n >= 1, for x > 0.
 
     The argument is shifted to ``x >= 10 + n`` (higher orders need a larger
@@ -177,30 +180,75 @@ def polygamma(n: int, x):
 
     Parameters
     ----------
-    n : int
-        Derivative order, ``1 <= n <= 120``.
+    n : int or 1-d array of int
+        Derivative order(s), each ``1 <= n <= 120``.
     x : float or ndarray
         Evaluation point(s), strictly positive.
 
+    Returns
+    -------
+    float or ndarray
+        For an integer n, psi^(n)(x) shaped like x.  For an array of k
+        orders, an array of shape ``(k,) + np.shape(x)`` whose row i equals
+        ``polygamma(n[i], x)`` bit for bit: the orders share one shift-up
+        sequence x, x + 1, ..., and each order adds its own terms
+        w^-(n+1) below its own threshold and runs its own series.
+
     The series coefficients of each order are computed once and cached.
-    A value that overflows double precision raises DomainError.
+    A value that overflows double precision raises DomainError naming its
+    order and x.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise DomainError(f"order n must be an integer >= 1, got {n!r}")
-    if n < 1 or n > 120:
-        raise DomainError(f"order n must be in [1, 120], got {n}")
-    n = int(n)
-    coef, fac = _polygamma_coef(n)
+    orders = _orders(n)
+    arr, scalar = _as_positive_array(x, "x")
+    w = np.atleast_1d(arr).ravel()
+    col = np.array(orders, dtype=float)[:, None]
+    coef, fac = (np.array(v) for v in zip(*map(_polygamma_coef, orders)))
+    fac = fac[:, None]
+    expo = np.broadcast_to(-(col + 1.0), (len(orders), w.size))
+    work = np.repeat(w[None, :], len(orders), axis=0)
+    shift = np.zeros_like(work)
     with np.errstate(over="ignore"):
-        work, shift, scalar = _shift_up(x, 10 + n, lambda w: w ** (-(n + 1)))
+        # x + threshold >= threshold for any positive x, so the largest
+        # threshold's count of steps always suffices
+        for _ in range(10 + max(orders)):
+            m = w < 10.0 + col
+            if not m.any():
+                break
+            stepped = np.broadcast_to(w, m.shape)[m]
+            shift[m] += stepped ** expo[m]
+            work[m] = stepped + 1.0
+            w = w + 1.0
         u = 1.0 / (work * work)
         s = np.zeros_like(work)
         for k in reversed(range(_NTERMS)):
-            s = s * u + coef[k]
-        bracket = 1.0 + 0.5 * n / work + s * u
-        sign = -1.0 if n % 2 == 0 else 1.0
-        out = sign * (fac * work ** (-float(n)) * bracket + n * fac * shift)
-    return _shaped(_finite(out, x, f"polygamma({n}, x)"), x, scalar)
+            s = s * u + coef[:, k:k + 1]
+        bracket = 1.0 + 0.5 * col / work + s * u
+        lead = work ** -col
+        # a scalar exponent of -1 takes NumPy's reciprocal path, whose bits
+        # an array exponent does not reproduce
+        one = np.flatnonzero(col[:, 0] == 1.0)
+        lead[one] = 1.0 / work[one]
+        sign = np.where(col % 2.0 == 0.0, -1.0, 1.0)
+        out = sign * (fac * lead * bracket + col * fac * shift)
+    if not np.isfinite(out).all():
+        for order, row in zip(orders, out):
+            _finite(row, x, f"polygamma({order}, x)")
+    if np.ndim(n) == 0:
+        return _shaped(out[0], x, scalar)
+    return out.reshape((len(orders),) + np.shape(x))
+
+
+def _orders(n) -> list:
+    """Validate a derivative order or a 1-d array of them; return a list."""
+    if np.ndim(n) > 1 or not np.size(n):
+        raise DomainError(f"order n must be an integer >= 1, got {n!r}")
+    orders = np.asarray(n).ravel().tolist()
+    for v in orders:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise DomainError(f"order n must be an integer >= 1, got {v!r}")
+        if v < 1 or v > 120:
+            raise DomainError(f"order n must be in [1, 120], got {v}")
+    return orders
 
 
 @functools.cache

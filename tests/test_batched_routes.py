@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cmgamma.cm_certify as cmc
+from cmgamma import specfun
 from cmgamma.cm_certify import CertConfig, certify_log_cm
 from cmgamma.errors import ConvergenceError, DomainError, UsageError
 from cmgamma.kernels import (Majorized, MultiParam, Symmetric, TwoParam,
@@ -138,6 +139,24 @@ class TestCertifyCallsEachRouteOnce:
         assert sorted(calls) == sorted(r.__name__ for r in ROUTES)
         assert len(report.rows) == 40 * 12
         assert report.verdict == "certified"
+
+    def test_series_route_one_specfun_call_per_function(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+
+        for fn in (specfun.digamma, specfun.polygamma):
+            monkeypatch.setattr(specfun, fn.__name__, counted(fn))
+        fam = TwoParam(0.5, 0.7)
+        log_deriv_polygamma(fam, np.geomspace(0.25, 1e3, 40), ORDERS)
+        assert sorted(calls) == ["digamma", "polygamma"]
+        calls.clear()
+        log_deriv_polygamma(fam, 2.0, [3, 5])
+        assert calls == ["polygamma"]
 
     def test_unconverged_pairs_only_are_inconclusive(self, monkeypatch):
         # a quadrature batch where one pair did not converge: that row has

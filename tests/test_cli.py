@@ -178,6 +178,20 @@ class TestAuditErrors:
                            "a=1,b=1", "--grid", "2:3:4", "--tol", "-1")
         assert code == 1
 
+    @pytest.mark.parametrize("argv,at", [
+        (("--id", "INQ1", "--params", "a=0.5,b=0.7,z=1e306"), "1e+306"),
+        (("--id", "WALLIS_LB", "--grid", "1e305:1e308:3:log"),
+         "3.162277660168379e+306"),
+    ], ids=["point", "grid"])
+    def test_overflowing_log_gamma_is_an_error(self, capsys, argv, at):
+        # ln Gamma overflows above about 2.5e305; inf - inf must not
+        # become a NaN margin reported as a violation
+        code, out, err = run(capsys, "audit", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == ("error: log_gamma overflows double precision "
+                       f"at x={at}\n")
+
     def test_violation_exits_two(self, capsys, synthetic_violation):
         code, out, err = run(capsys, "audit", "--id", "SYN_BAD", "--grid",
                              "1:2:5")

@@ -27,6 +27,7 @@ from cmgamma.kernels import (
     Symmetric,
     TwoParam,
     domain_lower_bound,
+    kernel_value,
     log_f,
 )
 from cmgamma.specfun import log_gamma
@@ -174,6 +175,19 @@ class TestKernelScan:
     def test_point_count_validation(self):
         with pytest.raises(UsageError):
             kernel_nonneg_scan(TwoParam(0.5, 0.7), t_points=1)
+
+    def test_grid_built_once_per_size(self):
+        # the same read-only geomspace grid serves every scan of a size
+        fam = Majorized((5.0, 5.0), (0.0, 9.0))
+        for t_points in (200, 57):
+            ts = np.geomspace(1e-6, 50.0, t_points)
+            vals = kernel_value(fam, ts)
+            k = int(np.nanargmin(vals))
+            assert kernel_nonneg_scan(fam, t_points) == (vals[k], ts[k])
+            grid = cmc._scan_grid(t_points)
+            assert grid is cmc._scan_grid(t_points)
+            assert grid.tobytes() == ts.tobytes()
+            assert not grid.flags.writeable
 
 
 class TestLogCmRoute:

@@ -282,10 +282,9 @@ def _mp_terms(fam):
 
 
 class TestExactTermOracle:
-    @pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=repr)
-    def test_quadrature_vs_mpmath(self, fam):
-        # from the domain edge to z = 1e12, every order up to the cap
-        zs = [domain_lower_bound(fam) + 1e-3, 100.0, 1e3, 1e6, 1e9, 1e12]
+    @staticmethod
+    def _check_quadrature(fam, zs, rel):
+        """Every order up to the cap at every z within rel of mpmath."""
         ns = list(range(1, N_MAX_ORDER + 1))
         q = log_deriv_quadrature(fam, zs, ns).signed_value
         with mpmath.workdps(60):
@@ -295,7 +294,20 @@ class TestExactTermOracle:
                     ref = (-1) ** n * mpmath.fsum(
                         c * mpmath.psi(n - 1, mpmath.mpf(z) - d)
                         for c, _, d in terms)
-                    assert abs(q[i, j] - ref) <= 1e-10 * abs(ref), (z, n)
+                    assert abs(q[i, j] - ref) <= rel * abs(ref), (z, n)
+
+    @pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=repr)
+    def test_quadrature_vs_mpmath(self, fam):
+        # from the domain edge to z = 1e12
+        zs = [domain_lower_bound(fam) + 1e-3, 100.0, 1e3, 1e6, 1e9, 1e12]
+        self._check_quadrature(fam, zs, 1e-10)
+
+    @pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=repr)
+    def test_far_field_vs_mpmath(self, fam):
+        # z - bound >= 1 is where the fixed Gauss-Laguerre rule answers
+        zs = [domain_lower_bound(fam) + d
+              for d in (1.0, 3.0, 10.0, 100.0, 1e3, 1e6, 1e9, 1e12)]
+        self._check_quadrature(fam, zs, 1e-12)
 
     @pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=repr)
     def test_kernel_vs_mpmath(self, fam):

@@ -179,10 +179,34 @@ class TestVectorIntegrand:
             return _stacked(self.FS)(nodes)
 
         integrate_half_line(f, np.array(self.RATES))
-        # each side starts with every component; converged ones drop out
-        assert seen[0] == list(range(len(self.FS)))
+        # the fixed rule's call lists every component with rate >= 1; the
+        # adaptive rule starts with the rest and the fixed rule's fallback,
+        # e^-t / sqrt(t); converged ones drop out
+        assert seen[0] == [i for i, r in enumerate(self.RATES) if r >= 1.0]
+        assert seen[1] == [2, 4]
         assert all(rows == sorted(rows) for rows in seen)
         assert min(map(len, seen)) < len(self.FS)
+
+    def test_fixed_rule_fallback_keeps_adaptive_bits(self, monkeypatch):
+        # e^-t / sqrt(t) is singular at 0, so its 16- and 32-point
+        # Gauss-Laguerre values disagree and it goes to tanh-sinh, with the
+        # bits of a scalar call and of the adaptive rule alone
+        res = integrate_half_line(_stacked(self.FS), np.array(self.RATES))
+        scalar = _scalar_parts(self.FS[4], 1.0)
+        assert (res.value[4], res.err_estimate[4]) == scalar[:2]
+        assert scalar[3] > quad_mod._gl_rule()[0].size
+        monkeypatch.setattr(quad_mod, "_GL_MIN_RATE", math.inf)
+        adaptive = _scalar_parts(self.FS[4], 1.0)
+        assert adaptive[:2] == scalar[:2]
+        assert adaptive[3] + quad_mod._gl_rule()[0].size == scalar[3]
+
+    def test_fixed_rule_takes_far_field_components(self):
+        # a smooth far-field integrand stops at the fixed rule's 48 nodes
+        res = integrate_half_line(lambda t: t ** 3 * np.exp(-40.0 * t),
+                                  decay_rate=40.0)
+        assert res.evaluations == 48
+        assert res.value == pytest.approx(6.0 / 40.0 ** 4, rel=1e-14)
+        assert res.err_estimate <= 1e-10 * res.value
 
     def test_large_batches_split_by_component(self, monkeypatch):
         monkeypatch.setattr(quad_mod, "_MAX_VALUES", 100)

@@ -167,6 +167,29 @@ class TestShapes:
         for x, v in zip(xs, arr):
             assert v == polygamma(3, float(x))
 
+    @pytest.mark.parametrize("xs", [
+        np.geomspace(1e-3, 60.0, 400),
+        np.array([[0.25, 3.5], [10.0, 21.0]]),
+        np.array([1.5]),
+        0.75,
+    ], ids=["grid", "2-d", "one", "scalar"])
+    def test_order_array_rows_equal_scalar_orders(self, xs):
+        # one shared shift-up for every order, yet each row keeps the bits
+        # of its own call, order 1 (a reciprocal, not a power) included
+        orders = np.arange(1, 13)
+        rows = polygamma(orders, xs)
+        assert rows.shape == (12,) + np.shape(xs)
+        for i, n in enumerate(orders.tolist()):
+            one = np.asarray(polygamma(n, xs))
+            assert rows[i].tobytes() == one.tobytes(), n
+
+    def test_order_array_any_order_and_repeats(self):
+        xs = np.array([0.5, 2.0, 30.0])
+        orders = [7, 1, 120, 1, 2]
+        rows = polygamma(np.array(orders), xs)
+        for row, n in zip(rows, orders):
+            assert row.tobytes() == polygamma(n, xs).tobytes()
+
 
 # -- domain rejection ----------------------------------------------------------
 
@@ -187,6 +210,9 @@ class TestDomain:
             polygamma(121, 1.0)
         with pytest.raises(DomainError):
             polygamma(1.5, 1.0)
+        for bad in ([1, 0], [[1, 2]], [], [1.0, 2.0], [True], ["1"]):
+            with pytest.raises(DomainError, match="order n must"):
+                polygamma(np.array(bad), 1.0)
 
     @pytest.mark.parametrize("call", [
         lambda: polygamma(119, 1e-3),
@@ -199,9 +225,21 @@ class TestDomain:
                 DomainError, match="overflows double precision"):
             call()
 
+    def test_overflow_in_order_array_names_its_order(self):
+        with pytest.raises(DomainError, match=r"^polygamma\(119, x\) "
+                           r"overflows double precision at x=0\.001$"):
+            polygamma(np.array([1, 2, 119, 120]), np.array([5.0, 1e-3]))
+
+    @pytest.mark.parametrize("x", [1e306, np.array([2.0, 1e308])])
+    def test_log_gamma_overflow_raises(self, x):
+        with np.errstate(over="raise"), pytest.raises(
+                DomainError, match="^log_gamma overflows double precision"):
+            log_gamma(x)
+
     def test_largest_finite_values_pass(self):
         assert math.isfinite(polygamma(11, 1e-25))
         assert digamma(1e-300) == pytest.approx(-1e300, rel=1e-12)
+        assert math.isfinite(log_gamma(2e305))
 
     def test_log_beta_rejects_nonpositive(self):
         with pytest.raises(DomainError):
