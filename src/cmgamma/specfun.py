@@ -89,10 +89,10 @@ def _maybe_scalar(arr, scalar: bool):
 def _shift_up(x, threshold: int, term):
     """Validate x > 0 and step every entry up by 1 until it is >= threshold.
 
-    Returns (work, acc, scalar): the shifted values as a 1-d array, the sum
-    of ``term(w)`` over the values w stepped past, and whether x was a
-    scalar.  x + threshold >= threshold for any positive x, so ``threshold``
-    masked steps always suffice.
+    Returns (work, acc, scalar): the shifted values in x's shape, at least
+    1-d, the sum of ``term(w)`` over the values w stepped past, and whether
+    x was a scalar.  x + threshold >= threshold for any positive x, so
+    ``threshold`` masked steps always suffice.
     """
     arr, scalar = _as_positive_array(x, "x")
     work = np.atleast_1d(arr.copy())
@@ -115,7 +115,7 @@ def _finite(out, x, name: str):
     """out, unless an entry overflowed: then DomainError naming its x."""
     bad = ~np.isfinite(out)
     if bad.any():
-        at = float(np.ravel(np.asarray(x, dtype=float))[bad][0])
+        at = float(np.ravel(np.asarray(x, dtype=float))[np.ravel(bad)][0])
         raise DomainError(f"{name} overflows double precision at x={at!r}")
     return out
 
@@ -161,10 +161,10 @@ def digamma(x):
     """
     with np.errstate(over="ignore"):
         work, shift, scalar = _shift_up(x, 10, lambda w: 1.0 / w)
-    u = 1.0 / (work * work)
-    s = np.zeros_like(work)
-    for k in reversed(range(_NTERMS)):
-        s = s * u + _DG_COEF[k]
+        u = 1.0 / (work * work)
+        s = np.zeros_like(work)
+        for k in reversed(range(_NTERMS)):
+            s = s * u + _DG_COEF[k]
     out = _finite(np.log(work) - 0.5 / work - s * u - shift, x, "digamma")
     return _shaped(out, x, scalar)
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cmgamma.cm_certify as cmc
+import cmgamma.kernels as kernels
 from cmgamma import specfun
 from cmgamma.cm_certify import CertConfig, certify_log_cm
 from cmgamma.errors import ConvergenceError, DomainError, UsageError
@@ -139,6 +140,25 @@ class TestCertifyCallsEachRouteOnce:
         assert sorted(calls) == sorted(r.__name__ for r in ROUTES)
         assert len(report.rows) == 40 * 12
         assert report.verdict == "certified"
+
+    def test_quadrature_route_few_integrand_calls(self, monkeypatch):
+        # far-field pairs take the fixed rule's one call; near-field pairs
+        # fetch tanh-sinh levels 0-4 in one call per side
+        calls = []
+        real = kernels.integrate_half_line
+
+        def counted(f, rate):
+            def integrand(nodes):
+                calls.append(np.shape(nodes[0]))
+                return f(nodes)
+            return real(integrand, rate)
+
+        monkeypatch.setattr(kernels, "integrate_half_line", counted)
+        fam = TwoParam(0.5, 0.7)
+        report = certify_log_cm(fam, CertConfig(
+            z_grid=(domain_lower_bound(fam) + 0.05, 10.0, 1e3), n_max=12))
+        assert report.verdict == "certified"
+        assert 1 <= len(calls) <= 4
 
     def test_series_route_one_specfun_call_per_function(self, monkeypatch):
         calls = []

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -325,6 +326,26 @@ class TestConfigFile:
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
 class TestCertify:
+    def test_overflowing_log_gamma_is_an_error(self, capsys):
+        # a 2-d finite-difference stencil above about 2.5e305
+        code, out, err = run(capsys, "certify", "--family", "two-param",
+                             "--params", "a=0.5,b=0.7", "--grid",
+                             "1e306:2e306:3:log", "--n-max", "2")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: log_gamma overflows double precision "
+                       "at x=1e+306\n")
+
+    def test_huge_z_warns_nothing(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "certify", "--family", "symmetric",
+                               "--params", "a=0.5", "--grid",
+                               "1e160:1e170:3:log", "--n-max", "3")
+        assert code == 0
+        assert err == ("certify family=symmetric verdict=certified "
+                       "(log-cm certified, finite-diff certified)\n")
+
     def test_trivial_family_certified(self, capsys, tmp_path):
         f = tmp_path / "r.json"
         code, out, _ = run(capsys, "certify", "--family", "symmetric",

@@ -1,6 +1,7 @@
 """Half-line quadrature: closed-form integrals, error honesty, failure path."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -120,12 +121,13 @@ class TestResultShape:
 
 
 def _scalar_parts(f, rate):
-    """(value, err_estimate, converged, evaluations) of a scalar call."""
+    """(value, err_estimate, converged, evaluations) of a call; converged is
+    per component where a vector integrand failed."""
     try:
         res = integrate_half_line(f, rate)
         return res.value, res.err_estimate, True, res.evaluations
     except ConvergenceError as exc:
-        return exc.value, exc.err_estimate, False, exc.evaluations
+        return exc.value, exc.err_estimate, exc.converged, exc.evaluations
 
 
 def _stacked(fs):
@@ -248,3 +250,184 @@ class TestVectorIntegrand:
         fs = (self.FS[0], lambda t: 1.0 / (t - 0.5))
         with np.errstate(divide="ignore"), pytest.raises(DomainError):
             integrate_half_line(_stacked(fs), np.array([1.0, 1.0]))
+
+
+def _per_level_tanh_sinh_open(f, b, k):
+    """Reference rule: one integrand call per level, every stage of every
+    call checked in full before its level's sums.  The rule in quad fetches
+    levels 0-4 in one call and must keep these bits."""
+    d = 0.5 * b
+    err = np.full(k, math.inf)
+    done = np.zeros(k, dtype=bool)
+    rows = np.arange(k)
+    evals = 0
+    for level in range(quad_mod._MAX_LEVELS + 1):
+        delta, weight = quad_mod._de_nodes(level)
+        x = np.concatenate((d * delta, b - d * delta))
+        if not level:
+            x = np.append(x, d)
+        m = delta.size
+        dots, center = [], []
+        step = max(1, quad_mod._MAX_VALUES // x.size)
+        for start in range(0, rows.size, step):
+            stages = f(x, rows[start:start + step])
+            for v, nodes in stages:
+                quad_mod._require_finite(v, nodes)
+            vals = stages[-1][0]
+            pair = vals[:, :m] + vals[:, m:2 * m]
+            dots.extend(float(np.dot(weight, row)) for row in pair)
+            if not level:
+                center.extend(vals[:, -1].tolist())
+        evals += x.size
+        dots = np.array(dots)
+        if not level:
+            value = d * (0.5 * math.pi * np.array(center) + dots)
+            continue
+        prev = value[rows]
+        new = 0.5 * prev + d * 0.5 ** level * dots
+        new_err = np.abs(new - prev)
+        value[rows], err[rows] = new, new_err
+        tol = np.maximum(quad_mod._REL_TOL * np.abs(new), quad_mod._TINY)
+        stop = (new_err <= tol) & ((level >= 2) | (new_err == 0.0))
+        err[rows[stop]] = np.maximum(new_err[stop],
+                                     quad_mod._EPS * np.abs(new[stop]))
+        done[rows[stop]] = True
+        rows = rows[~stop]
+        if not rows.size:
+            break
+    return value, err, done, evals
+
+
+def _exact(res):
+    """(value, err_estimate, converged) of _scalar_parts, as exact bits."""
+    return tuple(np.asarray(v, dtype=float).tobytes() for v in res[:2]) + (
+        np.asarray(res[2]).tolist(),)
+
+
+def _head_level(f):
+    """Level at which the reference's (0, 1) side of f stops, or None."""
+    _, _, ok, evals = _per_level_tanh_sinh_open(
+        lambda t, rows: [(f(t)[None, :], t)], 1.0, 1)
+    sizes = [quad_mod._level_nodes(lv, 0.5, 1.0).size
+             for lv in range(quad_mod._MAX_LEVELS + 1)]
+    return int(np.searchsorted(np.cumsum(sizes), evals)) if ok[0] else None
+
+
+class TestFusedFirstBlock:
+    """Levels 0-4 of each tanh-sinh side come from one integrand call; the
+    per-level sums, stopping tests and checks keep the reference's bits."""
+
+    # (relative tolerance, integrand) by the level at which the (0, 1) side
+    # stops; the fixed rule is switched off, so tanh-sinh runs every time
+    CASES = {
+        1: (1e-10, lambda t: 0.0 * t),
+        2: (1e-4, lambda t: np.exp(-t)),
+        3: (1e-10, lambda t: np.exp(-t)),
+        4: (1e-10, lambda t: np.exp(-t) / (1.0 + t * t)),
+        5: (1e-10, lambda t: np.exp(-t) / ((t - 0.5) ** 2 + 0.1)),
+        6: (1e-10, lambda t: np.exp(-t) * (1.0 + 0.5 * np.sin(100.0 * t))),
+        None: (1e-10, lambda t: np.exp(-t) / ((t - 0.5) ** 2 + 1e-6)),
+    }
+
+    @pytest.fixture(autouse=True)
+    def _adaptive_only(self, monkeypatch):
+        monkeypatch.setattr(quad_mod, "_GL_MIN_RATE", math.inf)
+
+    def _reference(self, monkeypatch, f, rate):
+        with monkeypatch.context() as m:
+            m.setattr(quad_mod, "_tanh_sinh_open", _per_level_tanh_sinh_open)
+            return _scalar_parts(f, rate)
+
+    @pytest.mark.parametrize("level", list(CASES), ids=str)
+    def test_scalar_keeps_reference_bits(self, level, monkeypatch):
+        tol, f = self.CASES[level]
+        monkeypatch.setattr(quad_mod, "_REL_TOL", tol)
+        assert _head_level(f) == level
+        ref = self._reference(monkeypatch, f, 1.0)
+        got = _scalar_parts(f, 1.0)
+        assert _exact(got) == _exact(ref)
+        assert got[3] >= ref[3]
+
+    @pytest.mark.parametrize("opts", [{}, {"_REL_TOL": 1e-4},
+                                      {"_MAX_VALUES": 500}])
+    def test_vector_keeps_reference_bits(self, opts, monkeypatch):
+        for name, value in opts.items():
+            monkeypatch.setattr(quad_mod, name, value)
+        fs = [f for _, f in self.CASES.values()]
+        rates = np.array([1.0, 0.5, 1.0, 2.0, 1.0, 1.0, 0.7])
+        ref = self._reference(monkeypatch, _stacked(fs), rates)
+        got = _scalar_parts(_stacked(fs), rates)
+        if "_REL_TOL" not in opts:
+            assert ref[2].tolist() == [True] * 6 + [False]
+        assert _exact(got) == _exact(ref)
+
+    @staticmethod
+    def _nan_at(f, node):
+        """f, but NaN at the node (to a relative 1e-12)."""
+        def g(t):
+            return np.where(np.abs(t - node) <= 1e-12 * node, math.nan, f(t))
+        return g
+
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    def test_nan_at_unused_level_four_node_raises_nothing(self, side,
+                                                          monkeypatch):
+        # e^-t stops at level 3 on both sides, so a call per level never
+        # asks for a level-4 node
+        u = quad_mod._level_nodes(4, 0.5, 1.0)[0]
+        node = u if side == "head" else 1.0 - math.log(u)
+        f = self._nan_at(self.CASES[3][1], node)
+        got = _scalar_parts(f, 1.0)
+        assert _exact(got) == _exact(self._reference(monkeypatch, f, 1.0))
+        assert got[2]
+
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    def test_nan_at_used_level_four_node_raises_as_before(self, side,
+                                                          monkeypatch):
+        # e^-t / (1 + t^2) reaches level 4 on both sides
+        u = quad_mod._level_nodes(4, 0.5, 1.0)[0]
+        node = u if side == "head" else 1.0 - math.log(u)
+        f = self._nan_at(self.CASES[4][1], node)
+        with monkeypatch.context() as m, pytest.raises(DomainError) as ref:
+            m.setattr(quad_mod, "_tanh_sinh_open", _per_level_tanh_sinh_open)
+            integrate_half_line(f, 1.0)
+        with pytest.raises(DomainError) as got:
+            integrate_half_line(f, 1.0)
+        assert str(got.value) == str(ref.value)
+        assert "integrand not finite at node x=" in str(got.value)
+
+    # 191 values per call: one component per call of the first block
+    @pytest.mark.parametrize("max_values", [None, 191])
+    def test_nan_in_open_component_only_raises(self, max_values,
+                                               monkeypatch):
+        # one row stops at level 3 past its NaN; the other reaches its own
+        if max_values:
+            monkeypatch.setattr(quad_mod, "_MAX_VALUES", max_values)
+        u = quad_mod._level_nodes(4, 0.5, 1.0)[0]
+        fs = [self._nan_at(self.CASES[3][1], u), self.CASES[4][1]]
+        assert _scalar_parts(_stacked(fs), np.ones(2))[2] is True
+        fs = fs[::-1] + [self._nan_at(self.CASES[4][1], u)]
+        with pytest.raises(DomainError, match=re.escape(f"x={u!r}")):
+            integrate_half_line(_stacked(fs), np.ones(3))
+
+    def _counted(self, f):
+        calls = []
+
+        def g(t):
+            calls.append(np.size(t))
+            return f(t)
+        return g, calls
+
+    def test_level_four_stop_is_one_call_per_side(self):
+        f, calls = self._counted(self.CASES[4][1])
+        res = integrate_half_line(f, 1.0)
+        assert calls == [191, 191]
+        assert res.evaluations == 2 * 191
+
+    @pytest.mark.parametrize("level", [1, 3, 5, 6])
+    def test_evaluations_count_every_node(self, level, monkeypatch):
+        tol, f = self.CASES[level]
+        monkeypatch.setattr(quad_mod, "_REL_TOL", tol)
+        f, calls = self._counted(f)
+        res = integrate_half_line(f, 1.0)
+        assert res.evaluations == sum(calls)
+        assert calls[0] == 191

@@ -1,6 +1,7 @@
 """Special-function layer: frozen values, identities, and oracle sweeps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +236,22 @@ class TestDomain:
         with np.errstate(over="raise"), pytest.raises(
                 DomainError, match="^log_gamma overflows double precision"):
             log_gamma(x)
+
+    @pytest.mark.parametrize("call,at", [
+        (lambda: log_gamma(np.full((2, 2), 1e306)), "log_gamma.*x=1e\\+306"),
+        (lambda: digamma(np.full((2, 2), 1e-320)), "digamma.*x=1e-320"),
+    ], ids=["log_gamma", "digamma"])
+    def test_overflow_in_2d_array_names_its_x(self, call, at):
+        # the overflow mask has the array's shape; its x is found all the same
+        with pytest.raises(DomainError, match=f"^{at}$"):
+            call()
+
+    def test_digamma_of_huge_x_warns_nothing(self):
+        # 1 / x^2 underflows quietly to 0, as it did with a warning before
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert digamma(1e160) == 368.4136148790473
+            assert digamma(np.array([1e160, 3e200]))[1] == digamma(3e200)
 
     def test_largest_finite_values_pass(self):
         assert math.isfinite(polygamma(11, 1e-25))
