@@ -1,12 +1,12 @@
 """Gamma-ratio complete monotonicity certification and inequality auditing.
 
 The library has three layers.  ``specfun`` supplies the gamma-family
-special functions (log-gamma, digamma, polygamma, log-beta, generalized
-binomial, reflection product) built on shift-up recurrences and an
-asymptotic series.  ``kernels`` + ``quad`` + ``cm_certify`` certify
-complete monotonicity of four ratio families by evaluating the
-derivatives of ``log f`` along two independent routes, a Laplace-kernel
-quadrature and a polygamma sum, and cross-checking them.
+special functions (log-gamma, digamma, polygamma, log-beta, reflection
+product) built on shift-up recurrences and an asymptotic series.
+``kernels`` + ``quad`` + ``cm_certify`` certify complete monotonicity of
+four ratio families by evaluating the derivatives of ``log f`` along two
+independent routes, a Laplace-kernel quadrature and a polygamma sum, and
+cross-checking them.
 ``inequalities`` is a registry of gamma-function inequalities with
 domain guards, log-space margins, grid sweeps, and tightness
 comparisons; ``cli`` drives all of it from the command line.

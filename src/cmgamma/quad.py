@@ -25,15 +25,16 @@ automatically at the tolerance scale.
 
 An integrand may be vector valued: k components, each with its own decay
 rate, evaluated in lockstep on shared nodes (Takahasi and Mori 1974;
-Bailey, Jeyabalan and Li 2005).  Each component stops at the first stage
+Bailey, Jeyabalan and Li 2005).  Each component stops at the first rule
 or level where its own stopping test passes, with exactly the value and
 error estimate that it would get alone.  The first call of each side of
-the adaptive rule lists every component it refines and fetches levels 0
-to 4 together, 191 nodes, since most components stop at level 3, 4 or 5;
-the levels are then summed and tested one by one on the stored values.
-After that first call, each level evaluates only the components still
-open.  A scalar integrand is a batch of one.  Integrands must accept
-numpy arrays (nodes are evaluated in batches).
+the adaptive rule fetches levels 0 to 4 (191 nodes) for every component
+it refines, since most stop at level 3, 4 or 5, and keeps 96 values per
+component: each node's value plus its mirror's, and the center's.  A
+non-finite value in that block drops it, and levels 0 to 4 are fetched
+one call per level instead, as every later level is, for the components
+still open; so a value raises only where such a call reads it.  A scalar
+integrand is a batch of one.  Integrands must accept numpy arrays.
 
 The limits are fixed.  The fixed rule and each side of the adaptive rule
 stop at a relative 1e-10, or at the smallest normal double, below which a
@@ -142,85 +143,73 @@ def _require_finite(vals, x) -> None:
     if bad.any():
         i = int(np.flatnonzero(bad.any(axis=1))[0])
         xi = x if x.ndim == 1 else x[i]
-        raise DomainError(f"integrand not finite at node x={xi[bad[i]][0]!r}")
+        raise DomainError(
+            f"integrand not finite at node x={float(xi[bad[i]][0])!r}")
 
 
-def _level_nodes(level: int, d: float, b: float):
-    """The nodes of one level on (0, b), d = b / 2: d delta, then
-    b - d delta, and at level 0 the center d last."""
-    delta = _de_nodes(level)[0]
-    x = np.concatenate((d * delta, b - d * delta))
-    return x if level else np.append(x, d)
+def _nodes(levels, d: float, b: float):
+    """The nodes of some levels on (0, b), d = b / 2: the left nodes
+    d delta of each level in turn, then their mirrors b - d delta in the
+    same order, and with level 0 the center d last."""
+    left = d * np.concatenate([_de_nodes(lv)[0] for lv in levels])
+    x = np.concatenate((left, b - left))
+    return np.append(x, d) if 0 in levels else x
 
 
 def _fetch(f, x, rows):
-    """f at the nodes x for the components ``rows``, in one call per at most
-    _MAX_VALUES values: the values of its last stage, one row per
-    component, and every stage for the finiteness checks, or None when
-    every value is finite.  The rows of calls whose values are all finite
-    hold zeros among the stages, so they can raise nothing."""
+    """f at the nodes x of _nodes for the components ``rows``, in one call
+    per at most _MAX_VALUES values, each call checked as it is made.  Keeps
+    one row per component: the sum of each left node's value and its
+    mirror's, then the center's value where x has one."""
+    m = x.size // 2
     step = max(1, _MAX_VALUES // x.size)
-    held, checks = np.empty((rows.size, x.size)), None
+    held = np.empty((rows.size, x.size - m))
     for s in range(0, rows.size, step):
-        stages = f(x, rows[s:s + step])
-        held[s:s + step] = stages[-1][0]
-        if checks is None:
-            if all(np.isfinite(v).all() for v, _ in stages):
-                continue
-            checks = [(np.zeros_like(held),
-                       nodes if nodes.ndim == 1 else np.zeros_like(held))
-                      for _, nodes in stages]
-        for (vals, nodes), (v, n) in zip(checks, stages):
-            vals[s:s + step] = v
-            if nodes.ndim > 1:
-                nodes[s:s + step] = n
-    return held, checks
+        vals = f(x, rows[s:s + step])
+        _require_finite(vals, x)
+        held[s:s + step, :m] = vals[:, :m] + vals[:, m:2 * m]
+        held[s:s + step, m:] = vals[:, 2 * m:]
+    return held
 
 
 def _tanh_sinh_open(f: Callable, b: float, k: int):
     """Tanh-sinh rule on the open interval (0, b), never sampling 0 or b.
 
-    ``f(x, rows)`` returns a list of (values, nodes) stages of the
-    components ``rows`` at the shared nodes x, one row of values per
-    component; the values of the last stage are the ones summed.  The
-    first call fetches levels 0 to _BLOCK_LEVELS for every component, and
-    each later level makes one call for the components still open.  Each
-    level then sums, tests and checks only its own nodes of its open
-    components, in the order of a call per level: every stage must be
-    finite there, but a value that no open component's level reads raises
-    nothing.  Returns per-component value, error estimate and convergence
-    flag, and the number of nodes evaluated.
+    ``f(x, rows)`` returns the values of the components ``rows`` at the
+    shared nodes x, one row per component.  The first call fetches levels
+    0 to _BLOCK_LEVELS for every component; if a value there is not finite,
+    that block is dropped and those levels make one call each, like every
+    later level, for the components still open.  Returns per-component
+    value, error estimate and convergence flag, and the number of nodes
+    evaluated.
     """
     d = 0.5 * b
     err = np.full(k, math.inf)
     done = np.zeros(k, dtype=bool)
     rows = np.arange(k)
-    evals = 0
+    x = _nodes(range(_BLOCK_LEVELS + 1), d, b)
+    evals = x.size
+    try:
+        block = _fetch(f, x, rows)  # its row i is component i
+    except DomainError:
+        block = None
+    start = 0
     for level in range(_MAX_LEVELS + 1):
-        if not level or level > _BLOCK_LEVELS:
-            levels = range(_BLOCK_LEVELS + 1) if not level else (level,)
-            x = np.concatenate([_level_nodes(lv, d, b) for lv in levels])
-            held, checks = _fetch(f, x, rows)
-            start, pos = 0, np.arange(rows.size)  # open rows' rows in held
-            evals += x.size
         delta, weight = _de_nodes(level)
         m = delta.size
-        cols = slice(start, start + 2 * m + (not level))
-        start = cols.stop
-        if checks:  # check as calls of this level alone would
-            step = max(1, _MAX_VALUES // (cols.stop - cols.start))
-            for s in range(0, pos.size, step):
-                part = pos[s:s + step]
-                for v, nodes in checks:
-                    _require_finite(v[part, cols], nodes[cols] if nodes.ndim
-                                    == 1 else nodes[part, cols])
-        vals = held[pos, cols]
-        pair = vals[:, :m] + vals[:, m:2 * m]
+        # the rows ``at`` of held are those of the open components
+        if block is not None and level <= _BLOCK_LEVELS:
+            held, at, start = block[:, start:], rows.tolist(), start + m
+        else:
+            x = _nodes((level,), d, b)
+            evals += x.size
+            held, at = _fetch(f, x, rows), range(rows.size)
+        sums = held[:, :m]
         # one dot product per component: a matrix product would sum in a
         # different order
-        dots = np.array([float(np.dot(weight, row)) for row in pair])
+        dots = np.array([float(np.dot(weight, sums[i])) for i in at])
         if not level:
-            value = d * (0.5 * math.pi * vals[:, -1] + dots)
+            value = d * (0.5 * math.pi * held[:, -1] + dots)
             continue
         prev = value[rows]
         new = 0.5 * prev + d * 0.5 ** level * dots
@@ -230,7 +219,7 @@ def _tanh_sinh_open(f: Callable, b: float, k: int):
         stop = (new_err <= tol) & ((level >= 2) | (new_err == 0.0))
         err[rows[stop]] = np.maximum(new_err[stop], _EPS * np.abs(new[stop]))
         done[rows[stop]] = True
-        rows, pos = rows[~stop], pos[~stop]
+        rows = rows[~stop]
         if not rows.size:
             break
     return value, err, done, evals
@@ -280,8 +269,9 @@ def integrate_half_line(f: Callable, decay_rate) -> QuadResult:
         The fixed rule's calls list the components with rate >= 1.  The
         adaptive rule's first call on each side lists the rest and those
         the fixed rule left open, at the 191 nodes of its levels 0 to 4;
-        each later level's call lists only the components still open.
-        It returns one row of values per listed component.
+        if a value there is not finite, those levels are fetched again,
+        one call per level.  Each later call lists only the components
+        still open.  It returns one row of values per listed component.
     decay_rate : float or 1-d array
         Positive rate r, one per component, such that
         ``f(t) = O(exp(-r t))`` as t -> inf, possibly times a polynomial.
@@ -293,10 +283,11 @@ def integrate_half_line(f: Callable, decay_rate) -> QuadResult:
     QuadResult
         value and err_estimate (floats, or arrays with one entry per
         component), and the number of nodes at which the integrand was
-        evaluated, the nodes of levels 0 to 4 that no component reached
-        included.  Components refined in lockstep share their nodes, so a
-        node counts once however many components it served; for a scalar
-        integrand this is the number of integrand evaluations.
+        evaluated, including the nodes of levels 0 to 4 that no component
+        reached and those of a dropped first call.  Components refined in
+        lockstep share their nodes, so a node counts once however many
+        components it served; for a scalar integrand this is the number of
+        integrand evaluations.
 
     Raises
     ------
@@ -328,7 +319,8 @@ def integrate_half_line(f: Callable, decay_rate) -> QuadResult:
         rate = lam[rows, None]
         t = _SPLIT - np.log(u) / rate
         vals = call(t, rows)
-        return [(vals, t), (vals / (rate * u), u)]
+        _require_finite(vals, t)
+        return vals / (rate * u)
 
     value, err = np.zeros(k), np.zeros(k)
     ok = np.ones(k, dtype=bool)
@@ -340,7 +332,7 @@ def integrate_half_line(f: Callable, decay_rate) -> QuadResult:
     rest = np.flatnonzero(~ok | (lam < _GL_MIN_RATE))
     if rest.size:
         val_a, err_a, ok_a, ev_a = _tanh_sinh_open(
-            lambda t, rows: [(call(t, rest[rows]), t)], _SPLIT, rest.size)
+            lambda t, rows: call(t, rest[rows]), _SPLIT, rest.size)
         val_b, err_b, ok_b, ev_b = _tanh_sinh_open(
             lambda u, rows: mapped_tail(u, rest[rows]), 1.0, rest.size)
         value[rest], err[rest] = val_a + val_b, err_a + err_b

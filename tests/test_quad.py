@@ -2,11 +2,13 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cmgamma.errors import ConvergenceError, DomainError, UsageError
+from cmgamma.kernels import TwoParam, log_deriv_quadrature
 import cmgamma.quad as quad_mod
 from cmgamma.quad import QuadResult, integrate_half_line
 from cmgamma.specfun import digamma
@@ -253,9 +255,9 @@ class TestVectorIntegrand:
 
 
 def _per_level_tanh_sinh_open(f, b, k):
-    """Reference rule: one integrand call per level, every stage of every
-    call checked in full before its level's sums.  The rule in quad fetches
-    levels 0-4 in one call and must keep these bits."""
+    """Reference rule: one integrand call per level, every call checked in
+    full before its level's sums.  The rule in quad fetches levels 0-4 in
+    one call and must keep these bits."""
     d = 0.5 * b
     err = np.full(k, math.inf)
     done = np.zeros(k, dtype=bool)
@@ -270,10 +272,8 @@ def _per_level_tanh_sinh_open(f, b, k):
         dots, center = [], []
         step = max(1, quad_mod._MAX_VALUES // x.size)
         for start in range(0, rows.size, step):
-            stages = f(x, rows[start:start + step])
-            for v, nodes in stages:
-                quad_mod._require_finite(v, nodes)
-            vals = stages[-1][0]
+            vals = f(x, rows[start:start + step])
+            quad_mod._require_finite(vals, x)
             pair = vals[:, :m] + vals[:, m:2 * m]
             dots.extend(float(np.dot(weight, row)) for row in pair)
             if not level:
@@ -307,8 +307,8 @@ def _exact(res):
 def _head_level(f):
     """Level at which the reference's (0, 1) side of f stops, or None."""
     _, _, ok, evals = _per_level_tanh_sinh_open(
-        lambda t, rows: [(f(t)[None, :], t)], 1.0, 1)
-    sizes = [quad_mod._level_nodes(lv, 0.5, 1.0).size
+        lambda t, rows: f(t)[None, :], 1.0, 1)
+    sizes = [quad_mod._nodes((lv,), 0.5, 1.0).size
              for lv in range(quad_mod._MAX_LEVELS + 1)]
     return int(np.searchsorted(np.cumsum(sizes), evals)) if ok[0] else None
 
@@ -372,19 +372,25 @@ class TestFusedFirstBlock:
     def test_nan_at_unused_level_four_node_raises_nothing(self, side,
                                                           monkeypatch):
         # e^-t stops at level 3 on both sides, so a call per level never
-        # asks for a level-4 node
-        u = quad_mod._level_nodes(4, 0.5, 1.0)[0]
+        # asks for a level-4 node; the side with the NaN drops its first
+        # block and makes one call per level instead
+        u = quad_mod._nodes((4,), 0.5, 1.0)[0]
         node = u if side == "head" else 1.0 - math.log(u)
         f = self._nan_at(self.CASES[3][1], node)
-        got = _scalar_parts(f, 1.0)
+        counted, calls = self._counted(f)
+        got = _scalar_parts(counted, 1.0)
         assert _exact(got) == _exact(self._reference(monkeypatch, f, 1.0))
         assert got[2]
+        fallback = [191, 11, 12, 24, 48]
+        assert calls == (fallback + [191] if side == "head"
+                         else [191] + fallback)
+        assert got[3] == sum(calls)
 
     @pytest.mark.parametrize("side", ["head", "tail"])
     def test_nan_at_used_level_four_node_raises_as_before(self, side,
                                                           monkeypatch):
         # e^-t / (1 + t^2) reaches level 4 on both sides
-        u = quad_mod._level_nodes(4, 0.5, 1.0)[0]
+        u = quad_mod._nodes((4,), 0.5, 1.0)[0]
         node = u if side == "head" else 1.0 - math.log(u)
         f = self._nan_at(self.CASES[4][1], node)
         with monkeypatch.context() as m, pytest.raises(DomainError) as ref:
@@ -402,11 +408,11 @@ class TestFusedFirstBlock:
         # one row stops at level 3 past its NaN; the other reaches its own
         if max_values:
             monkeypatch.setattr(quad_mod, "_MAX_VALUES", max_values)
-        u = quad_mod._level_nodes(4, 0.5, 1.0)[0]
+        u = quad_mod._nodes((4,), 0.5, 1.0)[0]
         fs = [self._nan_at(self.CASES[3][1], u), self.CASES[4][1]]
         assert _scalar_parts(_stacked(fs), np.ones(2))[2] is True
         fs = fs[::-1] + [self._nan_at(self.CASES[4][1], u)]
-        with pytest.raises(DomainError, match=re.escape(f"x={u!r}")):
+        with pytest.raises(DomainError, match=re.escape(f"x={float(u)!r}")):
             integrate_half_line(_stacked(fs), np.ones(3))
 
     def _counted(self, f):
@@ -422,6 +428,19 @@ class TestFusedFirstBlock:
         res = integrate_half_line(f, 1.0)
         assert calls == [191, 191]
         assert res.evaluations == 2 * 191
+
+    def test_block_keeps_pair_sums_and_center(self):
+        # 12,000 near-field pairs: the first block holds 96 values per pair,
+        # below what its 191 raw values would take alone
+        tracemalloc.start()
+        try:
+            log_deriv_quadrature(TwoParam(0.5, 0.7),
+                                 np.linspace(0.21, 1.19, 1000),
+                                 np.arange(1, 13))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 191 * 8 * 12_000
 
     @pytest.mark.parametrize("level", [1, 3, 5, 6])
     def test_evaluations_count_every_node(self, level, monkeypatch):
