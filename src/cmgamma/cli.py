@@ -633,10 +633,12 @@ def cmd_bounds(cfg: RunConfig) -> int:
                                   f"(params={coords!r})")
             rows.append((case_id, case.direction, None, violation))
             continue
-        lhs, rhs = case.sides(params, [point])
-        if true_value is None:
+        if true_value is None:  # the bounds share one LHS
+            lhs, rhs = case.sides(params, [point])
             _exp_sides(lhs, [case_id], [point])
             true_value = math.exp(lhs[0])
+        else:
+            rhs = case.rhs(params, [point])
         rhs = _exp_sides(rhs, [case_id], [point])
         rows.append((case_id, case.direction, float(rhs[0, 0]), None))
 

@@ -325,7 +325,7 @@ def _f_error_bound(fam: RatioFamily, z) -> np.ndarray:
     (k + 2)(|z| + sum |o_i|), and lnG by that times
     |psi(x_j)| < |ln x_j| + 1/x_j.  ``exp`` adds 4.  |lnG(x)| is bounded
     by Stirling's formula and its remainder, below 1/(12x) (DLMF 5.6.1),
-    so no lnG is evaluated.
+    so no lnG is evaluated; past about x = 2.5e305 it is inf.
     """
     z = np.asarray(z, dtype=float)
     bound = np.full(z.shape, 4.0)
@@ -363,6 +363,8 @@ def certify_cm_finite_diff(fam: RatioFamily, config: CertConfig) -> CertReport:
     stencil = zs[:, None] + np.arange(config.n_max + 1) * h
     with np.errstate(over="ignore"):
         fvals = np.exp(log_f(fam, stencil))
+        delta = _f_error_bound(fam, stencil).max(axis=1)[:, None] \
+            + (orders + 1) * _U
     if not np.all(np.isfinite(fvals)):
         raise DomainError(
             "f overflows double precision on the difference stencil; "
@@ -373,8 +375,6 @@ def certify_cm_finite_diff(fam: RatioFamily, config: CertConfig) -> CertReport:
     weights = np.array([[(-1.0) ** j * math.comb(n, j) for n in orders]
                         for j in range(config.n_max + 1)])
     margins = fvals @ weights
-    delta = _f_error_bound(fam, stencil).max(axis=1)[:, None] \
-        + (orders + 1) * _U
     ok = bool(np.all(margins >= -(config.tol + 2.0 ** orders * delta) * scale))
     return CertReport(family=fam, method="finite-diff",
                       verdict="certified" if ok else "violated",

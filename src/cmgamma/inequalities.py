@@ -6,10 +6,10 @@ Each registered case turns one inequality into a margin function:
 * claims of the form LHS <= RHS report ``margin = ln RHS - ln LHS``;
 
 so a nonnegative margin always means "holds", and two-sided statements
-appear as separate ``_LB`` / ``_UB`` cases.  Margins are computed through
-``log_gamma`` throughout, never through raw gamma ratios, so points deep
-inside a domain cannot overflow.  A record "holds" when its margin clears
-``-HOLDS_TOL``, a slack that absorbs roundoff on equality boundaries.
+appear as separate ``_LB`` / ``_UB`` cases.  Each side sum_j c_j lnG(t + d_j)
+is a row table read by ``log_f``; a non-finite side or margin raises.  A
+record "holds" when its margin clears ``-HOLDS_TOL``, a slack that absorbs
+roundoff on equality boundaries.
 
 Cases carry ``kind="claim"`` or ``kind="baseline"``: baselines are known
 reference bounds registered for tightness comparison and are only
@@ -52,7 +52,8 @@ import numpy as np
 
 from .cm_certify import weak_submajorization_failure
 from .errors import DomainError, UsageError
-from .kernels import Majorized, MultiParam, Symmetric, TwoParam, log_f
+from .kernels import (Majorized, MultiParam, RatioFamily, Symmetric, TwoParam,
+                      log_f)
 from .specfun import log_beta, log_gamma as _lg, reflection_product
 
 __all__ = [
@@ -115,6 +116,7 @@ class InequalityCase:
     source: str
     _sampler_fn: object = field(default=None, repr=False)
     kind: str = "claim"
+    _margin_fn: object = field(default=None, repr=False)
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -212,20 +214,34 @@ class InequalityCase:
 
     def sides(self, params, pts):
         """(lhs_log, rhs_log) arrays at in-domain points (not re-checked)."""
-        split = self.split_params(params)
-        cols = self._columns(pts)
-        lhs = _LHS[self.lhs_key][2](split, cols)
-        rhs = self._rhs_fn(split, cols)
-        return np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+        return self._values(params, pts, lhs_log=_LHS[self.lhs_key][2],
+                            rhs_log=self._rhs_fn)
 
     def rhs(self, params, pts) -> np.ndarray:
         """rhs_log alone, for bounds that share an already evaluated LHS."""
-        rhs = self._rhs_fn(self.split_params(params), self._columns(pts))
-        return np.asarray(rhs, dtype=float)
+        return self._values(params, pts, rhs_log=self._rhs_fn)[0]
 
-    def margin_values(self, params, pts) -> np.ndarray:
-        lhs, rhs = self.sides(params, pts)
+    def margin_values(self, params, pts, sides=None) -> np.ndarray:
+        """Margins at in-domain points: from ``sides`` (as :meth:`sides`
+        gives them) or, where the sides share z ln z terms, one table."""
+        if self._margin_fn is not None:
+            return self._values(params, pts, margin=self._margin_fn)[0]
+        lhs, rhs = sides or self.sides(params, pts)
         return lhs - rhs if self.direction == "ge" else rhs - lhs
+
+    def _values(self, params, pts, **fns) -> list:
+        """fn(split params, point columns) per named fn, as float arrays; a
+        value that is not finite is a DomainError naming it and its point."""
+        split, cols = self.split_params(params), self._columns(pts)
+        with np.errstate(all="ignore"):
+            out = [np.asarray(f(split, cols), float) for f in fns.values()]
+        for name, v in zip(fns, out):
+            if not np.isfinite(v).all():
+                k = np.flatnonzero(~np.isfinite(v))[0]
+                raise DomainError(
+                    f"{self.id}: {name} {float(v[k])!r} is not finite at "
+                    f"point {tuple(float(c[k]) for c in cols)!r}")
+        return out
 
     def sample_points(self, rng, params, n: int) -> np.ndarray:
         """Draw n in-domain points, shape (n, len(point_names))."""
@@ -403,18 +419,31 @@ def _zero(s, c):
     return np.zeros_like(c[0])
 
 
+def _table(*rows):
+    """prod_j Gamma(t + o_j1 + o_j2 + ...)^c_j from rows (c_j, offsets_j)."""
+    return RatioFamily("rows", (("rows", rows),), rows)
+
+
+def _side(table):
+    """ln side: log_f of table(*params) (or table) at z, or at x minus y."""
+    def side(s, c):
+        v = log_f(table(*s) if callable(table) else table, np.stack(c))
+        return v[0] if len(c) == 1 else v[0] - v[1]
+    return side
+
+
+_two_param = _side(TwoParam)
+_recip_gamma = _side(_table((-1.0, (1.0,))))
+
+
 # -- left-hand sides: lhs_key -> (parameter names, point names, ln LHS) -------
 # "[]" marks an entry-list parameter.  In every function s holds the split
 # parameters and c the point columns.
 
 _LHS = {
-    "two-param-ratio": (
-        ("a", "b"), ("z",), lambda s, c: log_f(TwoParam(s[0], s[1]), c[0])),
-    "multi-ratio": (
-        ("a[]",), ("z",), lambda s, c: log_f(MultiParam(s[0]), c[0])),
-    "major-ratio": (
-        ("a[]", "b[]"), ("z",),
-        lambda s, c: log_f(Majorized(s[0], s[1]), c[0])),
+    "two-param-ratio": (("a", "b"), ("z",), _two_param),
+    "multi-ratio": (("a[]",), ("z",), _side(MultiParam)),
+    "major-ratio": (("a[]", "b[]"), ("z",), _side(Majorized)),
     "mean2-shift-ratio": (
         (), ("x", "y"),
         lambda s, c: (_lg(c[0] + 1.0) + _lg(c[1] + 1.0)
@@ -423,32 +452,20 @@ _LHS = {
         (), ("x", "y"),
         lambda s, c: (_lg(c[0]) + _lg(c[1])
                       - 2.0 * _lg((c[0] + c[1]) / 2.0))),
-    "sym-ratio": (
-        ("a",), ("z",), lambda s, c: log_f(Symmetric(s[0]), c[0])),
-    "sym-shift1-ratio": (
-        ("a",), ("z",),
-        lambda s, c: (_lg(c[0] + s[0] + 1.0) + _lg(c[0] - s[0] + 1.0)
-                      - 2.0 * _lg(c[0] + 1.0))),
-    "half-ratio": (
-        (), ("z",), lambda s, c: log_f(Symmetric(0.5), c[0])),
+    "sym-ratio": (("a",), ("z",), _side(Symmetric)),
+    "sym-shift1-ratio": (("a",), ("z",), _side(lambda a: _table(
+        (1.0, (a, 1.0)), (1.0, (-a, 1.0)), (-2.0, (1.0,))))),
+    "half-ratio": ((), ("z",), _side(Symmetric(0.5))),
     "wallis-ratio": (
-        (), ("z",), lambda s, c: _lg(c[0] + 0.5) - _lg(c[0] + 1.0)),
+        (), ("z",), _side(_table((1.0, (0.5,)), (-1.0, (1.0,))))),
     "wallis-shift-ratio": (
-        (), ("z",), lambda s, c: _lg(c[0] + 0.5) - _lg(c[0])),
-    "h-product": (
-        ("a", "b"), ("x", "y"),
-        lambda s, c: (log_f(TwoParam(s[0], s[1]), c[0])
-                      - log_f(TwoParam(s[0], s[1]), c[1]))),
-    "two-param-recip": (
-        ("a", "b"), ("z",), lambda s, c: -log_f(TwoParam(s[0], s[1]), c[0])),
-    "psi-ratio": (
-        ("a",), ("x", "y"),
-        lambda s, c: (_lg(c[0] + 1.0) + _lg(c[1] - s[0] + 1.0)
-                      - _lg(c[1] + 1.0) - _lg(c[0] - s[0] + 1.0))),
-    "psi-sum-ratio": (
-        ("a", "b"), ("x", "y"),
-        lambda s, c: (_lg(c[0] + 1.0) + _lg(c[1] - (s[0] + s[1]) + 1.0)
-                      - _lg(c[1] + 1.0) - _lg(c[0] - (s[0] + s[1]) + 1.0))),
+        (), ("z",), _side(_table((1.0, (0.5,)), (-1.0, ())))),
+    "h-product": (("a", "b"), ("x", "y"), _two_param),
+    "two-param-recip": (("a", "b"), ("z",), lambda s, c: -_two_param(s, c)),
+    "psi-ratio": (("a",), ("x", "y"), _side(
+        lambda a: _table((1.0, (1.0,)), (-1.0, (-a, 1.0))))),
+    "psi-sum-ratio": (("a", "b"), ("x", "y"), _side(
+        lambda a, b: _table((1.0, (1.0,)), (-1.0, (-a, -b, 1.0))))),
     "binom-central": (
         (), ("a", "b"),
         lambda s, c: (_lg(c[0] + c[1] + 1.0) - _lg(c[0] + 1.0)
@@ -464,17 +481,11 @@ _LHS = {
         (), ("a",), lambda s, c: _lg(2.0 * c[0]) - 2.0 * _lg(c[0])),
     "dup-ratio": (
         (), ("a",), lambda s, c: 2.0 * _lg(c[0]) - _lg(2.0 * c[0])),
-    "binom-core": (
-        # ln of Gamma(z-a-b+1) / (Gamma(z-a+1) Gamma(z-b+1))
-        ("a", "b"), ("z",),
-        lambda s, c: (_lg(c[0] - s[0] - s[1] + 1.0) - _lg(c[0] - s[0] + 1.0)
-                      - _lg(c[0] - s[1] + 1.0))),
-    "recip-gamma": ((), ("z",), lambda s, c: -_lg(c[0] + 1.0)),
-    "gamma-square-ratio": (
-        # ln of Gamma(z) Gamma(z-2a) / Gamma(z-a)^2
-        ("a",), ("z",),
-        lambda s, c: (_lg(c[0]) + _lg(c[0] - 2.0 * s[0])
-                      - 2.0 * _lg(c[0] - s[0]))),
+    "binom-core": (("a", "b"), ("z",), _side(lambda a, b: _table(
+        (1.0, (-a, -b, 1.0)), (-1.0, (-a, 1.0)), (-1.0, (-b, 1.0))))),
+    "recip-gamma": ((), ("z",), _recip_gamma),
+    "gamma-square-ratio": (("a",), ("z",), _side(lambda a: _table(
+        (1.0, ()), (1.0, (-2.0 * a,)), (-2.0, (-a,))))),
 }
 
 
@@ -618,19 +629,17 @@ _CASES = tuple(InequalityCase(*row) for row in (
 
     # ---- binomial-coefficient core on the unit interval and beyond ----------
     ("INQ56", "binom-core", "ge", _AB_POS,
-     _Z_ABOVE_AB + (("z <= 1", 0, "<=", 1.0),),
-     lambda s, c: -_lg(c[0] + 1.0),
+     _Z_ABOVE_AB + (("z <= 1", 0, "<=", 1.0),), _recip_gamma,
      "Gamma(z-a-b+1) / (Gamma(z-a+1)Gamma(z-b+1)) >= 1/Gamma(z+1) "
-     "for a,b > 0 and a+b <= z <= 1", _unit_window),
+     "for a,b > 0 and a+b <= z <= 1", _unit_window, "claim", _two_param),
     ("INQ56_RECIP", "recip-gamma", "ge", _NO_PARAMS,
      _in_unit("0 < z <= 1", 0), _zero, "1/Gamma(z+1) >= 1 for 0 < z <= 1",
      lambda rng, s, n: rng.uniform(1e-9, 1.0, (n, 1))),
-    ("INQ57_LB", "binom-core", "ge", _AB_POS, _Z_ABOVE_AB,
-     lambda s, c: -_lg(c[0] + 1.0),
+    ("INQ57_LB", "binom-core", "ge", _AB_POS, _Z_ABOVE_AB, _recip_gamma,
      "Gamma(z-a-b+1) / (Gamma(z-a+1)Gamma(z-b+1)) >= 1/Gamma(z+1) "
-     "for z >= a+b, a,b > 0"),
+     "for z >= a+b, a,b > 0", None, "claim", _two_param),
     ("INQ57_UB", "binom-core", "le", _AB_POS, _Z_ABOVE_AB,
-     lambda s, c: (-_lg(c[0] + 1.0) + _lg(s[0] + s[1] + 1.0)
+     lambda s, c: (_recip_gamma(s, c) + _lg(s[0] + s[1] + 1.0)
                    - _lg(s[0] + 1.0) - _lg(s[1] + 1.0)),
      "Gamma(z-a-b+1) / (Gamma(z-a+1)Gamma(z-b+1)) <= "
      "Gamma(a+b+1) / (Gamma(a+1)Gamma(b+1)Gamma(z+1)) "
@@ -718,11 +727,10 @@ def sweep(case_id: str, params, grid) -> SweepResult:
     case = get_case(case_id)
     flat_params = tuple(float(v) for v in params)
     kept = _domain_points([case], flat_params, grid)
+    lhs = rhs = margins = np.empty(0)
     if len(kept):
         lhs, rhs = case.sides(flat_params, kept)
-    else:
-        lhs = rhs = np.empty(0)
-    margins = lhs - rhs if case.direction == "ge" else rhs - lhs
+        margins = case.margin_values(flat_params, kept, (lhs, rhs))
     return SweepResult(case.id, flat_params, kept, lhs, rhs, margins)
 
 

@@ -103,6 +103,20 @@ _LIFT = 600
 _FACTORY_NAMES = {"two-param": "TwoParam", "multi-param": "MultiParam",
                   "majorized": "Majorized", "symmetric": "Symmetric"}
 
+# B_0..B_13 times 30030, their denominators' lcm (B_1 = -1/2), and the
+# nonzero (i, (-1)^(k+1) C(k+1, i) 30030 B_i) of the z^-k term of log_f's
+# series; past z = 16 |d| its 13th term is below 1.2e-18 |d|.
+_BERN = (30030, -15015, 5005, 0, -1001, 0, 715, 0, -1001, 0, 2275, 0, -7601, 0)
+_BC = [[(i, (-1) ** (k + 1) * math.comb(k + 1, i) * b)
+        for i, b in enumerate(_BERN[:k + 1]) if b] for k in range(13)]
+
+
+def _dyadic(groups):
+    """(den, sums): each group's floats summed exactly, over one den = 2^k."""
+    den = max((o.as_integer_ratio()[1] for g in groups for o in g), default=1)
+    return den, [sum(n * (den // d) for n, d in map(float.as_integer_ratio, g))
+                 for g in groups]
+
 
 @dataclass(frozen=True, repr=False)
 class RatioFamily:
@@ -122,7 +136,7 @@ class RatioFamily:
 
     def __repr__(self):
         args = ", ".join(f"{name}={v!r}" for name, v in self.params)
-        return f"{_FACTORY_NAMES[self.kind]}({args})"
+        return f"{_FACTORY_NAMES.get(self.kind, 'RatioFamily')}({args})"
 
     def params_dict(self):
         return {name: list(v) if isinstance(v, tuple) else v
@@ -150,20 +164,31 @@ class RatioFamily:
         exponent is d_j = (X_j + r) / den.  Computed once per family: the
         kernel, the quadrature integrand and the certify gate all read it.
         """
-        groups = self.exact or tuple(offsets for _, offsets in self.rows)
-        den = max((o.as_integer_ratio()[1]
-                   for g in (self.ref,) + groups for o in g), default=1)
-
-        def scaled(offsets):  # -(o_1 + o_2 + ...) * den, exactly
-            return -sum(n * (den // d)
-                        for n, d in (o.as_integer_ratio() for o in offsets))
-
-        r = scaled(self.ref)
+        den, (ref, *sums) = _dyadic(
+            (self.ref,) + (self.exact or tuple(g for _, g in self.rows)))
         merged: dict[int, int] = {}
-        for (coef, _), g in zip(self.rows, groups):
-            x = scaled(g) - r
-            merged[x] = merged.get(x, 0) + int(coef)
-        return den, r, tuple(sorted((x, c) for x, c in merged.items() if c))
+        for (coef, _), x in zip(self.rows, sums):
+            merged[ref - x] = merged.get(ref - x, 0) + int(coef)
+        return den, -ref, tuple(sorted((x, c) for x, c in merged.items() if c))
+
+    @cached_property
+    def _series(self):
+        """z -> sum_j c_j lnG(z + d_j) = lead ln z + polyval(coefs, scale / z)
+        at large z if the c_j sum to 0 (DLMF 5.11.8): d_j = D_j / den sums row
+        j's offsets exactly, scale = 2^e >= every |d_j|, and lead = sum_j c_j
+        d_j and each (-1)^(k+1) sum_j c_j B_(k+1)(d_j) / (k (k+1) scale^k)
+        are rounded once from the integer moments mu_p."""
+        den, num = _dyadic(tuple(g for _, g in self.rows))
+        m, mu = den.bit_length() - 1, [0] * len(_BERN)  # sum_j c_j D_j^p
+        for c, x in zip([int(c) for c, _ in self.rows], num):
+            for p in range(len(mu)):
+                mu[p], c = mu[p] + c, c * x
+        e = max(0, max(map(abs, num)).bit_length() - m)
+        coefs = [sum(b * mu[k + 1 - i] << m * i for i, b in _BC[k])
+                 / (30030 * k * (k + 1) << m * (k + 1) + e * k)
+                 for k in range(len(_BERN) - 2, 0, -1)] + [0.0]
+        lead, scale = mu[1] / den, 2.0 ** e
+        return lambda z: lead * np.log(z) + np.polyval(coefs, scale / z)
 
     @cached_property
     def _taylor(self):
@@ -321,14 +346,24 @@ def kernel_value(fam: RatioFamily, t):
 
 
 def log_f(fam: RatioFamily, z):
-    """ln f(z) as a signed combination of log-gamma values; z above the bound."""
+    """ln f(z) = sum_j c_j lnG(z + d_j), d_j the exact sum of row j's offsets,
+    z above the bound: :attr:`RatioFamily._series`, free of z ln z terms, where
+    z >= 16 max(1, |d_j|) and the c_j sum to 0, else the ``log_gamma`` sum at
+    (z + hi_j) + lo_j, d_j = hi_j + lo_j, so no argument rounds onto a pole."""
     _check_family(fam)
     _check_z(fam, z)
-    res = None
-    for coef, arg in fam.shifted_args(np.asarray(z, dtype=float) if np.ndim(z) else z):
-        term = coef * specfun.log_gamma(arg)
-        res = term if res is None else res + term
-    return res
+    flat = np.ravel(np.asarray(z, dtype=float))
+    hi = [math.fsum(g) for _, g in fam.rows]
+    far = flat >= (math.inf if sum(c for c, _ in fam.rows)
+                   else 16.0 * max(1.0, *map(abs, hi)))
+    out = np.empty_like(flat)
+    if not far.all():
+        out[~far] = reduce(operator.add, (
+            coef * specfun.log_gamma((flat[~far] + h) + math.fsum(g + (-h,)))
+            for (coef, g), h in zip(fam.rows, hi)))
+    if far.any():
+        out[far] = fam._series(flat[far])
+    return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
 def _route_grid(fam, z, n):

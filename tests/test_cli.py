@@ -179,19 +179,54 @@ class TestAuditErrors:
                            "a=1,b=1", "--grid", "2:3:4", "--tol", "-1")
         assert code == 1
 
-    @pytest.mark.parametrize("argv,at", [
-        (("--id", "INQ1", "--params", "a=0.5,b=0.7,z=1e306"), "1e+306"),
-        (("--id", "WALLIS_LB", "--grid", "1e305:1e308:3:log"),
-         "3.162277660168379e+306"),
+    @pytest.mark.parametrize("argv", [
+        ("--id", "INQ57_UB", "--params", "a=0.5,b=0.7,z=1e306"),
+        ("--id", "BETA_UB", "--grid", "1e305:1e306:2:log"),
     ], ids=["point", "grid"])
-    def test_overflowing_log_gamma_is_an_error(self, capsys, argv, at):
-        # ln Gamma overflows above about 2.5e305; inf - inf must not
-        # become a NaN margin reported as a violation
+    def test_overflowing_log_gamma_is_an_error(self, capsys, argv):
+        # ln Gamma overflows above about 2.5e305 where a side is no
+        # table with zero coefficient sum; inf - inf must not become a
+        # NaN margin reported as a violation
         code, out, err = run(capsys, "audit", *argv)
         assert code == 1
         assert out == ""
         assert err == ("error: log_gamma overflows double precision "
-                       f"at x={at}\n")
+                       "at x=1e+306\n")
+
+    def test_large_z_two_param_margin_is_finite(self, capsys):
+        # the large-z series cancels the lnGamma terms exactly: ab / z
+        code, out, _ = run(capsys, "audit", "--id", "INQ1", "--params",
+                           "a=0.5,b=0.7,z=1e306", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["records"][0]["margin"] == \
+            pytest.approx(3.5e-307, rel=1e-12)
+
+    @pytest.mark.parametrize("argv,what", [
+        (("--id", "WALLIS_LB", "--grid", "1e305:1e308:3:log"),
+         "rhs_log -inf is not finite at point (1e+308,)"),
+        (("--id", "HALF_SANDWICH_LB", "--params", "z=1.7e308"),
+         "rhs_log nan is not finite at point (1.7e+308,)"),
+    ], ids=["inf", "nan"])
+    def test_non_finite_side_is_an_error(self, capsys, argv, what):
+        # 2z overflows in the RHS once the LHS no longer does
+        code, out, err = run(capsys, "audit", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {argv[1]}: {what}\n"
+
+    def test_in_domain_point_next_to_a_pole(self, capsys):
+        # z = 0.2 > a+b-1 = 0.19999999999999996, where the rounded
+        # argument z-a-b+1 is 0.0; the exact offset keeps it at 5.6e-17
+        code, out, err = run(capsys, "audit", "--id", "INQ1", "--params",
+                             "a=0.5,b=0.7", "--grid", "0.2:1e6:80:log")
+        assert code == 0
+        assert "points=80 skipped=0" in err and "all hold" in err
+
+    def test_large_z_margin_is_exact(self, capsys):
+        code, out, err = run(capsys, "audit", "--id", "INQ1", "--params",
+                             "a=0.5,b=0.7,z=1e8", "--format", "json")
+        assert code == 0
+        assert abs(json.loads(out)["records"][0]["margin"] - 3.5e-9) <= 1e-12
 
     def test_violation_exits_two(self, capsys, synthetic_violation):
         code, out, err = run(capsys, "audit", "--id", "SYN_BAD", "--grid",
@@ -326,15 +361,21 @@ class TestConfigFile:
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
 class TestCertify:
-    def test_overflowing_log_gamma_is_an_error(self, capsys):
-        # a 2-d finite-difference stencil above about 2.5e305
-        code, out, err = run(capsys, "certify", "--family", "two-param",
-                             "--params", "a=0.5,b=0.7", "--grid",
-                             "1e306:2e306:3:log", "--n-max", "2")
-        assert code == 1
-        assert out == ""
-        assert err == ("error: log_gamma overflows double precision "
-                       "at x=1e+306\n")
+    def test_overflowing_log_gamma_is_an_error(self, capsys, tmp_path):
+        # a 2-d finite-difference stencil above about 2.5e305, where
+        # lnGamma overflows, now reads the large-z series: f = 1 there
+        f = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "certify", "--family", "two-param",
+                               "--params", "a=0.5,b=0.7", "--grid",
+                               "1e306:2e306:3:log", "--n-max", "2", "--out",
+                               str(f))
+        assert code == 0
+        fd = json.loads(f.read_text())["routes"]["finite_diff"]
+        assert fd["fd_scale"] == 1.0
+        assert [r["margin"] for r in fd["rows"]] == [0.0] * 6
+        assert "verdict=certified" in out
 
     def test_huge_z_warns_nothing(self, capsys):
         with warnings.catch_warnings():
@@ -359,12 +400,12 @@ class TestCertify:
         assert "certified" in out
 
     def test_large_z_roundoff_is_not_a_violation(self, capsys, tmp_path):
-        # the finite differences at z = 1e6 are rounding noise within
-        # their budget, not a violation
+        # the finite differences up to z = 1.5e6, below the series'
+        # 16 b, are rounding noise within their budget, not a violation
         f = tmp_path / "r.json"
         code, out, _ = run(capsys, "certify", "--family", "two-param",
-                           "--params", "a=0.5,b=0.7", "--grid",
-                           "1.21:1e6:20:log", "--out", str(f))
+                           "--params", "a=0.001,b=1e5", "--grid",
+                           "2e5:1.5e6:20:log", "--out", str(f))
         assert code == 0
         payload = json.loads(f.read_text())
         fd = payload["routes"]["finite_diff"]

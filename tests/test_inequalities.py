@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -314,24 +315,80 @@ class TestTightness:
             iq.tightness_sweep(("INQ56", "INQ57_LB"), (-1.0, 0.5), [(0.5,)])
 
     def test_shared_lhs_evaluated_once(self, monkeypatch):
-        # gamma-square-ratio takes three log-gamma calls; its three bounds
-        # share it, and none of their RHS calls log-gamma
+        # gamma-square-ratio is one log_f call; its three bounds share
+        # it, and none of their RHS calls log_f
         calls = []
-        real = iq._lg
+        real = iq.log_f
 
-        def counted(x):
-            calls.append(np.size(x))
-            return real(x)
+        def counted(fam, z):
+            calls.append(np.size(z))
+            return real(fam, z)
 
-        monkeypatch.setattr(iq, "_lg", counted)
+        monkeypatch.setattr(iq, "log_f", counted)
         ids = ("INQ58", "INQ58_BASE_RATIO", "INQ58_BASE_SHIFT")
         grid = np.linspace(2.5, 40.0, 100)
         res = iq.tightness_sweep(ids, (1.0,), grid)
-        assert len(calls) == 3
-        assert len(res) == sum(calls) // 3 == 100
+        assert calls == [100]
+        assert len(res) == 100
         for k in range(0, 100, 33):
             lhs, _ = iq.get_case("INQ58").sides((1.0,), [res.points[k]])
             assert res.lhs_log[k] == lhs[0]
+
+
+class TestRowTables:
+    """The lnGamma sides that are row tables, read by log_f, against
+    60-digit mpmath from past the series threshold to z = 1e12."""
+
+    @staticmethod
+    def _lg(*args):
+        return mpmath.loggamma(mpmath.fsum(args))
+
+    @pytest.mark.parametrize("key,params,ref", [
+        ("sym-shift1-ratio", (0.3,), lambda lg, a, z: (
+            lg(z, a, 1) + lg(z, -a, 1) - 2 * lg(z, 1))),
+        ("sym-shift1-ratio", (1e-10,), lambda lg, a, z: (
+            lg(z, a, 1) + lg(z, -a, 1) - 2 * lg(z, 1))),
+        ("wallis-ratio", (), lambda lg, z: lg(z, 0.5) - lg(z, 1)),
+        ("wallis-shift-ratio", (), lambda lg, z: lg(z, 0.5) - lg(z)),
+        ("gamma-square-ratio", (0.7,), lambda lg, a, z: (
+            lg(z) + lg(z, -2 * a) - 2 * lg(z, -a))),
+        ("gamma-square-ratio", (1e-10,), lambda lg, a, z: (
+            lg(z) + lg(z, -2 * a) - 2 * lg(z, -a))),
+        ("binom-core", (0.5, 0.7), lambda lg, a, b, z: (
+            lg(z, -a, -b, 1) - lg(z, -a, 1) - lg(z, -b, 1))),
+        ("binom-core", (1e-10, 0.3), lambda lg, a, b, z: (
+            lg(z, -a, -b, 1) - lg(z, -a, 1) - lg(z, -b, 1))),
+        ("psi-ratio", (0.6,), lambda lg, a, z: lg(z, 1) - lg(z, -a, 1)),
+        ("psi-ratio", (1e-10,), lambda lg, a, z: lg(z, 1) - lg(z, -a, 1)),
+        ("psi-sum-ratio", (0.2, 0.5), lambda lg, a, b, z: (
+            lg(z, 1) - lg(z, -a, -b, 1))),
+        ("psi-sum-ratio", (1e-10, 1e-10), lambda lg, a, b, z: (
+            lg(z, 1) - lg(z, -a, -b, 1))),
+    ])
+    def test_matches_mpmath(self, key, params, ref):
+        # one coordinate: the two-point sides give ln f at it
+        zs = np.geomspace(32.0, 1e12, 30)
+        got = iq._LHS[key][2](params, (zs,))
+        with mpmath.workdps(60):
+            for z, g in zip(zs.tolist(), got.tolist()):
+                want = ref(self._lg, *params, z)
+                assert abs(g - want) <= 1e-14 * abs(want), (z, g)
+
+    def test_small_parameter_margin(self):
+        # ln f ~ ab / z = 7e-15, where the lnGamma terms reach 1.3e7
+        with mpmath.workdps(60):
+            a, b, z = 1e-8, 0.7, 1e6
+            want = (self._lg(z, 1) + self._lg(z, -a, -b, 1)
+                    - self._lg(z, -a, 1) - self._lg(z, -b, 1))
+            got = iq.margin("INQ1", [a, b], [z])
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("case_id", ["INQ56", "INQ57_LB"])
+    def test_binom_core_margin_is_one_table(self, case_id):
+        # ln LHS - ln RHS is TwoParam(a, b): no z ln z terms cancel
+        point = [0.9] if case_id == "INQ56" else [1e7]
+        assert iq.margin(case_id, [0.3, 0.4], point) == \
+            iq.margin("INQ1", [0.3, 0.4], point)
 
 
 class TestSamplers:

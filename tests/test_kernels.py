@@ -85,6 +85,48 @@ class TestLogF:
         assert log_f(fam, 4.0) == pytest.approx(math.log(2.0), rel=1e-13)
 
 
+def _mp_log_f(fam, z):
+    """sum_j c_j lnG(z + d_j) at 60 digits, d_j the exact offset sums."""
+    with mpmath.workdps(60):
+        return mpmath.fsum(
+            c * mpmath.loggamma(mpmath.fsum([z, *offsets]))
+            for c, offsets in fam.rows)
+
+
+class TestLargeZSeries:
+    """From z = 16 max(1, |d_j|) on, log_f reads the large-z series; its
+    z ln z terms cancel exactly, so it is good to a few ulps to z = 1e12,
+    with parameters down to 1e-10."""
+
+    FAMS = [TwoParam(0.5, 0.7), TwoParam(1e-10, 0.3),
+            MultiParam((0.3, 0.05, 0.9, 0.41)), MultiParam((1e-10, 2.5)),
+            Majorized((3.0, 1.0), (2.0, 2.0)),
+            Majorized((1.0, 1e-10), (0.5, 0.5 + 1e-10)),
+            Symmetric(0.4), Symmetric(1e-10)]
+
+    @pytest.mark.parametrize("fam", FAMS, ids=repr)
+    def test_matches_mpmath(self, fam):
+        far = 16.0 * max(1.0, *(abs(math.fsum(g)) for _, g in fam.rows))
+        zs = np.geomspace(far, 1e12, 40)
+        for z, got in zip(zs.tolist(), log_f(fam, zs).tolist()):
+            ref = _mp_log_f(fam, z)
+            assert abs(got - ref) <= 1e-14 * abs(ref), (z, got, float(ref))
+
+    def test_not_built_below_the_threshold(self):
+        fam = TwoParam(0.5, 0.7)
+        log_f(fam, np.linspace(0.3, 15.9, 50))
+        assert "_series" not in vars(fam)
+        log_f(fam, 16.0)
+        assert "_series" in vars(fam)
+
+    def test_argument_next_to_a_pole(self):
+        # z = 0.2 lies above the bound a+b-1 = 0.19999999999999996, but the
+        # rounded argument ((z-a)-b)+1 is 0.0, a pole of lnGamma
+        fam = TwoParam(0.5, 0.7)
+        ref = _mp_log_f(fam, 0.2)
+        assert log_f(fam, 0.2) == pytest.approx(float(ref), rel=1e-14)
+
+
 class TestKernel:
     TS = np.array([1e-6, 0.05, 0.3, 1.0, 3.0, 8.0, 40.0])
 
