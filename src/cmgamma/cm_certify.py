@@ -12,8 +12,8 @@ integral form and a polygamma series form.  Certification here means:
 * independently check the plain definition with forward differences of f
   itself, which is a necessary condition not derived from either route.
   A difference is a violation only when it falls below its rounding
-  budget, which grows with the size of the lnG terms behind each f
-  value rather than with f (see :func:`certify_cm_finite_diff`).
+  budget, which follows the error bound of each ln f value
+  (see :func:`certify_cm_finite_diff`).
 
 Verdicts are ``certified``, ``violated``, or ``inconclusive`` (the routes
 disagree beyond what their error estimates allow, so neither is trusted).
@@ -65,7 +65,6 @@ _AGREE_RTOL = 1e-8
 _AGREE_ATOL = 1e-9
 # Unit roundoff of double precision.
 _U = 2.0 ** -53
-_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -312,47 +311,29 @@ def certify_log_cm(fam: RatioFamily, config: CertConfig) -> CertReport:
                       kernel_argmin=kargmin)
 
 
-def _f_error_bound(fam: RatioFamily, z) -> np.ndarray:
-    """A bound on the relative error of ``exp(log_f(fam, z))``, elementwise.
-
-    ``log_f`` sums terms c_j lnG(x_j), so its error scales with their size
-    M = sum_j |c_j lnG(x_j)|, not with the often tiny sum.  Per term, in
-    units of u = 2^-53 and to first order: ``log_gamma`` errs by at most
-    10 |lnG(x)| (its series rounds six terms no larger than
-    x ln x <= 1.8 |lnG(x)|), plus 800 below x = 10, where its recurrence
-    handles values up to 80; summing m terms adds m |lnG(x)|; forming x_j
-    from z and k offsets (and z itself as z_0 + i h) moves it by at most
-    (k + 2)(|z| + sum |o_i|), and lnG by that times
-    |psi(x_j)| < |ln x_j| + 1/x_j.  ``exp`` adds 4.  |lnG(x)| is bounded
-    by Stirling's formula and its remainder, below 1/(12x) (DLMF 5.6.1),
-    so no lnG is evaluated; past about x = 2.5e305 it is inf.
-    """
-    z = np.asarray(z, dtype=float)
-    bound = np.full(z.shape, 4.0)
-    for (coef, offsets), (_, x) in zip(fam.rows, fam.shifted_args(z)):
-        ln_x = np.log(x)
-        lg = np.abs((x - 0.5) * ln_x - x + _HALF_LN_2PI) + 1.0 / (12.0 * x)
-        shift = (len(offsets) + 2) * (np.abs(z) + sum(map(abs, offsets)))
-        bound += abs(coef) * ((10.0 + len(fam.rows)) * lg
-                              + np.where(x < 10.0, 800.0, 0.0)
-                              + shift * (np.abs(ln_x) + 1.0 / x))
-    return _U * bound
+def _fd_delta(fam: RatioFamily, stencil, g) -> np.ndarray:
+    """Per row of a (z, j) stencil, a bound on the absolute error of every
+    f - 1 = expm1(ln f) value g on it: f expm1(err) for the error bound err
+    of ln f (:meth:`RatioFamily.psi_sum`), plus 2 u |g| for expm1."""
+    err = fam.psi_sum(np.ravel(stencil), [0])[1].reshape(np.shape(stencil))
+    return ((1.0 + g) * np.expm1(err) + 2.0 * _U * np.abs(g)).max(axis=1)
 
 
 def certify_cm_finite_diff(fam: RatioFamily, config: CertConfig) -> CertReport:
     """Check (-1)^n Delta_h^n f >= 0 with forward differences of f itself.
 
     This is a necessary condition for complete monotonicity evaluated
-    without either log-derivative route: f is reconstructed as
-    ``exp(log_f)`` and differenced directly.  The verdict is ``violated``
-    only when a margin falls below its budget -(tol + 2^n delta) scale:
-    scale is the largest f on the grid's stencils, and delta bounds the
-    relative error of each f value on the stencil of that z
-    (:func:`_f_error_bound`, plus (n + 1) u for the sum of n + 1 terms).
-    The alternating sum of n + 1 values with binomial weights, 2^n in
-    all, magnifies that error by at most 2^n, so a margin below the budget
-    is a violation that roundoff cannot explain; the verdict is
-    ``certified`` otherwise.
+    without either log-derivative route: the differences are taken of
+    g = f - 1 = ``expm1(log_f)``, which for n >= 1 are those of f, and keep
+    the digits of an f near 1.  The verdict is ``violated`` only when a
+    margin falls below its budget -(tol scale + 2^n delta): scale is the
+    largest f on the grid's stencils, and delta bounds the error of each g
+    value on the stencil of that z (:func:`_fd_delta`), plus (n + 1) u of
+    the largest |g| for the sum of n + 1 terms.  The alternating sum of
+    n + 1 values with binomial weights, 2^n in all, magnifies that error by
+    at most 2^n, so a margin below the budget is a violation that roundoff
+    cannot explain; the verdict is ``certified`` otherwise.  delta is only
+    formed when a margin falls below -tol scale.
     """
     config.validate(fam)
     _require_certifiable(fam)
@@ -362,20 +343,23 @@ def certify_cm_finite_diff(fam: RatioFamily, config: CertConfig) -> CertReport:
     orders = np.arange(1, config.n_max + 1)
     stencil = zs[:, None] + np.arange(config.n_max + 1) * h
     with np.errstate(over="ignore"):
-        fvals = np.exp(log_f(fam, stencil))
-        delta = _f_error_bound(fam, stencil).max(axis=1)[:, None] \
-            + (orders + 1) * _U
-    if not np.all(np.isfinite(fvals)):
+        g = np.expm1(log_f(fam, stencil))
+    if not np.all(np.isfinite(g)):
         raise DomainError(
             "f overflows double precision on the difference stencil; "
             "move the grid away from the domain boundary")
-    scale = float(fvals.max())
+    scale = float(1.0 + g.max())
 
     # column n - 1 holds the stencil weights (-1)^j C(n, j), 0 past j = n
     weights = np.array([[(-1.0) ** j * math.comb(n, j) for n in orders]
                         for j in range(config.n_max + 1)])
-    margins = fvals @ weights
-    ok = bool(np.all(margins >= -(config.tol + 2.0 ** orders * delta) * scale))
+    margins = g @ weights
+    budget = config.tol * scale
+    if np.any(margins < -budget):
+        delta = _fd_delta(fam, stencil, g)[:, None] \
+            + (orders + 1) * _U * np.abs(g).max(axis=1)[:, None]
+        budget = budget + 2.0 ** orders * delta
+    ok = bool(np.all(margins >= -budget))
     return CertReport(family=fam, method="finite-diff",
                       verdict="certified" if ok else "violated",
                       tol=config.tol, worst=_worst(config.z_grid, margins),

@@ -15,13 +15,16 @@ short polygamma combination:
                          = (-1)^n sum_j c_j psi^(n-1)(z - d_j),
     K(t) = sum_j c_j e^((d_j - r) t).
 
-The two routes share only the table and are otherwise computed by
-independent machinery (adaptive quadrature versus recurrence-plus-series),
-which is what makes cross-checking them meaningful.  The kernel is
-described once, by the family's exact term list (:attr:`RatioFamily.terms`):
-integer exponents over a power-of-two denominator, equal exponents merged
-and zero coefficients dropped.  The kernel values, the quadrature
-integrand and the certification gate all read that list.  K >= 0 whenever
+The two routes share the table and its exact gaps, and nothing else: the
+polygamma route reads :mod:`cmgamma.specfun`, the quadrature route the
+Abel sum :meth:`RatioFamily.abel` and elementary functions, which is what
+makes cross-checking them meaningful.  The kernel is described once, by the
+family's exact term list (:attr:`RatioFamily.terms`): integer exponents
+over a power-of-two denominator, equal exponents merged and zero
+coefficients dropped.  The kernel values, the quadrature integrand, the
+certification gate and the sums S_n(z) = sum_j c_j psi^(n-1)(z - d_j) of
+``log_f`` (n = 0, psi^(-1) = lnG) and of the polygamma route
+(:meth:`RatioFamily.psi_sum`) all read that list.  K >= 0 whenever
 the denominator exponents are weakly submajorized by the numerator
 exponents (Tomic-Weyl: e^(xt) is increasing and convex in x for t >= 0).
 
@@ -42,6 +45,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -66,10 +70,6 @@ __all__ = [
 
 # Highest supported log-derivative order.
 N_MAX_ORDER = 12
-
-# Relative scale assumed for roundoff of one polygamma term; feeds the
-# error estimate of the series path.
-_POLY_EPS = 1e-13
 
 
 def _clean_params(values, name: str) -> tuple[float, ...]:
@@ -104,11 +104,42 @@ _FACTORY_NAMES = {"two-param": "TwoParam", "multi-param": "MultiParam",
                   "majorized": "Majorized", "symmetric": "Symmetric"}
 
 # B_0..B_13 times 30030, their denominators' lcm (B_1 = -1/2), and the
-# nonzero (i, (-1)^(k+1) C(k+1, i) 30030 B_i) of the z^-k term of log_f's
-# series; past z = 16 |d| its 13th term is below 1.2e-18 |d|.
+# nonzero (i, (-1)^(k+1) C(k+1, i) 30030 B_i) of the z^-k term of the
+# large-z series, k = 0..13; the k = 13 term is left out and bounds the rest.
 _BERN = (30030, -15015, 5005, 0, -1001, 0, 715, 0, -1001, 0, 2275, 0, -7601, 0)
 _BC = [[(i, (-1) ** (k + 1) * math.comb(k + 1, i) * b)
-        for i, b in enumerate(_BERN[:k + 1]) if b] for k in range(13)]
+        for i, b in enumerate(_BERN[:k + 1]) if b] for k in range(14)]
+# (k)_n = k (k+1) ... (k+n-1) for k = 13..1: the n-th derivative of z^-k is
+# (-1)^n (k)_n z^-(k+n); row n = 0 is all ones
+_RISING = np.array([[math.perm(k + n - 1, n) for k in range(13, 0, -1)]
+                    for n in range(N_MAX_ORDER + 1)], dtype=float)
+
+# Terms of the near field's sums.  A spread of at most u / (4 (16 + n))
+# makes each moment term at most (n + k) / (4 (k + 1)(16 + n)) of the one
+# before, so those past k = 11 are below 2^-56 of the first, and a gap of at
+# most u / (16 (16 + n)) leaves the Taylor terms past k = 8 below that.
+_MOMENT_TERMS, _PAIR_TERMS = 11, 8
+# Unit roundoff, and the roundings of the term magnitudes that bound a sum
+# S_n's error: its polygamma values, their arguments and its additions.
+_U, _SUM_ULPS = 2.0 ** -53, 16.0
+
+
+def _powers(pairs, count: int) -> list:
+    """sum_j c_j x_j^p for p < count over integer pairs (x_j, c_j), exactly."""
+    out = [0] * count
+    for x, c in pairs:
+        for p in range(count):
+            out[p], c = out[p] + c, c * x
+    return out
+
+
+def _ratio(num: int, den: int) -> float:
+    """num / den rounded once; an overflow is a DomainError."""
+    try:
+        return num / den
+    except OverflowError:
+        raise DomainError("an exact moment of the table overflows double "
+                          "precision") from None
 
 
 def _dyadic(groups):
@@ -118,21 +149,36 @@ def _dyadic(groups):
                  for g in groups]
 
 
+def _psi(orders, x):
+    """Values and magnitudes of psi^(o-1)(x), lnG for o = 0, stacked and
+    shaped orders.shape + x.shape, from one ``specfun`` call per function;
+    a magnitude bounds, in roundings, what the value and its argument's
+    rounding err by (lnG and psi have zeros, so add 16 + 1/x)."""
+    o, inv = np.unique(orders, return_inverse=True)
+    flat = np.ravel(x)
+    out = np.zeros((2, o.size, flat.size))
+    for sel, fn in ((o == 0, specfun.log_gamma), (o == 1, specfun.digamma)):
+        if sel.any():
+            out[:, sel] = np.stack([fn(flat), 16.0 + 1.0 / flat])[:, None]
+    if (o > 1).any():
+        out[0, o > 1] = specfun.polygamma(o[o > 1] - 1, flat)
+    out[1] += (o[:, None] + 1.0) * np.abs(out[0])
+    return out[:, inv.reshape(np.shape(orders))].reshape(
+        2, *np.shape(orders), *np.shape(x))
+
+
 @dataclass(frozen=True, repr=False)
 class RatioFamily:
     """A gamma ratio: its kind, the user's parameters and its table.
 
     ``rows`` holds one (integer coefficient, offsets) pair per gamma
-    factor and ``ref`` the offsets of the reference exponent r.  Where an
-    argument offset is a rounded sum, ``exact`` gives every row's offsets
-    again with the summands, so that the kernel exponents stay exact.
+    factor and ``ref`` the offsets of the reference exponent r.
     """
 
     kind: str
     params: tuple
     rows: tuple
     ref: tuple = ()
-    exact: tuple = ()
 
     def __repr__(self):
         args = ", ".join(f"{name}={v!r}" for name, v in self.params)
@@ -162,47 +208,116 @@ class RatioFamily:
         so cancelling factors leave no trace; ``terms`` ascends in X.  The
         integer r is den times the reference exponent, so row j's own
         exponent is d_j = (X_j + r) / den.  Computed once per family: the
-        kernel, the quadrature integrand and the certify gate all read it.
+        kernel, the quadrature integrand, the certify gate and
+        :meth:`psi_sum` all read it.
         """
         den, (ref, *sums) = _dyadic(
-            (self.ref,) + (self.exact or tuple(g for _, g in self.rows)))
+            (self.ref,) + tuple(g for _, g in self.rows))
         merged: dict[int, int] = {}
         for (coef, _), x in zip(self.rows, sums):
             merged[ref - x] = merged.get(ref - x, 0) + int(coef)
         return den, -ref, tuple(sorted((x, c) for x, c in merged.items() if c))
 
     @cached_property
+    def _moments(self):
+        """The exact integer moments mu_p = sum_j c_j (X_m - X_j)^p below the
+        top exponent X_m, p <= _MOMENT_TERMS + 2, built on first use: the
+        kernel's Taylor series and the near field's moment sum read them."""
+        _, _, terms = self.terms
+        return _powers([(terms[-1][0] - x, c) for x, c in terms],
+                       _MOMENT_TERMS + 3)
+
+    @cached_property
+    def _far_z(self):
+        """16 max(1, |d_j|): the large-z series applies from there on, to a
+        table of two terms or more (one term is its own sum)."""
+        den, r, terms = self.terms
+        if len(terms) < 2:
+            return math.inf
+        return 16.0 * max(1.0, _ratio(max(abs(x + r) for x, _ in terms), den))
+
+    @cached_property
     def _series(self):
-        """z -> sum_j c_j lnG(z + d_j) = lead ln z + polyval(coefs, scale / z)
-        at large z if the c_j sum to 0 (DLMF 5.11.8): d_j = D_j / den sums row
-        j's offsets exactly, scale = 2^e >= every |d_j|, and lead = sum_j c_j
-        d_j and each (-1)^(k+1) sum_j c_j B_(k+1)(d_j) / (k (k+1) scale^k)
-        are rounded once from the integer moments mu_p."""
-        den, num = _dyadic(tuple(g for _, g in self.rows))
-        m, mu = den.bit_length() - 1, [0] * len(_BERN)  # sum_j c_j D_j^p
-        for c, x in zip([int(c) for c, _ in self.rows], num):
-            for p in range(len(mu)):
-                mu[p], c = mu[p] + c, c * x
-        e = max(0, max(map(abs, num)).bit_length() - m)
-        coefs = [sum(b * mu[k + 1 - i] << m * i for i, b in _BC[k])
-                 / (30030 * k * (k + 1) << m * (k + 1) + e * k)
-                 for k in range(len(_BERN) - 2, 0, -1)] + [0.0]
-        lead, scale = mu[1] / den, 2.0 ** e
-        return lambda z: lead * np.log(z) + np.polyval(coefs, scale / z)
+        """(lead, scale, coefs) of S_n at large z (DLMF 5.11.8), with the
+        sum of the c_j taken out as (sum_j c_j) psi^(n-1) at the smallest
+        argument.  With x = scale / z the rest is S_0 = lead ln z + x
+        polyval(coefs[1:], x) and S_n = (-1)^n z^-n (x polyval((k)_n
+        coefs[1:], x) - lead (n-1)!): scale = 2^e >= every |d_j|, lead =
+        -sum_j c_j d_j and coefs[13 - k] the z^-k term, k = 13..1, each
+        rounded once from the exact moments; coefs[0] is left out and bounds
+        the truncation."""
+        den, r, terms = self.terms
+        # sum_j c_j D_j^p, D_j = -X_j - r, with D_1 = d given the coefficient
+        # c_1 - sum_j c_j
+        d, m = -terms[-1][0] - r, den.bit_length() - 1
+        mu = _powers([(-x - r, c) for x, c in terms]
+                     + [(d, -sum(c for _, c in terms))], len(_BERN) + 1)
+        e = max(0, max(abs(x + r) for x, _ in terms).bit_length() - m)
+        coefs = [_ratio(sum(b * mu[k + 1 - i] << m * i for i, b in _BC[k]),
+                        30030 * k * (k + 1) << m * (k + 1) + e * k)
+                 for k in range(len(_BERN) - 1, 0, -1)]
+        return _ratio(mu[1], den), 2.0 ** e, np.array(coefs)
+
+    @cached_property
+    def _near(self):
+        """(hi, lo, suffix, width) of S_n below the series, over the
+        ascending arguments z + hi_j + lo_j = z - d_j (no in-domain one
+        rounds onto a pole) and suffix sums S_j = c_j + ... + c_m.  A sum is
+        taken where width (16 + n) <= its argument: width holds 4 times the
+        spread d_1 - d_m for the moments, then 16 g for each exact gap g =
+        d_j - d_(j+1), and inf where no sum is taken."""
+        den, r, terms = self.terms
+        offs = [-x - r for x, _ in reversed(terms)]
+        hi = [_ratio(x, den) for x in offs]
+        lo = [_ratio(x * d - n * den, den * d)
+              for x, (n, d) in zip(offs, map(float.as_integer_ratio, hi))]
+        suffix = list(accumulate(c for _, c in terms))[::-1]
+        pairs = [(s, x1 - x0) for s, x0, x1 in zip(suffix[1:], offs, offs[1:])]
+        # M_1 = sum_j S_j g_j: the pairs cancel where it is far below their
+        # magnitudes, and only there do the moments pay
+        cancel = 16 * abs(sum(s * g for s, g in pairs)) < sum(
+            abs(s) * g for s, g in pairs)
+        width = [4 * _ratio(offs[-1] - offs[0], den) if cancel else math.inf,
+                 *(16 * _ratio(g, den) if s else math.inf for s, g in pairs)]
+        return (np.array(hi), np.array(lo), np.array(suffix, dtype=float),
+                np.array(width))
+
+    @cached_property
+    def _near_terms(self):
+        """(coefs, last, tail) of the near field's sums, built once a z takes
+        one: row 0 of coefs holds M_k / k! for the moments M_k = sum_j c_j
+        (d_1 - d_j)^k, row j g^k / k! for gap j, each rounded once and
+        stopping at the row's last term; tail holds the next two."""
+        den, r, terms = self.terms
+        offs = [-x - r for x, _ in reversed(terms)]
+        facts = [den ** k * math.factorial(k)
+                 for k in range(_MOMENT_TERMS + 3)]
+        coefs = np.array([list(map(_ratio, row, facts)) for row in [
+            self._moments, *(_powers([(x1 - x0, 1)], _PAIR_TERMS + 3)
+                             + [0] * (_MOMENT_TERMS - _PAIR_TERMS)
+                             for x0, x1 in zip(offs, offs[1:]))]])
+        last = np.array([_MOMENT_TERMS] + [_PAIR_TERMS] * (len(offs) - 1))
+        tail = coefs[np.arange(last.size)[:, None], last[:, None] + [1, 2]]
+        coefs[1:, _PAIR_TERMS + 1:] = 0.0
+        return coefs[:, :-2], last, tail
 
     @cached_property
     def _taylor(self):
-        """(x_max, lift, coefs): every |x_j t| <= 1/16 where x_max t <= 1/16,
-        and there 2^lift K(t) = polyval(coefs, t), each 2^lift mu_p / p!
-        rounded once from the exact integer moment mu_p = sum_j c_j x_j^p.
-        lift is _LIFT if every mu_p / p! is below 2^-_LIFT, else 0."""
+        """(spread, lift, coefs): every |(x_j - x_m) t| <= 1/16 where spread
+        t <= 1/16, and there 2^lift A(t) = polyval(coefs, t), each 2^lift
+        mu_p / p! rounded once from the exact integer moment mu_p = sum_j
+        c_j (x_j - x_m)^p about the top exponent x_m.  lift is _LIFT if
+        every mu_p / p! is below 2^-_LIFT, else 0."""
         den, _, terms = self.terms
-        moments = [(sum(c * x ** p for x, c in terms),
-                     den ** p * math.factorial(p))
-                    for p in range(_TAYLOR_TERMS + 1)]
+        if not terms:
+            return 0.0, 0, [0.0]
+        moments = list(zip([(-1) ** p * mu for p, mu in
+                            enumerate(self._moments[:_TAYLOR_TERMS + 1])],
+                           (den ** p * math.factorial(p)
+                            for p in range(_TAYLOR_TERMS + 1))))
         lift = _LIFT if all(abs(mu) << _LIFT < s for mu, s in moments) else 0
-        coefs = [(mu << lift) / s for mu, s in reversed(moments)]
-        return max((abs(x) for x, _ in terms), default=0) / den, lift, coefs
+        coefs = [_ratio(mu << lift, s) for mu, s in reversed(moments)]
+        return (terms[-1][0] - terms[0][0]) / den, lift, coefs
 
     def abel(self, t):
         """2^lift A(t), where A(t) = e^(-x_m t) K(t), x_m is the top exponent
@@ -212,14 +327,15 @@ class RatioFamily:
         sum_j C_j expm1((x_j - x_(j+1)) t) e^((x_(j+1) - x_m) t).  It
         reproduces product forms such as (1 - e^-at)(1 - e^-bt), and each
         nearly equal pair of exponents cancels inside one expm1 of its
-        exact gap.  Where every |x_j t| <= 1/16 the pairs cancel against
-        each other, so there A is e^(-x_m t) times K's Taylor series on
-        the exact moments instead.
+        exact gap.  Where every |(x_j - x_m) t| <= 1/16 the pairs cancel
+        against each other, so there A is its Taylor series on the exact
+        moments about x_m instead.  A depends on the exponent gaps only,
+        not on the reference exponent.
         """
         den, _, terms = self.terms
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
-        x_max, lift, coefs = self._taylor
+        spread, lift, coefs = self._taylor
         top, partial = (terms[-1][0] if terms else 0), 0
         for (x0, c0), (x1, _) in zip(terms, terms[1:]):
             partial += c0
@@ -228,10 +344,9 @@ class RatioFamily:
             else:
                 rise = np.expm1((x0 - x1) / den * t) * (partial * 2.0 ** lift)
             out += rise * np.exp((x1 - top) / den * t)
-        near = x_max * t <= 0.0625
+        near = spread * t <= 0.0625
         if near.any():
-            tn = t[near]
-            out[near] = np.exp(-top / den * tn) * np.polyval(coefs, tn)
+            out[near] = np.polyval(coefs, t[near])
         return out
 
     def kernel(self, t):
@@ -243,6 +358,107 @@ class RatioFamily:
         with np.errstate(over="ignore"):
             out = np.exp(top * t) * np.ldexp(self.abel(t), -self._taylor[1])
         return float(out) if out.ndim == 0 else out
+
+    def psi_sum(self, z, n):
+        """(S, err) stacked: S_n(z) = sum_j c_j psi^(n-1)(z - d_j), psi^(-1)
+        = lnG, over the exact terms, and a bound on its error, at 1-d z and
+        orders n in 0..12, shaped (z, n).  Each (z, n) takes its branch from
+        its own z and n, and every sum runs in a fixed order, so a batch
+        equals its scalar calls bit for bit:
+
+        * far field, z >= 16 max(1, |d_j|) where the term :attr:`_series`
+          leaves out is inside its rounding bound: the series or its
+          term-wise derivative;
+        * moments, where the pairs below cancel and the arguments spread at
+          most u / (4 (16 + n)), u the smallest: sum_k M_k / k! F_(n+k)(u);
+        * Abel pairs elsewhere: S_1 F_n(a_1) + sum_j S_j (F_n(a_j) -
+          F_n(a_(j-1))) over the ascending arguments a_j and suffix sums S_j,
+          a difference being its Taylor sum sum_k g^k / k! F_(n+k)(a_(j-1))
+          in its exact gap g where g <= a_(j-1) / (16 (16 + n)).
+
+        Here F_n = psi^(n-1).  err is _SUM_ULPS roundings of the term
+        magnitudes plus twice the terms a sum leaves out, bounded from the
+        last one kept by |psi^(m+1)(x)| <= (m+1) |psi^(m)(x)| / x.
+        """
+        z, n = np.asarray(z, dtype=float), np.asarray(n)
+        den, r, terms = self.terms
+        out = np.zeros((2, z.size, n.size))
+        if not terms:
+            return out
+        near = np.ones(out.shape[1:], dtype=bool)
+        far = z >= self._far_z
+        if far.any():
+            lead, scale, coefs = self._series
+            zf, total = z[far, None], sum(c for _, c in terms)
+            x, c = scale / zf, coefs * _RISING[n]
+            y = c[:, 1]
+            for k in range(2, c.shape[1]):
+                y = y * x + c[:, k]
+            # trunc, the x^13 term left out; as x <= 1/8, the terms kept are
+            # at most x sum_k |c_k| 8^(1-k)
+            x4 = (x * x) * (x * x)
+            trunc = np.abs(c[:, 0]) * (x4 * x4 * x4 * x)
+            mag = x * (np.abs(c[:, 1:]) * 8.0 ** np.arange(-11, 1)).sum(axis=1)
+            # z^-n by repeated division: a power ufunc's bits may depend on
+            # the length of its array
+            inv = [np.ones_like(zf)]
+            for _ in range(n.max()):
+                inv.append(inv[-1] / zf)
+            inv = np.hstack(inv)[:, n]
+            # d^n ln z / dz^n = (-1)^(n-1) (n-1)! z^-n, (n-1)! = (1)_(n-1)
+            last = lead * np.where(n == 0, np.log(zf), -_RISING[n - 1, -1])
+            near[far] = trunc > _SUM_ULPS * _U * (mag + np.abs(last))
+            out[0, far] = (-1.0) ** n * inv * (y * x + last)
+            out[1, far] = inv * (_U * (_SUM_ULPS * mag + 2.0 * np.abs(last))
+                                 + 2.0 * trunc)
+            if total:
+                hi, lo = self._near[0][0], self._near[1][0]
+                f = _psi(n, (z[far] + hi) + lo).swapaxes(1, 2)
+                out[:, far] += [[[total]], [[_SUM_ULPS * _U * abs(total)]]] * f
+        rows = near.any(axis=1)
+        if rows.any():
+            out[:, rows] = np.where(near[rows], self._near_sum(z[rows], n),
+                                    out[:, rows])
+        return out
+
+    def _near_sum(self, z, n):
+        """:meth:`psi_sum` by moments or Abel pairs, stacked as there; the
+        work runs over (value or magnitude, order, z, table row)."""
+        hi, lo, suffix, width = self._near
+        a = (z[:, None] + hi) + lo
+        # row 0 of coefs expands about a_1, row j about a_(j-1)
+        x = a[:, np.maximum(np.arange(a.shape[1]) - 1, 0)]
+        series = width * (16.0 + n)[:, None, None] <= x
+        # the Taylor and moment sums only where some order takes one
+        need = series.any(axis=0)
+        tay, trunc = np.zeros((2,) + series.shape), np.zeros(series.shape)
+        if need.any():
+            coefs, last, tail = self._near_terms
+            K = last[0] if need[:, 0].any() else _PAIR_TERMS
+            s = _psi(n[:, None] + np.arange(1, K + 1), x[need])
+            row = np.nonzero(need)[1]
+            c, k_last = coefs[row], last[row]
+            tay[:, :, need] = sum(np.stack([c[:, k], np.abs(c[:, k])])[:, None]
+                                  * s[:, :, k - 1] for k in range(1, K + 1))
+            ratio = (n[:, None] + k_last + 1) / x[need]
+            trunc[:, need] = (np.abs(tail[row, 0]) + np.abs(tail[row, 1])
+                              * ratio) * ratio * 2 * np.abs(
+                s[0][:, k_last - 1, np.arange(row.size)])
+        f, w = _psi(n, a), np.stack([suffix, np.abs(suffix)])[:, None, None]
+        acc = base = w[..., 0] * f[..., 0]
+        atrunc = 0.0
+        for j in range(1, a.shape[1]):
+            d = f[..., j] + [[[-1.0]], [[1.0]]] * f[..., j - 1]
+            if need[:, j].any():
+                d = np.where(series[..., j], tay[..., j], d)
+                atrunc = atrunc + abs(suffix[j]) * np.where(
+                    series[..., j], trunc[..., j], 0.0)
+            acc = acc + w[..., j] * d
+        if need[:, 0].any():
+            acc = np.where(series[..., 0], base + tay[..., 0], acc)
+            atrunc = np.where(series[..., 0], trunc[..., 0], atrunc)
+        acc[1] = _SUM_ULPS * _U * acc[1] + atrunc
+        return acc.swapaxes(1, 2)
 
 
 def TwoParam(a, b) -> RatioFamily:
@@ -258,16 +474,11 @@ def TwoParam(a, b) -> RatioFamily:
 def MultiParam(a) -> RatioFamily:
     """f(z) = G(z+1)^(k-1) G(z-A+1) / prod_i G(z-a_i+1), A = sum a_i, z > A-1."""
     a = _clean_params(a, "a")
-    abar = float(sum(a))
-    rows = [(float(len(a) - 1), (1.0,)), (1.0, (-abar, 1.0))]
+    rows = [(float(len(a) - 1), (1.0,)),
+            (1.0, tuple(-ai for ai in a) + (1.0,))]
     rows.extend((-1.0, (-ai, 1.0)) for ai in a)
-    # the G(z-A+1) argument uses the rounded A, its kernel exponent the
-    # exact sum of the entries
-    exact = (rows[0][1], tuple(-ai for ai in a) + (1.0,))
-    exact += tuple(offsets for _, offsets in rows[2:])
     # r = -1 gives K(t) = (k-1) + e^(At) - sum e^(a_i t)
-    return RatioFamily("multi-param", (("a", a),), tuple(rows), ref=(1.0,),
-                       exact=exact)
+    return RatioFamily("multi-param", (("a", a),), tuple(rows), ref=(1.0,))
 
 
 def Majorized(a, b) -> RatioFamily:
@@ -346,23 +557,11 @@ def kernel_value(fam: RatioFamily, t):
 
 
 def log_f(fam: RatioFamily, z):
-    """ln f(z) = sum_j c_j lnG(z + d_j), d_j the exact sum of row j's offsets,
-    z above the bound: :attr:`RatioFamily._series`, free of z ln z terms, where
-    z >= 16 max(1, |d_j|) and the c_j sum to 0, else the ``log_gamma`` sum at
-    (z + hi_j) + lo_j, d_j = hi_j + lo_j, so no argument rounds onto a pole."""
+    """ln f(z) = S_0(z) = sum_j c_j lnG(z - d_j) (:meth:`RatioFamily.psi_sum`),
+    d_j the exact row exponents, for z above the bound."""
     _check_family(fam)
     _check_z(fam, z)
-    flat = np.ravel(np.asarray(z, dtype=float))
-    hi = [math.fsum(g) for _, g in fam.rows]
-    far = flat >= (math.inf if sum(c for c, _ in fam.rows)
-                   else 16.0 * max(1.0, *map(abs, hi)))
-    out = np.empty_like(flat)
-    if not far.all():
-        out[~far] = reduce(operator.add, (
-            coef * specfun.log_gamma((flat[~far] + h) + math.fsum(g + (-h,)))
-            for (coef, g), h in zip(fam.rows, hi)))
-    if far.any():
-        out[far] = fam._series(flat[far])
+    out = fam.psi_sum(np.ravel(np.asarray(z, dtype=float)), [0])[0][:, 0]
     return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
@@ -394,38 +593,17 @@ def _route_result(z, n, shape, value, err, path) -> LogDerivResult:
 
 
 def log_deriv_polygamma(fam: RatioFamily, z, n) -> LogDerivResult:
-    """(-1)^n (ln f)^(n)(z) via the polygamma series route.
-
-    The value is the signed combination sum_j c_j psi^(n-1)(arg_j) times
-    (-1)^n, evaluated with the recurrence-plus-series functions of
-    :mod:`cmgamma.specfun`.  The error estimate is a conservative roundoff
-    model proportional to the sum of term magnitudes, which is what limits
-    accuracy when the combination cancels heavily.
+    """(-1)^n (ln f)^(n)(z) via the polygamma series route: (-1)^n S_n(z)
+    from :meth:`RatioFamily.psi_sum`, whose error bound is the estimate.
 
     z may be an array of points and n an array of orders; the result then
-    holds one value per (z, n) pair, shaped ``np.shape(z) + np.shape(n)``.
-    The route makes one ``digamma`` call, if order 1 is asked for, and one
-    ``polygamma`` call for every higher order at once, each over the
-    arguments of every table row at every z.
+    holds one value per (z, n) pair, shaped ``np.shape(z) + np.shape(n)``,
+    from at most one ``digamma`` and two ``polygamma`` calls.
     """
     zs, orders, shape = _route_grid(fam, z, n)
-    rows = [(coef, arg) for coef, arg in fam.shifted_args(zs) if coef != 0.0]
-    # z-major, so that a pole is reported at the first z that reaches one
-    args = np.stack([arg for _, arg in rows], axis=1).ravel()
-    order = np.array(orders)
-    vals = np.empty((order.size, args.size))
-    if (order == 1).any():
-        vals[order == 1] = specfun.digamma(args)
-    if (order > 1).any():
-        vals[order > 1] = specfun.polygamma(order[order > 1] - 1, args)
-    acc = mag = 0.0
-    for (coef, _), v in zip(rows, vals.reshape(order.size, zs.size,
-                                               len(rows)).T):
-        acc = acc + coef * v
-        mag = mag + np.abs(coef * v)
-    value = np.where(order % 2 == 0, 1.0, -1.0) * acc
-    err = _POLY_EPS * mag
-    return _route_result(z, n, shape, value, err, "polygamma")
+    value, err = fam.psi_sum(zs, orders)
+    sign = np.where(np.array(orders) % 2 == 0, 1.0, -1.0)
+    return _route_result(z, n, shape, sign * value, err, "polygamma")
 
 
 def log_deriv_quadrature(fam: RatioFamily, z, n) -> LogDerivResult:

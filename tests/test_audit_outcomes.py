@@ -1,4 +1,5 @@
-"""One pass of the benchmark's audit workload, graded by its own checker.
+"""One pass of the benchmark's audit and certify workloads, graded by its
+own checker.
 
 Every op of seed 101 runs in-process through ``cmgamma.cli.main``, as the
 benchmark's worker runs it, and ``perfbench/check.py`` grades it against
@@ -22,10 +23,11 @@ import workloads  # noqa: E402
 SEED = 101
 
 
-def test_audit_pass_fails_no_op(tmp_path):
+def _run_pass(workload, tmp_path):
+    """(ops run, failed ops, oracle) of one graded pass of seed 101."""
     orc = oracle.Oracle()
     failed = []
-    for i, op in enumerate(workloads.generate("audit", SEED)):
+    for i, op in enumerate(workloads.generate(workload, SEED)):
         out, err = tmp_path / str(i), io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
@@ -35,6 +37,20 @@ def test_audit_pass_fails_no_op(tmp_path):
                                  check.op_rng(SEED, i))
         if not outcome.ok:
             failed.append((op["argv"], outcome.known, outcome.problem))
-    assert i + 1 == 117
+    return i + 1, failed, orc
+
+
+def test_audit_pass_fails_no_op(tmp_path):
+    ops, failed, orc = _run_pass("audit", tmp_path)
+    assert ops == 117
     assert failed == []
     assert orc.ok >= 0.98 * orc.checked
+
+
+def test_certify_pass_fails_no_op(tmp_path):
+    # both routes' values of every row, polygamma's included, are within
+    # the oracle's 1e-8
+    ops, failed, orc = _run_pass("certify", tmp_path)
+    assert ops == 120
+    assert failed == []
+    assert orc.ok == orc.checked

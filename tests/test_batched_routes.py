@@ -178,6 +178,17 @@ class TestCertifyCallsEachRouteOnce:
         log_deriv_polygamma(fam, 2.0, [3, 5])
         assert calls == ["polygamma"]
 
+    def test_taylor_sums_add_one_polygamma_call(self, monkeypatch):
+        # the gap 1e-13 takes its Taylor sum, whose orders n+1..n+8 come
+        # from one more polygamma call, apart from the orders n - 1 of the
+        # plain values, so that a small argument is never asked for them
+        calls = []
+        real = specfun.polygamma
+        monkeypatch.setattr(specfun, "polygamma", lambda n, x: (
+            calls.append(np.max(n)), real(n, x))[1])
+        log_deriv_polygamma(TwoParam(1.0, 1e-13), [1e-3, 2.0, 30.0], ORDERS)
+        assert sorted(calls) == [11, 19]
+
     def test_unconverged_pairs_only_are_inconclusive(self, monkeypatch):
         # a quadrature batch where one pair did not converge: that row has
         # an infinite error estimate and does not agree; the others do
@@ -199,12 +210,13 @@ class TestCertifyCallsEachRouteOnce:
 
     def test_pole_on_grid_raises_before_any_quadrature(self, monkeypatch):
         # the series route runs first and names the first argument, z-major,
-        # that reaches a pole, as the old per-pair loop did
+        # where a value overflows: z = 1e-200 sits next to the pole at 0 of
+        # G(z - a - b + 1), whose exact argument is z itself
         def refused(*args, **kwargs):
             raise AssertionError("quadrature ran on a grid with a pole")
 
         monkeypatch.setattr(cmc, "log_deriv_quadrature", refused)
-        with pytest.raises(DomainError, match=r"poles at nonpositive reals"
-                                              r"\), got 0\.0$"):
+        with pytest.raises(DomainError, match=r"^polygamma\(1, x\) overflows "
+                           r"double precision at x=1e-200$"):
             certify_log_cm(TwoParam(0.5, 0.5), CertConfig(
-                z_grid=tuple(np.linspace(1e-30, 1.0, 5)), n_max=3))
+                z_grid=(1e-200, 1e-100, 0.5, 1.0), n_max=3))

@@ -377,6 +377,17 @@ class TestCertify:
         assert [r["margin"] for r in fd["rows"]] == [0.0] * 6
         assert "verdict=certified" in out
 
+    def test_overflowing_exact_moment_is_an_error(self, capsys):
+        # gaps of 5e305 give Taylor terms past double precision: an error
+        # line, not a traceback
+        code, out, err = run(capsys, "certify", "--family", "majorized",
+                             "--params", "a=1e306;0,b=5e305;5e305", "--grid",
+                             "1.5e306:1.6e306:3", "--n-max", "2")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: an exact moment of the table overflows "
+                       "double precision\n")
+
     def test_huge_z_warns_nothing(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -401,7 +412,8 @@ class TestCertify:
 
     def test_large_z_roundoff_is_not_a_violation(self, capsys, tmp_path):
         # the finite differences up to z = 1.5e6, below the series'
-        # 16 b, are rounding noise within their budget, not a violation
+        # 16 b, are differences of f - 1 on the exact gaps: their rounding
+        # noise stays below 1e-14 of f, far inside the bare tolerance
         f = tmp_path / "r.json"
         code, out, _ = run(capsys, "certify", "--family", "two-param",
                            "--params", "a=0.001,b=1e5", "--grid",
@@ -410,8 +422,7 @@ class TestCertify:
         payload = json.loads(f.read_text())
         fd = payload["routes"]["finite_diff"]
         assert payload["verdict"] == fd["verdict"] == "certified"
-        assert min(r["margin"] for r in fd["rows"]) < -fd["tol"] * \
-            fd["fd_scale"]
+        assert min(r["margin"] for r in fd["rows"]) > -1e-14 * fd["fd_scale"]
         assert "verdict=certified" in out
 
     def test_majorized_refusal(self, capsys):

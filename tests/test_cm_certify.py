@@ -200,6 +200,18 @@ class TestLogCmRoute:
         assert all(r.agrees for r in report.rows)
         assert report.worst[2] >= -1e-9
 
+    @pytest.mark.parametrize("fam", [TwoParam(1.0, 1e-13),
+                                     MultiParam((1.0, 1e-12))], ids=repr)
+    def test_near_cancelling_family_certified(self, fam):
+        # the tiny entry is a Taylor sum on its exact gap, so both routes
+        # agree on all 2,400 rows from the edge on
+        cfg = CertConfig(z_grid=tuple(domain_lower_bound(fam)
+                                      + np.geomspace(0.05, 30, 200)),
+                         n_max=12)
+        report = certify_log_cm(fam, cfg)
+        assert report.verdict == "certified"
+        assert all(r.agrees for r in report.rows)
+
     def test_dual_path_allowance(self):
         fam, lo, hi = FIXTURES[0]
         report = certify_log_cm(fam, _config(lo, hi))
@@ -314,15 +326,15 @@ class TestFiniteDiffRoute:
         assert back["rows"]["margin"] == report.fd_margins.ravel().tolist()
 
     def test_roundoff_at_large_z_is_not_a_violation(self):
-        # below the series' 16 b each f value is a sum of lnGamma terms
-        # up to 2e7, so only good to about 20 u M ~ 1e-8 of itself: the
-        # margins are roundoff
+        # below the series' 16 b each f value comes from moments and Abel
+        # pairs on the exact gaps, and the margins are differences of
+        # f - 1: their noise is below 1e-14 of f, where the per-row
+        # lnGamma sum left about 1e-8
         fam = TwoParam(0.001, 1e5)
         cfg = CertConfig(z_grid=tuple(np.geomspace(2e5, 1.5e6, 20)))
         report = certify_cm_finite_diff(fam, cfg)
         assert report.verdict == "certified"
-        # below the bare -tol * scale that once called it violated
-        assert report.worst[2] < -cfg.tol * report.fd_scale
+        assert report.worst[2] > -1e-14 * report.fd_scale
 
     @pytest.mark.parametrize("factor, verdict", [(2.0, "violated"),
                                                  (0.5, "certified")])
@@ -333,13 +345,15 @@ class TestFiniteDiffRoute:
         cfg = _config(lo, hi, n_max=1)
         true_log_f = cmc.log_f
         stencil = np.asarray(cfg.z_grid)[:, None] + np.arange(2) * cfg.fd_step
-        f = np.exp(true_log_f(fam, stencil))
-        delta = cmc._f_error_bound(fam, stencil[0]).max() + 2 * cmc._U
-        budget = (cfg.tol + 2.0 * delta) * f.max()
-        rise = f[0, 0] - f[0, 1] + factor * budget
+        g = np.expm1(true_log_f(fam, stencil))
+        delta = cmc._fd_delta(fam, stencil[:1], g[:1])[0] \
+            + 2 * cmc._U * np.abs(g[0]).max()
+        budget = cfg.tol * (1.0 + g.max()) + 2.0 * delta
+        rise = g[0, 0] - g[0, 1] + factor * budget
         monkeypatch.setattr(cmc, "log_f", lambda fam, z: true_log_f(fam, z)
                             + np.where(z == stencil[0, 1],
-                                       math.log1p(rise / f[0, 1]), 0.0))
+                                       math.log1p(rise / (1.0 + g[0, 1])),
+                                       0.0))
         report = certify_cm_finite_diff(fam, cfg)
         assert report.verdict == verdict
         assert report.worst[:2] == (lo, 1)
@@ -347,8 +361,8 @@ class TestFiniteDiffRoute:
 
 
 class TestFiniteDiffErrorBound:
-    """The FD budget's delta bounds the true relative error of every f value
-    the route computes, up to z = 1e6."""
+    """The FD budget's delta bounds the true error of every f - 1 value the
+    route computes, up to z = 1e6."""
 
     @pytest.mark.parametrize("fam,lo,hi", FIXTURES,
                              ids=lambda v: getattr(v, "kind", ""))
@@ -356,22 +370,24 @@ class TestFiniteDiffErrorBound:
         mpmath = pytest.importorskip("mpmath")
         zs = np.concatenate([np.linspace(lo, hi, 40),
                              np.geomspace(hi, 1e6, 60)])
-        got = log_f(fam, zs)
-        bound = cmc._f_error_bound(fam, zs)
+        g = np.expm1(log_f(fam, zs))
+        bound = cmc._fd_delta(fam, zs[:, None], g[:, None])
         with mpmath.workdps(40):
-            for z, g, d in zip(zs.tolist(), got.tolist(), bound.tolist()):
+            for z, v, d in zip(zs.tolist(), g.tolist(), bound.tolist()):
                 true = mpmath.fsum(
                     coef * mpmath.loggamma(mpmath.fsum([z, *offsets]))
                     for coef, offsets in fam.rows)
-                rel = abs(mpmath.expm1(mpmath.mpf(g) - true))
-                assert rel <= d, (z, float(rel), d)
+                err = abs(mpmath.mpf(v) - mpmath.expm1(true))
+                assert err <= d, (z, float(err), d)
 
-    def test_delta_scales_with_the_terms_not_the_sum(self):
-        # at z = 1e6 ln f ~ 3.5e-13 but its terms reach 1.3e7
+    def test_delta_below_1e_14_at_large_z(self):
+        # at z = 1e6 f - 1 ~ 3.5e-13 comes from the large-z series, whose
+        # lnGamma terms cancel exactly; the per-row Stirling model that
+        # delta once followed gave about 1e-7 here
         fam = TwoParam(0.5, 0.7)
-        mag = sum(abs(c * log_gamma(x)) for c, x in fam.shifted_args(1e6))
-        delta = float(cmc._f_error_bound(fam, 1e6))
-        assert 10 * cmc._U * mag <= delta <= 30 * cmc._U * mag
+        z = np.array([[1e6]])
+        delta = cmc._fd_delta(fam, z, np.expm1(log_f(fam, z)))
+        assert 0.0 < delta[0] < 1e-14
 
 
 class TestConfigValidation:

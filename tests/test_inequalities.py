@@ -374,6 +374,19 @@ class TestRowTables:
                 want = ref(self._lg, *params, z)
                 assert abs(g - want) <= 1e-14 * abs(want), (z, g)
 
+    def test_mixed_scales_below_the_threshold(self):
+        # INQ1 with a = 1e3, b = 1e-6 from the edge to 16 (a + b): the gap
+        # b is a Taylor sum, the gap a a plain difference
+        a, b = 1e3, 1e-6
+        zs = np.linspace(a + b - 1.0, 16.0 * (a + b), 41)[1:]
+        res = iq.sweep("INQ1", (a, b), [(z,) for z in zs])
+        assert len(res.margin) == 40
+        with mpmath.workdps(60):
+            for (z,), m in zip(res.points.tolist(), res.margin.tolist()):
+                want = (self._lg(z, 1) + self._lg(z, -a, -b, 1)
+                        - self._lg(z, -a, 1) - self._lg(z, -b, 1))
+                assert abs(m - want) <= 1e-11 * abs(want), z
+
     def test_small_parameter_margin(self):
         # ln f ~ ab / z = 7e-15, where the lnGamma terms reach 1.3e7
         with mpmath.workdps(60):

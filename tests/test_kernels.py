@@ -315,6 +315,19 @@ ORACLE_FAMILIES = [
 ]
 
 
+# the value families: mixed scales, tiny parameters and near cancellation
+VALUE_FAMILIES = [
+    TwoParam(1e3, 1e-6),
+    TwoParam(1e6, 0.5),
+    TwoParam(1e-8, 1e-9),
+    Symmetric(1e-7),
+    TwoParam(1.0, 1e-13),
+    MultiParam((1e-10, 1e-10, 1e-10)),
+    Majorized((7.5, 0.1, 3.0), (4.0, 3.3, 3.3)),
+    TwoParam(0.5, 0.7),
+]
+
+
 def _mp_terms(fam):
     """(c_j, x_j, d_j) of the family's exact kernel terms, in mpmath: K(t)
     = sum_j c_j e^(x_j t) and the route sums c_j psi^(n-1)(z - d_j)."""
@@ -350,6 +363,42 @@ class TestExactTermOracle:
         zs = [domain_lower_bound(fam) + d
               for d in (1.0, 3.0, 10.0, 100.0, 1e3, 1e6, 1e9, 1e12)]
         self._check_quadrature(fam, zs, 1e-12)
+
+    @pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=repr)
+    def test_polygamma_vs_mpmath(self, fam):
+        # every order from the domain edge to z = 1e12, with an error
+        # estimate that covers the true error
+        zs = domain_lower_bound(fam) + np.geomspace(1e-3, 1e12, 16)
+        ns = list(range(1, N_MAX_ORDER + 1))
+        p = log_deriv_polygamma(fam, zs, ns)
+        with mpmath.workdps(60):
+            terms = _mp_terms(fam)
+            for i, z in enumerate(zs):
+                for j, n in enumerate(ns):
+                    ref = (-1) ** n * mpmath.fsum(
+                        c * mpmath.psi(n - 1, mpmath.mpf(z) - d)
+                        for c, _, d in terms)
+                    err = abs(p.signed_value[i, j] - ref)
+                    assert err <= 1e-11 * abs(ref), (z, n)
+                    assert err <= p.err_estimate[i, j], (z, n)
+
+    @pytest.mark.parametrize("fam", VALUE_FAMILIES, ids=repr)
+    def test_log_f_vs_mpmath(self, fam):
+        # n = 0 from the domain edge to past the large-z series threshold,
+        # with an error bound that covers the true error
+        den, r, terms = fam.terms
+        top = max(abs(x + r) for x, _ in terms) / den
+        zs = np.linspace(domain_lower_bound(fam) + 1e-3,
+                         16.0 * max(1.0, top + 2.0), 30)
+        bound = fam.psi_sum(zs, [0])[1][:, 0]
+        with mpmath.workdps(60):
+            terms = _mp_terms(fam)
+            for z, got, b in zip(zs.tolist(), log_f(fam, zs).tolist(),
+                                 bound.tolist()):
+                ref = mpmath.fsum(c * mpmath.loggamma(mpmath.mpf(z) - d)
+                                  for c, _, d in terms)
+                err = abs(got - ref)
+                assert err <= 1e-11 * abs(ref) and err <= b, z
 
     @pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=repr)
     def test_kernel_vs_mpmath(self, fam):
@@ -414,9 +463,20 @@ class TestValidation:
     def test_z_outside_domain(self):
         fam = TwoParam(0.5, 0.7)  # lower bound 0.2
         with pytest.raises(DomainError):
-            log_deriv_polygamma(fam, 0.2, 1)
+            log_deriv_polygamma(fam, 0.1, 1)
         with pytest.raises(DomainError):
             log_f(fam, 0.1)
+
+    def test_overflowing_exact_moment_is_a_domain_error(self):
+        # the kernel's Taylor moments of gaps 5e305, and the Taylor terms of
+        # a gap of one ulp of 1e300, are exact integers past double precision
+        wide = Majorized((1e306, 0.0), (5e305, 5e305))
+        ulp = Majorized((1e300,), (math.nextafter(1e300, 0.0),))
+        for call in (lambda: kernel_value(wide, 1.0),
+                     lambda: log_f(ulp, 1e300 + 1e290)):
+            with pytest.raises(DomainError, match="^an exact moment of the "
+                                                  "table overflows"):
+                call()
 
     def test_family_param_validation(self):
         with pytest.raises(DomainError):

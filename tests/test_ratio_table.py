@@ -3,7 +3,6 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmgamma import specfun
 from cmgamma.cm_certify import _require_certifiable
 from cmgamma.kernels import (MultiParam, Symmetric, TwoParam,
                              domain_lower_bound, log_deriv_polygamma,
@@ -29,22 +28,12 @@ class TestCertifiability:
         _require_certifiable(Symmetric(a))  # the exact gate of certify
 
 
-def _magnitude(fam, z, n):
-    """Sum of |c_j F(w_j)| over the table, F = ln Gamma for n = 0 and
-    psi^(n-1) otherwise: the size of what the signed combination cancels."""
-    def fn(w):
-        if n == 0:
-            return specfun.log_gamma(w)
-        return specfun.digamma(w) if n == 1 else specfun.polygamma(n - 1, w)
-    return sum(abs(c * fn(w)) for c, w in fam.shifted_args(z))
-
-
 class TestTwoEntryMultiParam:
     """MultiParam((a, b)) is the TwoParam(a, b) ratio.
 
-    The tables form z - a - b + 1 and z - A + 1, which round differently,
-    so the two agree to 1e-12 of the magnitudes their signed combinations
-    cancel rather than to 1e-12 of the (possibly tiny) combined value.
+    Both tables hold the rows G(z+1), G(z-a-b+1), 1/G(z-a+1) and
+    1/G(z-b+1), the second summed from the entries, so ``log_f`` and both
+    routes read the same exact terms and agree bit for bit.
     """
 
     @given(st.floats(min_value=0.0, max_value=5.0),
@@ -58,9 +47,7 @@ class TestTwoEntryMultiParam:
         two, multi = TwoParam(a, b), MultiParam((a, b))
         z = domain_lower_bound(two) + offset
         assert domain_lower_bound(multi) == domain_lower_bound(two)
-        assert abs(log_f(multi, z) - log_f(two, z)) <= \
-            1e-12 * _magnitude(two, z, 0)
+        assert log_f(multi, z) == log_f(two, z)
         for route in (log_deriv_polygamma, log_deriv_quadrature):
-            diff = route(multi, z, n).signed_value \
-                - route(two, z, n).signed_value
-            assert abs(diff) <= 1e-12 * _magnitude(two, z, n), route
+            assert route(multi, z, n).signed_value \
+                == route(two, z, n).signed_value, route
