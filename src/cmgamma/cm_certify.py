@@ -254,9 +254,9 @@ def certify_log_cm(fam: RatioFamily, config: CertConfig) -> CertReport:
 
     Every grid pair (z, n) is evaluated by the Laplace quadrature route and
     the polygamma series route, each called once for the whole grid: the
-    quadrature integrates every pair in one lockstep pass on shared nodes,
-    and the series makes one ``digamma`` call and one ``polygamma`` call
-    for the whole grid.  The verdict is
+    quadrature integrates every pair in one vector-valued pass of its
+    fixed rule, and the series makes one ``digamma`` call and one
+    ``polygamma`` call for the whole grid.  The verdict is
     ``certified`` when all values clear ``-tol`` and the routes agree
     within ``max(1e-8 * |polygamma|, 1e-9)``; an agreed value below
     ``-tol`` gives ``violated``; disagreement beyond the allowance, or a

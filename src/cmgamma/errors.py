@@ -8,8 +8,9 @@ driver) can map them to distinct exit codes:
   bound, predicate false for a registered inequality).
 * ``UsageError``: the request itself is malformed (unknown id, bad
   parameter list, incompatible comparison, invalid grid).
-* ``ConvergenceError``: an adaptive computation ran out of refinement
-  levels; the best value found so far travels with the exception.
+* ``ConvergenceError``: the half-line quadrature's 16- and 32-point rules
+  disagree beyond its tolerance; the 32-point value travels with the
+  exception.
 """
 
 from __future__ import annotations
@@ -24,12 +25,14 @@ class UsageError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Adaptive refinement did not reach the requested tolerance.
+    """A quadrature did not reach its tolerance: the two Gauss-Laguerre
+    rules of some component disagree.
 
     Attributes
     ----------
     value : float or ndarray
-        Best estimate of the result at the point of failure.
+        The value computed anyway: the 32-point rule's, plus any closed-form
+        part the caller adds to it.
     err_estimate : float or ndarray
         Estimated error of ``value``.
     evaluations : int

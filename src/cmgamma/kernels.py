@@ -15,10 +15,12 @@ short polygamma combination:
                          = (-1)^n sum_j c_j psi^(n-1)(z - d_j),
     K(t) = sum_j c_j e^((d_j - r) t).
 
-The two routes share the table and its exact gaps, and nothing else: the
-polygamma route reads :mod:`cmgamma.specfun`, the quadrature route the
-Abel sum :meth:`RatioFamily.abel` and elementary functions, which is what
-makes cross-checking them meaningful.  The kernel is described once, by the
+The two routes share the table, its exact gaps and integer moments, and
+the recurrence lnG(x + 1) = lnG(x) + ln x, and nothing else: the polygamma
+route reads :mod:`cmgamma.specfun`; the quadrature route reads the Abel sum
+:meth:`RatioFamily.abel` and the recurrence's closed-form terms, and uses
+only exp, expm1, products and powers, which is what makes cross-checking
+them meaningful.  The kernel is described once, by the
 family's exact term list (:attr:`RatioFamily.terms`): integer exponents
 over a power-of-two denominator, equal exponents merged and zero
 coefficients dropped.  The kernel values, the quadrature integrand, the
@@ -114,6 +116,11 @@ _BC = [[(i, (-1) ** (k + 1) * math.comb(k + 1, i) * b)
 _RISING = np.array([[math.perm(k + n - 1, n) for k in range(13, 0, -1)]
                     for n in range(N_MAX_ORDER + 1)], dtype=float)
 
+# (n)_p = n (n+1) ... (n+p-1) for p = 1..13: the p-th term of the binomial
+# series of (u + delta)^-n in delta / u
+_POCH = np.array([[math.perm(n + p - 1, p) for p in range(1, 14)]
+                  for n in range(N_MAX_ORDER + 1)], dtype=float)
+
 # Terms of the near field's sums.  A spread of at most u / (4 (16 + n))
 # makes each moment term at most (n + k) / (4 (k + 1)(16 + n)) of the one
 # before, so those past k = 11 are below 2^-56 of the first, and a gap of at
@@ -122,6 +129,12 @@ _MOMENT_TERMS, _PAIR_TERMS = 11, 8
 # Unit roundoff, and the roundings of the term magnitudes that bound a sum
 # S_n's error: its polygamma values, their arguments and its additions.
 _U, _SUM_ULPS = 2.0 ** -53, 16.0
+# The smallest argument at which a near-field sum is taken: there the top
+# order it can ask, psi^(m) with m = 12 + _MOMENT_TERMS - 1, is about
+# m! x^-(m+1) <= DBL_MAX / e.  Below it a pair takes its plain difference.
+_SERIES_MIN_X = math.exp(
+    (math.lgamma(N_MAX_ORDER + _MOMENT_TERMS) + 1.0
+     - math.log(np.finfo(float).max)) / (N_MAX_ORDER + _MOMENT_TERMS))
 
 
 def _powers(pairs, count: int) -> list:
@@ -428,7 +441,8 @@ class RatioFamily:
         a = (z[:, None] + hi) + lo
         # row 0 of coefs expands about a_1, row j about a_(j-1)
         x = a[:, np.maximum(np.arange(a.shape[1]) - 1, 0)]
-        series = width * (16.0 + n)[:, None, None] <= x
+        series = (width * (16.0 + n)[:, None, None] <= x) & (
+            x >= _SERIES_MIN_X)
         # the Taylor and moment sums only where some order takes one
         need = series.any(axis=0)
         tay, trunc = np.zeros((2,) + series.shape), np.zeros(series.shape)
@@ -606,38 +620,54 @@ def log_deriv_polygamma(fam: RatioFamily, z, n) -> LogDerivResult:
     return _route_result(z, n, shape, sign * value, err, "polygamma")
 
 
+# Most (z, step) pairs whose recurrence terms are formed at once, and most
+# steps per z, about 0.1 s of work: a family whose exponents spread wider
+# than 2^17 runs the rule below its floor at its lowest z, where both point
+# counts can miss the kernel's fast terms alike.
+_STEP_CHUNK, _MAX_STEPS = 1 << 12, 1 << 18
+
+
 def log_deriv_quadrature(fam: RatioFamily, z, n) -> LogDerivResult:
     """(-1)^n (ln f)^(n)(z) via the Laplace integral route.
 
-    The integrand is e^(-(z - d_m) t) A(t) t^(n-1) / (1 - e^-t), where d_m
-    is the top row exponent of the merged kernel terms and A(t) =
-    e^(-x_m t) K(t) comes from :meth:`RatioFamily.abel`, the evaluator the
-    kernel values use too.  A is built from the exact kernel exponents, not
-    from the rounded arguments z - d_j, so it keeps the cancellation of the
-    kernel's first moments at any z, near t = 0 included, and avoids any
-    overflow at large t; a family whose terms all cancel gives 0.  A tiny
-    kernel stays lifted by 2^lift until the last product.
+    With y = z - d_m, d_m the top exponent of the merged kernel terms (the
+    integrand's own decay rate), and spread = x_m - x_1, a pair first moves
+    up k = max(0, ceil(max(2, 2 spread) - y)) steps, at most 2^18, of
+    lnG(x + 1) = lnG(x) + ln x:
+
+        (-1)^n (ln f)^(n)(z) = (-1)^n (ln f)^(n)(z + k)
+                               + (n-1)! sum_(i<k) sum_j c_j (z - d_j + i)^-n.
+
+    The k terms are closed form (:func:`_shift_sum`).  The integrand
+    e^(-(y + k) t) A(t) t^(n-1) / (1 - e^-t), with A(t) = e^(-x_m t) K(t)
+    from :meth:`RatioFamily.abel`, then takes the integrator's
+    Gauss-Laguerre rule at rate y + k.  Both parts read the table's exact
+    gaps and integer moments, never the rounded arguments z - d_j, and use
+    only exp, expm1, products and powers, never :mod:`cmgamma.specfun`.
+    y is (z + hi) + lo over the two parts of the exact d_m, as in
+    :meth:`RatioFamily.psi_sum`.  A family whose terms all cancel gives 0;
+    a tiny kernel stays lifted by 2^lift until the last product.
 
     z may be an array of points and n an array of orders; the result then
-    holds one value per (z, n) pair, shaped ``np.shape(z) + np.shape(n)``.
-    All pairs are integrated in one vector-valued pass: the pairs with
-    z - bound >= 1 first try the integrator's fixed Gauss-Laguerre rule,
-    on nodes shared by the orders of one z, and the rest refine on shared
-    tanh-sinh nodes.  At each node A is formed once and e^(-(z - d_m) t)
-    A(t) once per z, then multiplied by t^(n-1) / (1 - e^-t) per order.
-    Each pair gets exactly the value and error estimate of its own scalar
-    call.  Non-convergence
-    of any pair propagates as :class:`~cmgamma.errors.ConvergenceError`,
-    with the values, error estimates and ``converged`` flags of every pair.
+    holds one value per (z, n) pair, shaped ``np.shape(z) + np.shape(n)``,
+    from one vector-valued pass: at each z's nodes e^(-(y + k) t) A(t) is
+    formed once, then multiplied by t^(n-1) / (1 - e^-t) per order.  Each
+    pair gets exactly the value and error estimate of its own scalar call.
+    A pair whose two rules disagree raises
+    :class:`~cmgamma.errors.ConvergenceError`, with the values (recurrence
+    terms included), error estimates and ``converged`` flags of every pair.
     """
     zs, orders, shape = _route_grid(fam, z, n)
     n_ord = len(orders)
-    den, r, terms = fam.terms
-    if not terms:  # every factor cancels: f = 1
+    if not fam.terms[2]:  # every factor cancels: f = 1
         return _route_result(z, n, shape, np.zeros((zs.size, n_ord)),
                              np.zeros((zs.size, n_ord)), "quadrature")
-    shift = zs - (terms[-1][0] + r) / den
-    lift = fam._taylor[1]
+    spread, lift, _ = fam._taylor
+    hi, lo = fam._near[0][0], fam._near[1][0]
+    y = (zs + hi) + lo
+    k = np.clip(np.ceil(max(2.0, 2.0 * spread) - y), 0.0, _MAX_STEPS)
+    rate = y + k
+    steps, steps_err = _shift_sum(fam, y, k, orders)
 
     def integrand(nodes):
         t, rows = nodes
@@ -645,28 +675,97 @@ def log_deriv_quadrature(fam: RatioFamily, z, n) -> LogDerivResult:
         # rows ascend, so each z's pairs are adjacent
         new_z = np.diff(zi, prepend=-1) != 0
         first, inv = np.flatnonzero(new_z), np.cumsum(new_z) - 1
-        tz = t if t.ndim == 1 else t[first]
-        base = np.exp(-shift[zi[first], None] * tz) * fam.abel(tz)
+        tz = t[first]
+        base = np.exp(-rate[zi[first], None] * tz) * fam.abel(tz)
         open_orders = np.zeros(n_ord, dtype=bool)
         open_orders[oi] = True
         uo = np.flatnonzero(open_orders)
         oinv = np.cumsum(open_orders)[oi] - 1
-        # t^(n-1) / (1 - e^-t) once per open order; each power takes a
+        # t^(n-1) / (1 - e^-t) once per listed order; each power takes a
         # scalar exponent, as in a scalar call, so the bits agree
         powers = [tz ** (orders[j] - 1) for j in uo.tolist()]
         factor = np.stack(powers, axis=-2) / -np.expm1(-tz)[..., None, :]
-        return np.ldexp(base[inv] * (factor[oinv] if tz.ndim == 1
-                                     else factor[inv, oinv]), -lift)
+        return np.ldexp(base[inv] * factor[inv, oinv], -lift)
 
     try:
-        res = integrate_half_line(integrand,
-                                  np.repeat(zs - fam.lower_bound(), n_ord))
+        res = integrate_half_line(integrand, np.repeat(rate, n_ord))
     except ConvergenceError as exc:
+        exc.value = exc.value + steps.ravel()
+        exc.err_estimate = exc.err_estimate + steps_err.ravel()
         for name in ("value", "err_estimate", "converged"):
             setattr(exc, name, _shaped(getattr(exc, name), shape))
         raise
-    return _route_result(z, n, shape, res.value, res.err_estimate,
-                         "quadrature")
+    return _route_result(z, n, shape, res.value + steps.ravel(),
+                         res.err_estimate + steps_err.ravel(), "quadrature")
+
+
+def _shift_sum(fam, y, k, orders):
+    """(value, err), each shaped (z, n): the recurrence terms (n-1)!
+    sum_(i<k) T_n(y + i) of :func:`log_deriv_quadrature`, T_n(u) = sum_j
+    c_j (u + delta_j)^-n over the offsets delta_j = x_m - x_j, and a bound
+    on their error.  Per argument u and order n:
+
+    * where spread > u / (4 (16 + n)), Abel pairs: T_n(u) = sum_j S_j
+      (b_j^n - b_(j-1)^n) over the reciprocals b_j of the ascending
+      arguments and the suffix sums S_j, each difference -g b_j b_(j-1)
+      sum_(i<n) b_j^i b_(j-1)^(n-1-i) on its exact gap g: a sum of
+      positive terms, linear in g;
+    * elsewhere the binomial series sum_p (-1)^p (n)_p / p! mu_p u^-(n+p)
+      on the exact moments mu_p about x_m, p = 1..12, whose term p = 13,
+      doubled, bounds the rest.
+
+    Each term carries 2^lift, from its gap or its moment, until the end.
+    The terms of each z add into its own sum from i = k - 1 down to 0, so
+    that the small ones add up first and a batch equals its scalar calls
+    bit for bit.  The work runs in chunks of _STEP_CHUNK (z, i) pairs.
+    """
+    den, _, terms = fam.terms
+    spread, lift, _ = fam._taylor
+    suffix = fam._near[2]
+    xs = [x for x, _ in reversed(terms)]
+    delta = np.array([_ratio(xs[0] - x, den) for x in xs])
+    # the pairs whose suffix sum is not 0, and their lifted exact gaps
+    cols = np.flatnonzero(suffix[1:])
+    gap = np.array([_ratio(xs[j] - xs[j + 1] << lift, den) for j in cols])
+    coefs = np.array([_ratio((-1) ** p * mu << lift,
+                             den ** p * math.factorial(p))
+                      for p, mu in enumerate(fam._moments)][1:])
+    facts = np.array([math.factorial(v - 1) for v in orders], dtype=float)
+    sums = np.zeros((3, len(orders), y.size))  # value, magnitude, truncation
+    # pair number q runs over every (z, i), z after z, i descending
+    ends, total = np.cumsum(k.astype(np.int64)), int(k.sum())
+    for s in range(0, total, _STEP_CHUNK):
+        q = np.arange(s, min(s + _STEP_CHUNK, total))
+        own = np.searchsorted(ends, q, side="right")
+        b = 1.0 / ((y[own] + (ends[own] - 1 - q))[:, None] + delta)
+        x, lower, upper = b[:, 0], b[:, cols], b[:, cols + 1]
+        slope = -gap * lower * upper
+        # h = sum_(i<n) upper^i lower^(n-1-i) and pw = x^n, order by order
+        h, low_n, pw = np.zeros_like(lower), np.ones_like(lower), 1.0
+        for p in range(1, max(orders) + 1):
+            h, low_n, pw = upper * h + low_n, low_n * lower, pw * x
+            for jn in [j for j, v in enumerate(orders) if v == p]:
+                val = mag = np.zeros_like(x)
+                for j in range(cols.size):
+                    term = suffix[cols[j] + 1] * (slope[:, j] * h[:, j])
+                    val, mag = val + term, mag + np.abs(term)
+                trunc = np.zeros_like(x)
+                moment = 4.0 * (16 + p) * spread * x <= 1.0
+                if moment.any():
+                    c = coefs * _POCH[p]
+                    poly, pabs = c[-2], abs(c[-2])
+                    for cp in c[-3::-1]:
+                        poly, pabs = poly * x + cp, pabs * x + abs(cp)
+                    x4 = (x * x) * (x * x)
+                    val = np.where(moment, poly * x * pw, val)
+                    mag = np.where(moment, pabs * x * pw, mag)
+                    trunc = np.where(moment, 2.0 * abs(c[-1])
+                                     * (x4 * x4 * x4 * x * pw), 0.0)
+                for row, part in zip(sums[:, jn], (val, mag, trunc)):
+                    np.add.at(row, own, part)
+    value, mag, trunc = sums.swapaxes(1, 2) * facts
+    err = _U * (_SUM_ULPS + np.array(orders) + k[:, None]) * mag + trunc
+    return np.ldexp(value, -lift), np.ldexp(err, -lift)
 
 
 def _validate_order(n) -> None:

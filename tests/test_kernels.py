@@ -1,12 +1,14 @@
 """Ratio families: coefficient tables, kernels, and the two derivative routes."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
 from cmgamma.errors import DomainError, UsageError
+import cmgamma.kernels as kernels
 from cmgamma.kernels import (
     N_MAX_ORDER,
     LogDerivResult,
@@ -315,6 +317,15 @@ ORACLE_FAMILIES = [
 ]
 
 
+# families whose exponents spread wider than the rate near the edge
+SHIFT_FAMILIES = [
+    TwoParam(3.0, 5.0),
+    TwoParam(30.0, 50.0),
+    TwoParam(1e3, 1e-6),
+    Symmetric(4.0),
+]
+
+
 # the value families: mixed scales, tiny parameters and near cancellation
 VALUE_FAMILIES = [
     TwoParam(1e3, 1e-6),
@@ -359,10 +370,56 @@ class TestExactTermOracle:
 
     @pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=repr)
     def test_far_field_vs_mpmath(self, fam):
-        # z - bound >= 1 is where the fixed Gauss-Laguerre rule answers
+        # from z - bound >= 1 on, where few or no recurrence steps run
         zs = [domain_lower_bound(fam) + d
               for d in (1.0, 3.0, 10.0, 100.0, 1e3, 1e6, 1e9, 1e12)]
         self._check_quadrature(fam, zs, 1e-12)
+
+    @pytest.mark.parametrize("fam", SHIFT_FAMILIES, ids=repr)
+    def test_recurrence_steps_vs_mpmath(self, fam):
+        # y = z - d_m from 1e-4 to 1e3, d_m the top merged exponent: below
+        # max(2, 2 spread) the pairs move up by recurrence steps, up to
+        # about 2,000 of them for TwoParam(1e3, 1e-6)
+        den, r, terms = fam.terms
+        zs = (terms[-1][0] + r) / den + np.geomspace(1e-4, 1e3, 15)
+        self._check_quadrature(fam, zs, 1e-12)
+
+    def test_mixed_scales_just_above_the_edge(self):
+        # y = 1.999999, 1,998 recurrence steps, then the rule at rate 2000
+        fam = TwoParam(1e3, 1e-6)
+        q = log_deriv_quadrature(fam, 1001.0, 1)
+        with mpmath.workdps(60):
+            ref = -mpmath.fsum(c * mpmath.psi(0, mpmath.mpf(1001.0) - d)
+                               for c, _, d in _mp_terms(fam))
+        assert abs(q.signed_value - ref) <= 1e-12 * abs(ref)
+        assert abs(q.signed_value - ref) <= q.err_estimate
+
+    def test_recurrence_steps_run_in_bounded_memory(self):
+        # about 600,000 (z, step) pairs, formed a chunk at a time
+        fam = TwoParam(0.001, 1e5)
+        zs = domain_lower_bound(fam) + np.array([1e-3, 0.1, 1.0])
+        tracemalloc.start()
+        try:
+            log_deriv_quadrature(fam, zs, [1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 22
+
+    def test_steps_per_z_are_capped(self, monkeypatch):
+        # y = 0.5 would need about 2e9 recurrence steps; y = 3e9 needs none
+        seen = []
+        real = kernels._shift_sum
+
+        def counted(fam, y, k, orders):
+            seen.append(k.tolist())
+            return real(fam, y, k, orders)
+
+        monkeypatch.setattr(kernels, "_shift_sum", counted)
+        fam = TwoParam(1e9, 0.5)
+        log_deriv_quadrature(fam, domain_lower_bound(fam)
+                             + np.array([0.5, 3e9]), [1])
+        assert seen == [[kernels._MAX_STEPS, 0.0]]
 
     @pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=repr)
     def test_polygamma_vs_mpmath(self, fam):
@@ -381,6 +438,19 @@ class TestExactTermOracle:
                     err = abs(p.signed_value[i, j] - ref)
                     assert err <= 1e-11 * abs(ref), (z, n)
                     assert err <= p.err_estimate[i, j], (z, n)
+
+    def test_taylor_order_that_would_overflow_takes_the_difference(self):
+        # at x = 1e-15 the gap 1e-18 would take its Taylor sum, whose top
+        # order psi^(19) overflows there, though the value is finite
+        fam = TwoParam(1.0, 1e-18)
+        z = domain_lower_bound(fam) + 1e-15
+        p = log_deriv_polygamma(fam, z, 12)
+        with mpmath.workdps(80):
+            ref = mpmath.fsum(c * mpmath.psi(11, mpmath.mpf(z) - d)
+                              for c, _, d in _mp_terms(fam))
+        err = abs(p.signed_value - ref)
+        assert err <= 1e-8 * abs(ref)
+        assert err <= p.err_estimate
 
     @pytest.mark.parametrize("fam", VALUE_FAMILIES, ids=repr)
     def test_log_f_vs_mpmath(self, fam):
@@ -413,7 +483,7 @@ class TestExactTermOracle:
 
     def test_subnormal_parameter_converges(self):
         # K is proportional to b and the value (5.3e-312) is subnormal: the
-        # smallest normal double stops the refinement at a subnormal's bits
+        # smallest normal double lets the rules agree at a subnormal's bits
         fam = TwoParam(1.0, 2.2250738585e-313)
         q = log_deriv_quadrature(fam, 1.0, 4).signed_value
         with mpmath.workdps(400):
