@@ -208,9 +208,26 @@ class RatioFamily:
                      for coef, offsets in self.rows)
 
     def lower_bound(self) -> float:
-        """The largest row exponent: every argument is positive above it."""
-        return max(reduce(operator.sub, offsets, 0.0)
-                   for _, offsets in self.rows)
+        """The largest exact row exponent, rounded down to a float: every
+        argument is positive at any float above it."""
+        return self._exact[3]
+
+    @cached_property
+    def _exact(self):
+        """(den, ref, sums, edge): the offsets of the reference and of each
+        row summed exactly over one den = 2^k, and the domain's edge, the
+        largest row exponent -min(sums) / den, rounded down to a float."""
+        den, (ref, *sums) = _dyadic(
+            (self.ref,) + tuple(g for _, g in self.rows))
+        top = -min(sums)
+        try:
+            edge = top / den
+        except OverflowError:  # the offsets' float sum overflows alike
+            return den, ref, sums, math.inf
+        num, scale = edge.as_integer_ratio()
+        if num * den > top * scale:  # rounded up: take the float below
+            edge = math.nextafter(edge, -math.inf)
+        return den, ref, sums, edge
 
     @cached_property
     def terms(self):
@@ -224,8 +241,7 @@ class RatioFamily:
         kernel, the quadrature integrand, the certify gate and
         :meth:`psi_sum` all read it.
         """
-        den, (ref, *sums) = _dyadic(
-            (self.ref,) + tuple(g for _, g in self.rows))
+        den, ref, sums, _ = self._exact
         merged: dict[int, int] = {}
         for (coef, _), x in zip(self.rows, sums):
             merged[ref - x] = merged.get(ref - x, 0) + int(coef)
@@ -650,18 +666,18 @@ def log_deriv_quadrature(fam: RatioFamily, z, n) -> LogDerivResult:
 
     z may be an array of points and n an array of orders; the result then
     holds one value per (z, n) pair, shaped ``np.shape(z) + np.shape(n)``,
-    from one vector-valued pass: at each z's nodes e^(-(y + k) t) A(t) is
-    formed once, then multiplied by t^(n-1) / (1 - e^-t) per order.  Each
-    pair gets exactly the value and error estimate of its own scalar call.
+    from one vector-valued pass over the (z, n) grid of rates, whose rows
+    are the z: at each z's nodes e^(-(y + k) t) A(t) is formed once, then
+    multiplied by t^(n-1) / (1 - e^-t) per order.  Each pair gets exactly
+    the value and error estimate of its own scalar call.
     A pair whose two rules disagree raises
     :class:`~cmgamma.errors.ConvergenceError`, with the values (recurrence
     terms included), error estimates and ``converged`` flags of every pair.
     """
     zs, orders, shape = _route_grid(fam, z, n)
-    n_ord = len(orders)
     if not fam.terms[2]:  # every factor cancels: f = 1
-        return _route_result(z, n, shape, np.zeros((zs.size, n_ord)),
-                             np.zeros((zs.size, n_ord)), "quadrature")
+        value, err = np.zeros((2, zs.size, len(orders)))
+        return _route_result(z, n, shape, value, err, "quadrature")
     spread, lift, _ = fam._taylor
     hi, lo = fam._near[0][0], fam._near[1][0]
     y = (zs + hi) + lo
@@ -671,32 +687,24 @@ def log_deriv_quadrature(fam: RatioFamily, z, n) -> LogDerivResult:
 
     def integrand(nodes):
         t, rows = nodes
-        zi, oi = np.divmod(rows, n_ord)
-        # rows ascend, so each z's pairs are adjacent
-        new_z = np.diff(zi, prepend=-1) != 0
-        first, inv = np.flatnonzero(new_z), np.cumsum(new_z) - 1
-        tz = t[first]
-        base = np.exp(-rate[zi[first], None] * tz) * fam.abel(tz)
-        open_orders = np.zeros(n_ord, dtype=bool)
-        open_orders[oi] = True
-        uo = np.flatnonzero(open_orders)
-        oinv = np.cumsum(open_orders)[oi] - 1
-        # t^(n-1) / (1 - e^-t) once per listed order; each power takes a
-        # scalar exponent, as in a scalar call, so the bits agree
-        powers = [tz ** (orders[j] - 1) for j in uo.tolist()]
-        factor = np.stack(powers, axis=-2) / -np.expm1(-tz)[..., None, :]
-        return np.ldexp(base[inv] * factor[inv, oinv], -lift)
+        tz = t[:, 0]  # a z's orders share its rate, so its nodes
+        base = np.exp(-rate[rows, None] * tz) * fam.abel(tz)
+        # t^(n-1) / (1 - e^-t) once per order; each power takes a scalar
+        # exponent, as in a scalar call, so the bits agree
+        factor = np.stack([tz ** (v - 1) for v in orders], axis=-2)
+        factor = factor / -np.expm1(-tz)[..., None, :]
+        return np.ldexp(base[:, None] * factor, -lift)
 
+    grid = np.broadcast_to(rate[:, None], (zs.size, len(orders)))
     try:
-        res = integrate_half_line(integrand, np.repeat(rate, n_ord))
+        res = integrate_half_line(integrand, grid)
     except ConvergenceError as exc:
-        exc.value = exc.value + steps.ravel()
-        exc.err_estimate = exc.err_estimate + steps_err.ravel()
-        for name in ("value", "err_estimate", "converged"):
-            setattr(exc, name, _shaped(getattr(exc, name), shape))
+        exc.value = _shaped(exc.value + steps, shape)
+        exc.err_estimate = _shaped(exc.err_estimate + steps_err, shape)
+        exc.converged = _shaped(exc.converged, shape)
         raise
-    return _route_result(z, n, shape, res.value + steps.ravel(),
-                         res.err_estimate + steps_err.ravel(), "quadrature")
+    return _route_result(z, n, shape, res.value + steps,
+                         res.err_estimate + steps_err, "quadrature")
 
 
 def _shift_sum(fam, y, k, orders):

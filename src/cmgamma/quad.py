@@ -6,20 +6,25 @@ decay rate.  It has one rule: Gauss-Laguerre in s = r t, whose nodes and
 weights come from ``np.polynomial.laguerre.laggauss`` (Golub and Welsch
 1969).  The 16-point and the 32-point rules run on their own nodes, 48 in
 all whatever r is, and each component reports the 32-point value, with
-error max(|Q_16 - Q_32|, eps |Q_32|).  A component whose error is above a
-relative 1e-10, or above the smallest normal double, below which a value
-has no relative precision, has not converged; there is no other rule to
-try.  The rule never samples t = 0.
+error max(|Q_16 - Q_32|, eps |Q_32|) + D |Q_32|.  D is the 32-point rule's
+own moment defect, max over k < 32 of |sum w s^k / k! - 1|, about 3.7e-14:
+``laggauss`` normalises its weights by their sum, so the rule misses even
+the polynomials that it should integrate exactly.  A component whose error
+is above a relative 1e-10, or above the smallest normal double, below
+which a value has no relative precision, has not converged; there is no
+other rule to try.  The rule never samples t = 0.
 
-An integrand may be vector valued: k components, each with its own decay
-rate, evaluated on one row of nodes each.  Each component gets exactly the
-value and error estimate that it would get alone.  A scalar integrand is a
-batch of one.  Integrands must accept numpy arrays.
+An integrand may be vector valued: one component per entry of an array of
+decay rates of any shape, each evaluated on its own row of nodes.  Calls
+split the array only between rows of its first axis.  Each component gets
+exactly the value and error estimate that it would get alone.  Integrands
+must accept numpy arrays.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,8 +45,9 @@ _TINY = float(np.finfo(float).tiny)
 # Point counts of the Gauss-Laguerre rules.
 _GL_POINTS = (16, 32)
 
-# Most integrand values requested in one call: a call for more components
-# is split by component, so each call's memory stays bounded.
+# Most integrand values requested in one call: a rate array asking for
+# more is split between rows of its first axis, so each call's memory stays
+# bounded unless one row alone holds more.
 _MAX_VALUES = 1 << 16
 
 
@@ -49,9 +55,9 @@ _MAX_VALUES = 1 << 16
 class QuadResult:
     """Value, error estimate, and evaluation count of one integration.
 
-    For a vector integrand ``value`` and ``err_estimate`` are arrays with
-    one entry per component, and ``evaluations`` counts the nodes of one
-    component.
+    For a vector integrand ``value`` and ``err_estimate`` are arrays shaped
+    as the rates, one entry per component, and ``evaluations`` counts the
+    nodes of one component.
     """
 
     value: float | np.ndarray
@@ -61,10 +67,12 @@ class QuadResult:
 
 @functools.cache
 def _gl_rule():
-    """(nodes, weights) of the rule, read-only: the Gauss-Laguerre nodes s
-    of every point count in _GL_POINTS, concatenated, and one row of
+    """(nodes, weights, defect) of the rule, read-only: the Gauss-Laguerre
+    nodes s of every point count in _GL_POINTS, concatenated; one row of
     weights per count, w e^s at its own nodes and 0 elsewhere, so that row
-    i against the values of the integrand itself gives its rule."""
+    i against the values of the integrand itself gives its rule; and the
+    last rule's moment defect max_(k<m) |sum w s^k / k! - 1|, each moment
+    summed exactly."""
     rules = [np.polynomial.laguerre.laggauss(m) for m in _GL_POINTS]
     nodes = np.concatenate([s for s, _ in rules])
     weights = np.zeros((len(rules), nodes.size))
@@ -73,7 +81,10 @@ def _gl_rule():
         row[start:start + s.size] = w * np.exp(s)
         start += s.size
     nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    s, w = rules[-1]
+    defect = max(abs(math.fsum(w * s ** k) / math.factorial(k) - 1.0)
+                 for k in range(s.size))
+    return nodes, weights, defect
 
 
 def _require_finite(vals, t) -> None:
@@ -100,13 +111,14 @@ def integrate_half_line(f: Callable, decay_rate) -> QuadResult:
         Vectorized integrand; must be finite on (0, inf) including the
         limit t -> 0+.  It is never evaluated at t = 0.  For a scalar
         ``decay_rate``, ``f(t)`` maps a 1-d array of nodes to values.  For
-        an array of k rates the integrand has k components and is called
-        as ``f((t, rows))``: ``rows`` lists components in ascending order,
-        and t is a 2-d array with one row of nodes per listed component.
-        It returns one row of values per listed component.  A call lists
-        every component, unless that would ask for more than 2^16 values:
-        then the components are split over several calls.
-    decay_rate : float or 1-d array
+        a rate array of shape S, each entry is one component and the
+        integrand is called as ``f((t, rows))``: ``rows`` is a run of
+        consecutive indices of the first axis, and t, of shape
+        ``(len(rows),) + S[1:] + (48,)``, holds each listed component's
+        nodes on its last axis.  It returns values of t's shape.  A call
+        lists every row, unless that would ask for more than 2^16 values:
+        then the rows are split over several calls, one row at least each.
+    decay_rate : float or array
         Positive rate r, one per component: the integrand's own rate,
         ``f(t) = e^(-r t) g(t)`` with g smooth on the scale of 1/r.  It
         scales the rule's nodes, so a rate far below the true one leaves
@@ -116,8 +128,8 @@ def integrate_half_line(f: Callable, decay_rate) -> QuadResult:
     Returns
     -------
     QuadResult
-        value and err_estimate (floats, or arrays with one entry per
-        component), and the number of nodes per component, 48.
+        value and err_estimate (floats, or arrays shaped as the rates), and
+        the number of nodes per component, 48.
 
     Raises
     ------
@@ -126,42 +138,39 @@ def integrate_half_line(f: Callable, decay_rate) -> QuadResult:
     ConvergenceError
         If the two rules of some component disagree beyond the tolerance.
         The exception carries the 32-point values, error estimates and a
-        ``converged`` flag, per component for a vector integrand; the
-        components that converged keep their exact results.
+        ``converged`` flag, shaped as the rates; the components that
+        converged keep their exact results.
     DomainError
         If the integrand returns a non-finite value at a node.
     """
     lam = np.asarray(decay_rate, dtype=float)
-    vector = lam.ndim == 1
-    if lam.ndim > 1 or not lam.size or not (
-            np.all(np.isfinite(lam)) and np.all(lam > 0.0)):
+    if not lam.size or not (np.all(np.isfinite(lam)) and np.all(lam > 0.0)):
         raise UsageError(
             f"decay_rate must be positive and finite, got {decay_rate!r}")
-    lam = np.atleast_1d(lam)
-    k = lam.size
-    nodes, weights = _gl_rule()
+    nodes, weights, defect = _gl_rule()
+    grid = np.atleast_1d(lam)
+    step = max(1, _MAX_VALUES // (nodes.size * (grid.size // len(grid))))
     quads = []
-    step = max(1, _MAX_VALUES // nodes.size)
-    for start in range(0, k, step):
-        t = nodes / lam[start:start + step, None]
-        if vector:
-            vals = f((t, np.arange(start, start + t.shape[0])))
-        else:
-            vals = np.reshape(f(t[0]), (1, -1))
-        vals = np.asarray(vals, dtype=float)
-        _require_finite(vals, t)
+    for start in range(0, len(grid), step):
+        t = nodes / grid[start:start + step, ..., None]
+        vals = (f((t, np.arange(start, start + len(t)))) if lam.ndim
+                else f(t[0]))
+        vals = np.reshape(np.asarray(vals, dtype=float), (-1, nodes.size))
+        _require_finite(vals, t.reshape(vals.shape))
         # one dot product per component, so a component's sums do not
         # depend on the batch around it
         quads.extend(np.dot(weights, row) for row in vals)
-    quads = np.array(quads) / lam[:, None]
+    quads = np.array(quads) / grid.reshape(-1, 1)
     value = quads[:, -1]
-    err = np.maximum(np.abs(quads[:, 0] - value), _EPS * np.abs(value))
+    err = (np.maximum(np.abs(quads[:, 0] - value), _EPS * np.abs(value))
+           + defect * np.abs(value))
     ok = err <= np.maximum(_REL_TOL * np.abs(value), _TINY)
 
     def shaped(arr):
-        return arr if vector else arr[0].item()
+        return arr.reshape(lam.shape) if lam.ndim else arr[0].item()
 
     if not ok.all():
+        k = lam.size
         what = (f"(32-point value {float(value[0])!r}, err estimate "
                 f"{float(err[0])!r})" if k == 1
                 else f"for {k - int(ok.sum())} of {k} components")

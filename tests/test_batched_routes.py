@@ -158,7 +158,8 @@ class TestCertifyCallsEachRouteOnce:
         report = certify_log_cm(fam, CertConfig(
             z_grid=(domain_lower_bound(fam) + 0.05, 10.0, 1e3), n_max=12))
         assert report.verdict == "certified"
-        assert len(calls) == 1
+        # the (z, n) grid whole: 3 z rows of 12 orders, 48 nodes each
+        assert calls == [(3, 12, 48)]
 
     def test_series_route_one_specfun_call_per_function(self, monkeypatch):
         calls = []

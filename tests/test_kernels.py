@@ -2,11 +2,13 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+from cmgamma.cm_certify import CertConfig, certify_log_cm
 from cmgamma.errors import DomainError, UsageError
 import cmgamma.kernels as kernels
 from cmgamma.kernels import (
@@ -394,6 +396,18 @@ class TestExactTermOracle:
         assert abs(q.signed_value - ref) <= 1e-12 * abs(ref)
         assert abs(q.signed_value - ref) <= q.err_estimate
 
+    def test_estimate_covers_the_rules_weight_error(self):
+        # the 32-point weights miss their moments by about 3.7e-14, which
+        # here is more than |Q_16 - Q_32|: a true error of 4.0e-14 against
+        # an estimate of 4.2e-15 without the weight term
+        fam, z, n = TwoParam(0.5, 0.7), 3.9275937203149383, 11
+        q = log_deriv_quadrature(fam, z, n)
+        with mpmath.workdps(60):
+            ref = (-1) ** n * mpmath.fsum(
+                c * mpmath.psi(n - 1, mpmath.mpf(z) - d)
+                for c, _, d in _mp_terms(fam))
+        assert abs(q.signed_value - ref) <= q.err_estimate
+
     def test_recurrence_steps_run_in_bounded_memory(self):
         # about 600,000 (z, step) pairs, formed a chunk at a time
         fam = TwoParam(0.001, 1e5)
@@ -568,3 +582,19 @@ class TestValidation:
             pytest.approx(5.0)
         assert domain_lower_bound(Majorized((3.0, 1.0), (2.0, 2.0))) == 3.0
         assert domain_lower_bound(Symmetric(0.5)) == 0.5
+
+    # the float sums of the row offsets miss the exact edge by an ulp: above
+    # it for the last family, on it for the first two
+    @pytest.mark.parametrize("fam", [
+        TwoParam(0.1556076294631497, 1.2105164495355636),
+        MultiParam((0.9881262665225382, 0.9663079180335714)),
+        MultiParam((0.3703977912619103, 0.6654455830074921,
+                    0.3049868589359232, 0.09175533375487191))], ids=repr)
+    def test_bound_is_the_exact_edge_rounded_down(self, fam):
+        bound = domain_lower_bound(fam)
+        z = math.nextafter(bound, math.inf)
+        edge = max(-sum(map(Fraction, offsets)) for _, offsets in fam.rows)
+        assert Fraction(bound) <= edge < Fraction(z)
+        assert math.isfinite(log_f(fam, z))
+        report = certify_log_cm(fam, CertConfig(z_grid=(z,)))
+        assert report.verdict == "certified"

@@ -202,9 +202,77 @@ class TestVectorIntegrand:
 
     def test_rates_validated(self):
         f = _stacked(self.FS[:2])
-        for rates in ([1.0, 0.0], [1.0, math.inf], [[1.0, 1.0]], []):
+        for rates in ([1.0, 0.0], [1.0, math.inf], []):
             with pytest.raises(UsageError):
                 integrate_half_line(f, np.array(rates))
+
+    def test_rate_grid_components_equal_scalar_calls(self):
+        # a (k, p) grid of rates: component (i, j) is FS[(i + j) % 5] at
+        # its own rate, and gets its scalar call's bits
+        picks = [[(i + j) % len(self.FS) for j in range(3)] for i in range(2)]
+        rates = np.array(self.RATES)[picks]
+        calls = []
+
+        def f(nodes):
+            t, rows = nodes
+            calls.append((t.shape, rows.tolist()))
+            return np.array([[self.FS[picks[r][j]](t[i, j]) for j in range(3)]
+                             for i, r in enumerate(rows.tolist())])
+
+        res = integrate_half_line(f, rates)
+        assert calls == [((2, 3, 48), [0, 1])]
+        assert res.value.shape == res.err_estimate.shape == (2, 3)
+        assert res.evaluations == 48
+        for i in range(2):
+            for j in range(3):
+                value, err, ok, _ = _scalar_parts(self.FS[picks[i][j]],
+                                                  rates[i, j])
+                assert ok
+                assert (res.value[i, j], res.err_estimate[i, j]) == (value,
+                                                                     err)
+
+    def test_rate_grid_failure_fields_take_its_shape(self):
+        bad = lambda t: np.exp(-t) * (1.0 + 0.5 * np.sin(1e4 * t))  # noqa: E731
+
+        def f(nodes):
+            t, rows = nodes
+            out = np.exp(-t)
+            out[:, 1] = bad(t[:, 1])
+            return out
+
+        with pytest.raises(ConvergenceError) as exc_info:
+            integrate_half_line(f, np.ones((3, 2)))
+        exc = exc_info.value
+        assert exc.value.shape == exc.err_estimate.shape == (3, 2)
+        assert exc.converged.tolist() == [[True, False]] * 3
+        assert "3 of 6 components" in str(exc)
+
+    @pytest.mark.parametrize("max_values", [100, 300, 1 << 16])
+    def test_rate_grid_splits_only_between_rows(self, max_values,
+                                                monkeypatch):
+        # a row holds 3 x 48 = 144 values: below 2^16 values a call takes
+        # whole rows, and one row alone when it alone holds more
+        rates = np.array([[1.0, 3.0, 0.05]] * 5) * np.arange(1, 6)[:, None]
+        calls = []
+
+        def f(nodes):
+            t, rows = nodes
+            calls.append((t.shape, rows.tolist()))
+            return np.exp(-rates[rows, :, None] * t)
+
+        whole = integrate_half_line(f, rates)
+        monkeypatch.setattr(quad_mod, "_MAX_VALUES", max_values)
+        calls.clear()
+
+        res = integrate_half_line(f, rates)
+        per_call = max(1, max_values // 144)
+        assert [rows for _, rows in calls] == [
+            list(range(s, min(s + per_call, 5))) for s in range(0, 5, per_call)]
+        assert all(shape == (len(rows), 3, 48) for shape, rows in calls)
+        assert all(np.prod(shape) <= max_values or shape[0] == 1
+                   for shape, _ in calls)
+        assert np.array_equal(res.value, whole.value)
+        assert np.array_equal(res.err_estimate, whole.err_estimate)
 
     def test_non_finite_component_rejected(self):
         node = float(quad_mod._gl_rule()[0][0])

@@ -40,6 +40,11 @@ def test_a_one_character_change_in_a_writer_is_caught(tmp_path, capsys):
     assert lines[0].endswith(" differ in sha256")
     assert lines[-1].startswith("audit seeds [1]: 117 ops, ")
     assert lines[-1] != "audit seeds [1]: 117 ops, 0 differ"
+    # the CSV reports differ in the grid points alone, counted by column
+    ops = [line for line in lines if line.startswith("audit seed 1: op ")]
+    columns = lines[len(ops):-1]
+    assert len(columns) == 1 and columns[0].startswith("csv:point: ")
+    assert int(columns[0].split(": ")[1]) > 0
 
 
 def test_differing_json_values_are_counted_by_path(tmp_path, capsys):
@@ -70,3 +75,14 @@ def test_json_differences_by_path():
     same_outputs.json_differences(a, b, counts)
     assert counts == {"rows[].p": 1, "rows[].q": 1, "w": 1, "t": 1,
                       "extra": 1}
+
+
+def test_csv_differences_by_column():
+    a = "x,y,z\n1,2,3\n4,5,6\n"
+    counts = collections.Counter()
+    same_outputs.csv_differences(a, "x,y,z\n1,2,0\n4,0,0\n", counts)
+    assert counts == {"csv:y": 1, "csv:z": 2}
+    counts.clear()
+    for b in ("x,y\n1,2\n4,5\n", "x,y,z\n1,2,3\n", "x,y,z\n1,2\n4,5,6\n"):
+        same_outputs.csv_differences(a, b, counts)
+    assert counts == {"csv": 3}

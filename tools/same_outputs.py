@@ -12,11 +12,12 @@ read-only from this repository.  Run from anywhere::
 
 Every op whose exit code, standard output, standard error or report
 sha256 differ is listed; the exit status is 1 if any differ, else 0.
-Where both reports of an op are JSON and their hashes differ, the values
-that differ are then counted by JSON path over all such ops, list items
-sharing their list's path plus ``[]``: ``routes.log_cm.rows[].quadrature:
-463`` counts 463 differing values.  The workloads are those
-``BENCHMARK.json`` declares.
+Where the two reports of an op differ in their hashes, the values that
+differ are then counted over all such ops.  In JSON reports they count by
+JSON path, list items sharing their list's path plus ``[]``:
+``routes.log_cm.rows[].quadrature: 463`` counts 463 differing values.  In
+CSV reports they count by column header: ``csv:margin: 12`` counts 12
+differing cells.  The workloads are those ``BENCHMARK.json`` declares.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -41,28 +43,25 @@ import run as bench_run  # noqa: E402
 
 
 def _sha256(path, keep):
-    """sha256 of a report file (None when there is none); a JSON report is
-    renamed to ``keep``, any other removed."""
+    """sha256 of a report file (None when there is none), renamed to
+    ``keep``."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
         return None
-    if data.startswith(b"{"):
-        os.replace(path, keep)
-    else:
-        os.remove(path)
+    os.replace(path, keep)
     return hashlib.sha256(data).hexdigest()
 
 
 def _report_name(seed, i):
-    return f"report-{seed}-{i}.json"
+    return f"report-{seed}-{i}"
 
 
 def run_ops(workload, seeds) -> dict:
     """Run the ops of every seed in this interpreter, in order, from the
-    current directory, where the JSON reports stay; seed -> one dict of
-    argv and outputs per op."""
+    current directory, where the reports stay; seed -> one dict of argv
+    and outputs per op."""
     import workloads
     from cmgamma.cli import main
 
@@ -141,20 +140,43 @@ def json_differences(a, b, counts, path="") -> None:
         counts[path] += 1
 
 
+def csv_differences(a, b, counts) -> None:
+    """Add to ``counts["csv:NAME"]`` one per cell of CSV text a that
+    differs from b, NAME its column's header; differing headers, row counts
+    or row lengths count once at ``csv``."""
+    rows_a, rows_b = (list(csv.reader(io.StringIO(t))) for t in (a, b))
+    if rows_a[:1] != rows_b[:1] or len(rows_a) != len(rows_b):
+        counts["csv"] += 1
+        return
+    for x, y in zip(rows_a[1:], rows_b[1:]):
+        if len(x) != len(y):
+            counts["csv"] += 1
+            continue
+        for name, u, v in zip(rows_a[0], x, y):
+            if u != v:
+                counts[f"csv:{name}"] += 1
+
+
 def report_differences(dirs, diffs) -> collections.Counter:
-    """Differing values by JSON path, over the ops whose reports are JSON
-    in both runs and differ in sha256; dirs holds each run's reports."""
+    """Differing values by JSON path or CSV column, over the ops whose
+    reports are both JSON or both CSV and differ in sha256; dirs holds
+    each run's reports."""
     counts = collections.Counter()
     for seed, i, _, fields in diffs:
         if i is None or "sha256" not in fields:
             continue
         paths = [os.path.join(d, _report_name(seed, i)) for d in dirs]
-        if all(map(os.path.isfile, paths)):
-            docs = []
-            for path in paths:
-                with open(path, encoding="utf-8") as fh:
-                    docs.append(json.load(fh))
-            json_differences(*docs, counts)
+        if not all(map(os.path.isfile, paths)):
+            continue
+        texts = []
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                texts.append(fh.read())
+        kinds = {text.startswith("{") for text in texts}
+        if kinds == {True}:
+            json_differences(*map(json.loads, texts), counts)
+        elif kinds == {False}:
+            csv_differences(*texts, counts)
     return counts
 
 
