@@ -14,7 +14,9 @@ error; 2 a violation was found; 3 certification inconclusive.
 
 Output is deterministic: identical configuration (including seed) yields
 byte-identical files.  Floats are serialized with 17 significant digits,
-which round-trips doubles exactly.  The sampling seed resolves as
+which round-trips doubles exactly.  A report's row template is filled
+4,096 rows at a time and each chunk is written as it is made, so its
+memory does not grow with the row count.  The sampling seed resolves as
 ``--seed`` flag, then config file, then the ``CMGAMMA_SEED`` environment
 variable, then 42.
 """
@@ -377,12 +379,14 @@ def _check_kept(results, cases, params, pts):
                 f"{point!r} fails: {violation} (params={list(params)!r})")
 
 
-def _emit(text: str, out_path):
+def _emit(chunks, out_path):
+    """Write a report's text chunks, each as it is made, to the file or to
+    stdout."""
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _summary(line: str, out_path):
@@ -408,10 +412,11 @@ def _exp_sides(logs, ids, points) -> np.ndarray:
 
 
 # -- report writers -----------------------------------------------------------
-# A list of rows is one row template filled once per row, every row in one
-# ``%`` call, so no per-row object is built.  Each value gets the text the
-# per-row writers gave it: ``%.17g`` is _fmt's format, and ``%s`` of a
-# float is its repr, which json.dumps writes for every finite float.
+# A list of rows is one row template filled once per row, ``iq._CHUNK`` rows
+# in one ``%`` call, so no per-row object is built and the writers yield the
+# report a chunk at a time.  Each value gets the text the per-row writers
+# gave it: ``%.17g`` is _fmt's format, and ``%s`` of a float is its repr,
+# which json.dumps writes for every finite float.
 
 def _fill(row, cols) -> str:
     """``row`` once per entry of the columns, filled with one value of
@@ -420,13 +425,20 @@ def _fill(row, cols) -> str:
         itertools.chain.from_iterable(zip(*cols)))
 
 
-def _csv(header, fixed, points, cols, last) -> str:
-    """A CSV report: ``header``, then per point ``fixed``, the point's
-    coordinates joined by ';', one value of each of ``cols`` and one of
-    ``last``, the floats as ``%.17g``."""
+def _csv(header, fixed, points, cols, last):
+    """A CSV report, a chunk at a time: ``header``, then per point
+    ``fixed``, the point's coordinates joined by ';', one value of each of
+    the float arrays ``cols`` and one of ``last``, the floats as ``%.17g``
+    and the truths of ``last`` as ``true``/``false``."""
     row = (fixed.replace("%", "%%") + ";".join(["%.17g"] * points.shape[1])
            + ",%.17g" * len(cols) + ",%s\n")
-    return header + "\n" + _fill(row, points.T.tolist() + cols + [last])
+    yield header + "\n"
+    cols = [*points.T, *cols]
+    for lo in range(0, len(points), iq._CHUNK):
+        part = slice(lo, lo + iq._CHUNK)
+        yield _fill(row, [c[part].tolist() for c in cols] + [
+            _json_values(last[part]) if last.dtype == bool
+            else last[part].tolist()])
 
 
 def _json_values(col) -> list:
@@ -460,29 +472,36 @@ class _Rows:
 _MARK = re.compile(r'"@(\d+)@"')
 
 
-def _json_text(payload) -> str:
-    """``json.dumps(payload, indent=2, allow_nan=True)`` and a newline,
-    where each :class:`_Rows` in the payload stands for its list.  The
-    payload is rendered with a mark in place of each list, and one row of
-    a list with a mark where each value of a column goes."""
+def _json_text(payload):
+    """``json.dumps(payload, indent=2, allow_nan=True)`` and a newline, a
+    chunk at a time, where each :class:`_Rows` in the payload stands for
+    its list.  The payload is rendered with a mark in place of each list,
+    and one row of a list with a mark where each value of a column goes."""
     lists = []
 
     def hold(rows):
         lists.append(rows)
         return f"@rows{len(lists) - 1}@"
 
-    text = json.dumps(payload, indent=2, allow_nan=True, default=hold) + "\n"
+    tail = json.dumps(payload, indent=2, allow_nan=True, default=hold) + "\n"
     for k, rows in enumerate(lists):
-        head, tail = text.split(f'"@rows{k}@"')
+        head, tail = tail.split(f'"@rows{k}@"')
         line = head[head.rfind("\n") + 1:]
         pad = "\n" + line[:len(line) - len(line.lstrip())] + "  "
         parts = _MARK.split(json.dumps(rows.template, indent=2)
                             .replace("\n", pad))
         row = "%s".join(p.replace("%", "%%") for p in parts[::2]) + "," + pad
-        body = _fill(row, [_json_values(rows.cols[int(i)])
-                           for i in parts[1::2]])[:-len(pad) - 1]
-        text = head + (f"[{pad}{body}{pad[:-2]}]" if body else "[]") + tail
-    return text
+        cols = [rows.cols[int(i)] for i in parts[1::2]]
+        n = len(cols[0])
+        yield head + ("[" + pad if n else "[]")
+        for lo in range(0, n, iq._CHUNK):
+            body = _fill(row, [_json_values(c[lo:lo + iq._CHUNK])
+                               for c in cols])
+            # the last row ends the list, not in a comma
+            yield body if lo + iq._CHUNK < n else body[:-len(pad) - 1]
+        if n:
+            yield pad[:-2] + "]"
+    yield tail
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -524,19 +543,18 @@ def cmd_audit(cfg: RunConfig) -> int:
     skipped = len(pts) - len(res)
     holds = res.margin >= -cfg.tol
     all_hold = bool(holds.all())
-    # Python's min, not argmin: a NaN margin is the worst only when first
-    margins = res.margin.tolist()
-    worst = min(range(len(margins)), key=margins.__getitem__) \
-        if margins else None
+    # Python's min over the margins, not argmin: a NaN margin is the worst
+    # only when first
+    worst = None if not len(res) else 0 if math.isnan(res.margin[0]) \
+        else int(np.nanargmin(res.margin))
     worst_margin, worst_point = (None, None) if worst is None else \
-        (margins[worst], res.points[worst].tolist())
+        (float(res.margin[worst]), res.points[worst].tolist())
 
     fmt = cfg.fmt or "csv"
     if fmt == "csv":
         _emit(_csv("id,params,point,lhs_log,rhs_log,margin,holds",
                    f"{res.id},{_fmt_list(res.params)},", res.points,
-                   [res.lhs_log.tolist(), res.rhs_log.tolist(),
-                    res.margin.tolist()], _json_values(holds)), cfg.out)
+                   [res.lhs_log, res.rhs_log, res.margin], holds), cfg.out)
     else:
         records = _Rows(lambda mark: {
             "id": res.id, "params": list(res.params),
@@ -667,7 +685,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
             shown = _fmt(val) if val is not None else f"out of domain: {msg}"
             ref = " (reference)" if rid in reference_ids else ""
             lines.append(f"  {side_name[d]:6s} {shown:24s} {rid}{ref}")
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit(["\n".join(lines) + "\n"], cfg.out)
     return 0
 
 
@@ -700,8 +718,8 @@ def cmd_compare(cfg: RunConfig) -> int:
         _exp_sides(res.lhs_log, res.ids, res.points)
         _emit(_csv(",".join(["params", "point", "lhs", *res.ids, "tightest"]),
                    f"{_fmt_list(res.params)},", res.points,
-                   [list(map(math.exp, res.lhs_log.tolist()))]
-                   + rhs.tolist(), ranked[0].tolist()), cfg.out)
+                   [np.fromiter(map(math.exp, res.lhs_log.tolist()), float),
+                    *rhs], ranked[0]), cfg.out)
     else:
         by_rank = [np.take_along_axis(v, res.order, axis=0)
                    for v in (res.rhs_log, rhs)]

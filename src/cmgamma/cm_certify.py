@@ -279,17 +279,14 @@ def certify_log_cm(fam: RatioFamily, config: CertConfig) -> CertReport:
 
     zs = np.array(config.z_grid)
     orders = np.arange(1, config.n_max + 1)
-    shape = (zs.size, orders.size)
     p = log_deriv_polygamma(fam, zs, orders)
+    p_val, p_err = p.signed_value, p.err_estimate
     try:
         q = log_deriv_quadrature(fam, zs, orders)
         q_val, q_err = q.signed_value, q.err_estimate
     except ConvergenceError as exc:
         q_val = exc.value
         q_err = np.where(exc.converged, exc.err_estimate, math.inf)
-    q_val, q_err, p_val, p_err = (
-        np.broadcast_to(np.asarray(v, dtype=float), shape)
-        for v in (q_val, q_err, p.signed_value, p.err_estimate))
     allowance = np.maximum(_AGREE_RTOL * np.abs(p_val), _AGREE_ATOL)
     agrees = np.isfinite(q_err) & (np.abs(q_val - p_val) <= allowance)
     lo = np.where(p_val < q_val, p_val, q_val)  # min(q, p); NaN q stays

@@ -71,6 +71,11 @@ __all__ = [
 
 HOLDS_TOL = 1e-9
 
+# Rows of point columns evaluated at once here, and of report rows written at
+# once by the command line: a sweep's or a report's peak memory is set by one
+# chunk, not by the grid
+_CHUNK = 4096
+
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
 _LN2PI = math.log(2.0 * math.pi)
@@ -230,11 +235,16 @@ class InequalityCase:
         return lhs - rhs if self.direction == "ge" else rhs - lhs
 
     def _values(self, params, pts, **fns) -> list:
-        """fn(split params, point columns) per named fn, as float arrays; a
-        value that is not finite is a DomainError naming it and its point."""
+        """fn(split params, point columns) per named fn, as float arrays
+        filled _CHUNK rows at a time (every fn is elementwise); a value that
+        is not finite is a DomainError naming it and its point."""
         split, cols = self.split_params(params), self._columns(pts)
+        out = [np.empty(len(cols[0])) for _ in fns]
         with np.errstate(all="ignore"):
-            out = [np.asarray(f(split, cols), float) for f in fns.values()]
+            for v, f in zip(out, fns.values()):
+                for lo in range(0, len(v), _CHUNK):
+                    v[lo:lo + _CHUNK] = f(split, tuple(
+                        c[lo:lo + _CHUNK] for c in cols))
         for name, v in zip(fns, out):
             if not np.isfinite(v).all():
                 k = np.flatnonzero(~np.isfinite(v))[0]

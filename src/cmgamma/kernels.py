@@ -541,13 +541,18 @@ def _check_family(fam) -> None:
 
 
 def _check_z(fam, z) -> None:
+    """A DomainError naming the first offending z, as a float, when some z
+    is not finite or not above the family's lower bound."""
     bound = fam.lower_bound()
-    arr = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"z must be finite, got {z!r}")
-    if np.any(arr <= bound):
+    arr = np.ravel(np.asarray(z, dtype=float))
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        raise DomainError(f"z must be finite, got {float(arr[bad][0])!r}")
+    bad = arr <= bound
+    if bad.any():
         raise DomainError(
-            f"z must exceed the domain lower bound {bound!r} for {fam!r}, got {z!r}")
+            f"z must exceed the domain lower bound {bound!r} for {fam!r}, "
+            f"got {float(arr[bad][0])!r}")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ it byte for byte.
 
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,3 +241,20 @@ def test_real_sweeps_match_per_record_writers(capsys, tmp_path, fmt, case_id,
     assert_same_text(text, ref_text)
     assert line == ref_line
     assert code == 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_memory_is_set_by_a_chunk(capsys, tmp_path, fmt):
+    # 100,000 records: the sweep and the writer hold one chunk at a time
+    argv = ["audit", "--id", "INQ1", "--params", "a=0.3,b=0.6",
+            "--format", fmt, "--out", str(tmp_path / "report")]
+    assert main(argv + ["--samples", "10"]) == 0  # fills the caches
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--samples", "100000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 12 << 20

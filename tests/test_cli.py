@@ -482,9 +482,11 @@ class TestCertify:
     def test_violation_exits_two(self, capsys, monkeypatch):
         def neg(path):
             def fake(fam, z, n, *a, **kw):
+                shape = np.shape(z) + np.shape(n)
                 return LogDerivResult(order=n, z=z,
-                                      signed_value=-1.0, path=path,
-                                      err_estimate=0.0)
+                                      signed_value=np.full(shape, -1.0),
+                                      path=path,
+                                      err_estimate=np.full(shape, 0.0))
             return fake
         monkeypatch.setattr(cmc, "log_deriv_quadrature", neg("quadrature"))
         monkeypatch.setattr(cmc, "log_deriv_polygamma", neg("polygamma"))

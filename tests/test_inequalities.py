@@ -1,5 +1,6 @@
 """Inequality registry: frozen margins, boundary identities, sweeps, ranking."""
 
+import dataclasses
 import json
 import math
 
@@ -402,6 +403,33 @@ class TestRowTables:
         point = [0.9] if case_id == "INQ56" else [1e7]
         assert iq.margin(case_id, [0.3, 0.4], point) == \
             iq.margin("INQ1", [0.3, 0.4], point)
+
+
+class TestChunks:
+    @pytest.mark.parametrize("case", iq.registry_list(),
+                             ids=lambda c: c.id)
+    def test_chunked_values_equal_one_pass(self, monkeypatch, case):
+        # every side and margin is elementwise: three-row chunks give the
+        # bits of one pass
+        rng = np.random.default_rng(11)
+        params = draw_params(rng, case)
+        pts = case.sample_points(rng, params, 8)
+        whole = [*case.sides(params, pts), case.margin_values(params, pts)]
+        monkeypatch.setattr(iq, "_CHUNK", 3)
+        chunked = [*case.sides(params, pts), case.margin_values(params, pts)]
+        assert [v.tobytes() for v in chunked] == [v.tobytes() for v in whole]
+
+    def test_non_finite_value_in_a_later_chunk_names_its_point(
+            self, monkeypatch):
+        # rows 6..8 make the third chunk; the only non-finite value is at z = 8
+        monkeypatch.setattr(iq, "_CHUNK", 3)
+        case = dataclasses.replace(
+            iq.get_case("WALLIS_LB"),
+            _rhs_fn=lambda s, c: np.log(np.abs(c[0] - 8.0)))
+        pts = np.arange(1.0, 12.0)
+        with pytest.raises(DomainError, match=r"^WALLIS_LB: rhs_log -inf is "
+                                              r"not finite at point \(8\.0,\)$"):
+            case.sides((), pts)
 
 
 class TestSamplers:

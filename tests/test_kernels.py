@@ -551,6 +551,19 @@ class TestValidation:
         with pytest.raises(DomainError):
             log_f(fam, 0.1)
 
+    def test_domain_error_names_the_offending_z(self):
+        # the first bad z with all its digits, whatever the shape of z
+        fam = TwoParam(0.1556076294631497, 1.2105164495355636)
+        edge = fam.lower_bound()
+        for call, bad in (
+                (lambda: log_f(fam, np.array([[1.0, edge, 0.1]])), edge),
+                (lambda: log_deriv_polygamma(fam, [2.0, math.inf, math.nan],
+                                             1), math.inf)):
+            with pytest.raises(DomainError) as exc:
+                call()
+            assert str(exc.value).endswith(f", got {bad!r}")
+            assert "array(" not in str(exc.value)
+
     def test_overflowing_exact_moment_is_a_domain_error(self):
         # the kernel's Taylor moments of gaps 5e305, and the Taylor terms of
         # a gap of one ulp of 1e300, are exact integers past double precision

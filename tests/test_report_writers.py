@@ -189,8 +189,33 @@ def test_json_writer_fills_rows_at_any_depth(n):
         return [{"x": x, "pair": [x, "%"], "flag": f}
                 for x, f in zip(xs, flags)]
 
-    assert cli._json_text(payload(columns)) == json.dumps(
+    assert "".join(cli._json_text(payload(columns))) == json.dumps(
         payload(dicts), indent=2, allow_nan=True) + "\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7])
+def test_json_writer_in_three_row_chunks(monkeypatch, n):
+    # no row, part of a chunk, one whole chunk, and several chunks
+    monkeypatch.setattr(iq, "_CHUNK", 3)
+    test_json_writer_fills_rows_at_any_depth(n)
+
+
+@pytest.mark.parametrize("last", [[False, True, True], ["A", "%s", "B"]],
+                         ids=["truths", "ids"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7])
+def test_csv_writer_in_three_row_chunks(monkeypatch, n, dim, last):
+    monkeypatch.setattr(iq, "_CHUNK", 3)
+    points = np.array((SPECIAL * 2)[:n * dim]).reshape(n, dim)
+    cols = [np.array(roll(SPECIAL, k)[:n]) for k in (2, 5)]
+    last = np.array((last * 3)[:n])
+    chunks = list(cli._csv("h,%", "x%,", points, cols, last))
+    texts = [json.dumps(v) if isinstance(v, bool) else v
+             for v in last.tolist()]
+    rows = [",".join(["x%", _fmt_list(p), *map(_fmt, vals), text])
+            for p, *vals, text in zip(points.tolist(), *cols, texts)]
+    assert len(chunks) == 1 + -(-n // 3)
+    assert "".join(chunks) == "\n".join(["h,%", *rows]) + "\n"
 
 
 # -- certify ---------------------------------------------------------------
