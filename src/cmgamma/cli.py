@@ -7,7 +7,7 @@ Subcommands
 ``certify``  run both complete-monotonicity certification routes on a ratio
              family and emit the combined report as JSON
 ``bounds``   print a special-function value next to its registered bounds
-``compare``  rank bounds sharing one left-hand expression over a grid
+``compare``  rank bounds sharing one left-hand side over a grid or point
 
 Exit codes: 0 success / everything holds; 1 usage, config, or domain
 error; 2 a violation was found; 3 certification inconclusive.
@@ -82,26 +82,13 @@ def _fmt_list(vals) -> str:
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    lo: float
-    hi: float
-    count: int
-    spacing: str = "linear"
-
-    def build(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.lo, self.hi, self.count)
-        return np.linspace(self.lo, self.hi, self.count)
-
-
-@dataclass(frozen=True)
 class RunConfig:
     command: str
     ids: tuple = ()
     family: str | None = None
     target: str | None = None
     params: dict | None = None
-    grid: GridSpec | None = None
+    grid: np.ndarray | None = None
     samples: int | None = None
     seed: int = _DEFAULT_SEED
     out: str | None = None
@@ -146,7 +133,8 @@ def _parse_params(text: str) -> dict:
     return out
 
 
-def _parse_grid(text: str) -> GridSpec:
+def _parse_grid(text: str) -> np.ndarray:
+    """'min:max:count[:log]' -> the grid, linearly or log spaced."""
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise UsageError(
@@ -165,7 +153,7 @@ def _parse_grid(text: str) -> GridSpec:
         raise UsageError(f"grid bounds must be finite with min <= max")
     if spacing == "log" and lo <= 0:
         raise UsageError("log spacing needs min > 0")
-    return GridSpec(lo=lo, hi=hi, count=count, spacing=spacing)
+    return (np.geomspace if spacing == "log" else np.linspace)(lo, hi, count)
 
 
 def _resolve_seed(flag_val, config_val):
@@ -343,33 +331,58 @@ def _case_params_and_point(case, mapping):
     coords = case.point_names if set(case.point_names) & set(mapping) else ()
     vals = _take(mapping, case.param_names + coords, case.id)
     params = vals[:len(case.param_names)]
+    if case.param_kinds == ("v", "v") and len(params[0]) != len(params[1]):
+        raise UsageError(f"{case.id}: a and b must have equal length, "
+                         f"got {len(params[0])} and {len(params[1])}")
     flat = sum((v if isinstance(v, list) else [v] for v in params), [])
     return tuple(flat), tuple(vals[len(params):]) or None
 
 
-def _grid_points(case, params, spec):
+def _grid_points(case, params, axis):
     """Grid for a case, one point per row: the axis for 1-d points, the
     cartesian square for 2-d points.  1-d points sitting just outside an
     open boundary are nudged up by 1e-9 when that puts them inside."""
-    axis = spec.build()
     dim = len(case.point_names)
     if dim == 2:
         return np.column_stack((np.repeat(axis, len(axis)),
                                 np.tile(axis, len(axis)))), 0
     if dim != 1:
         raise UsageError(f"{case.id} needs {dim}-coordinate points")
-    pts = axis[:, None]
+    pts = axis[:, None].copy()
     fix = ~case.domain_mask(params, pts) & case.domain_mask(params,
                                                             pts + _NUDGE)
     pts[fix] += _NUDGE
     return pts, int(fix.sum())
 
 
-def _check_kept(results, cases, params, pts):
-    """An empty report would read as a pass: when no point was kept, fail
-    naming the rule that the first point breaks."""
+def _point_set(case, params, explicit_point, cfg):
+    """A command's points, one per row, and how many of them were nudged,
+    from exactly one source: the explicit point, ``--grid`` or, for audit,
+    ``--samples``; ``case`` fixes the point names and the sampler."""
+    audit = cfg.command == "audit"
+    flags = "--grid, --samples, or" if audit else "--grid or"
+    given = sum(x is not None for x in (explicit_point, cfg.grid,
+                                        cfg.samples if audit else None))
+    if given != 1:
+        raise UsageError(f"give exactly one of {flags} an explicit point"
+                         if given else f"{cfg.command} needs {flags} "
+                         "explicit point coordinates in --params")
+    if explicit_point is not None:
+        return [explicit_point], 0
+    if cfg.grid is not None:
+        return _grid_points(case, params, cfg.grid)
+    return case.sample_points(np.random.default_rng(cfg.seed), params,
+                              cfg.samples), 0
+
+
+def _check_kept(results, cases, params, pts, explicit_point):
+    """An empty report would read as a pass: when no point was kept, fail.
+    An asserted point is refused as out of domain; otherwise the error
+    names the rule that the first point breaks."""
     if results:
         return
+    if explicit_point is not None:
+        iq._require_point(cases, params, explicit_point)
     point = tuple(np.asarray(pts[0], dtype=float).tolist())
     for case in cases:
         violation = case.domain_violation(params, point)
@@ -514,31 +527,9 @@ def cmd_audit(cfg: RunConfig) -> int:
     reason = case.params_ok(params)
     if reason is not None:
         raise DomainError(f"{case.id}: {reason}")
-
-    sources = sum(x is not None
-                  for x in (explicit_point, cfg.grid, cfg.samples))
-    if sources == 0:
-        raise UsageError("audit needs --grid, --samples, or explicit point "
-                         "coordinates in --params")
-    if sources > 1:
-        raise UsageError("give exactly one of --grid, --samples, or an "
-                         "explicit point")
-
-    nudged = 0
-    if explicit_point is not None:
-        # single asserted point: out-of-domain is an error, not a skip
-        violation = case.domain_violation(params, explicit_point)
-        if violation is not None:
-            raise DomainError(f"{case.id}: {violation} (params="
-                              f"{list(params)!r}, point={explicit_point!r})")
-        pts = [explicit_point]
-    elif cfg.grid is not None:
-        pts, nudged = _grid_points(case, params, cfg.grid)
-    else:
-        pts = case.sample_points(np.random.default_rng(cfg.seed), params,
-                                 cfg.samples)
+    pts, nudged = _point_set(case, params, explicit_point, cfg)
     res = iq.sweep(case.id, params, pts)
-    _check_kept(res, [case], params, pts)
+    _check_kept(res, [case], params, pts, explicit_point)
 
     skipped = len(pts) - len(res)
     holds = res.margin >= -cfg.tol
@@ -596,7 +587,7 @@ def cmd_certify(cfg: RunConfig) -> int:
     fam = _family_from_config(cfg)
     if cfg.grid is None:
         raise UsageError("certify needs --grid min:max:count[:log]")
-    cert_cfg = CertConfig(z_grid=tuple(cfg.grid.build()), n_max=cfg.n_max,
+    cert_cfg = CertConfig(z_grid=tuple(cfg.grid), n_max=cfg.n_max,
                           tol=cfg.tol, fd_step=cfg.fd_step)
     log_report = certify_log_cm(fam, cert_cfg)
     fd_report = certify_cm_finite_diff(fam, cert_cfg)
@@ -644,11 +635,9 @@ def cmd_bounds(cfg: RunConfig) -> int:
         params = tuple(coords[n.rstrip("[]")] for n in case.param_names)
         point = tuple(coords[n] for n in case.point_names)
         violation = case.domain_violation(params, point)
-        is_ref = case_id in reference_ids
         if violation is not None:
-            if not is_ref:
-                raise DomainError(f"{case_id}: {violation} "
-                                  f"(params={coords!r})")
+            if case_id in primary_ids:  # out of its domain: an error
+                iq._require_point([case], params, point)
             rows.append((case_id, case.direction, None, violation))
             continue
         if true_value is None:  # the bounds share one LHS
@@ -696,17 +685,10 @@ def cmd_compare(cfg: RunConfig) -> int:
     head = iq.get_case(cfg.ids[0])
     params, explicit_point = _case_params_and_point(head, cfg.params)
 
-    if explicit_point is not None:
-        # single asserted point: out-of-domain is an error, not a skip
-        pts, nudged = [explicit_point], 0
-        res = iq.tightness_compare(cfg.ids, params, explicit_point)
-    elif cfg.grid is not None:
-        pts, nudged = _grid_points(head, params, cfg.grid)
-        res = iq.tightness_sweep(cfg.ids, params, pts)
-        _check_kept(res, map(iq.get_case, cfg.ids), params, pts)
-    else:
-        raise UsageError("compare needs --grid or explicit point "
-                         "coordinates in --params")
+    pts, nudged = _point_set(head, params, explicit_point, cfg)
+    res = iq.tightness_sweep(cfg.ids, params, pts)
+    _check_kept(res, list(map(iq.get_case, cfg.ids)), params, pts,
+                explicit_point)
     skipped = len(pts) - len(res)
     rhs = _exp_sides(res.rhs_log, res.ids, res.points)
     ranked = np.asarray(res.ids)[res.order]

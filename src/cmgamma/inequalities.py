@@ -22,7 +22,9 @@ and plain-text statement.  A domain rule is a row (text, coordinate
 index, comparison, bound), and one field of them yields the domain mask,
 the first violated constraint and, unless the case brings its own
 sampler, the random points: each coordinate in turn is drawn a
-log-uniform offset above its largest lower bound.
+log-uniform offset above its largest lower bound.  An asserted point
+outside a domain is refused by one helper, ``_require_point``, with one
+text: ``ID: violation (params=[...], point=(...))``.
 
 Drivers: :func:`margin` (one point), :func:`sweep` (a point grid, with
 out-of-domain points skipped), and :func:`tightness_compare` /
@@ -91,8 +93,9 @@ def _bound(rule, split, cols):
 def _holds(rule, split, cols) -> np.ndarray:
     """Mask of the points whose coordinate satisfies one domain rule."""
     _, j, op, _ = rule
-    return np.asarray(_COMPARE[op](cols[j], _bound(rule, split, cols)),
-                      dtype=bool)
+    with np.errstate(all="ignore"):
+        return np.asarray(_COMPARE[op](cols[j], _bound(rule, split, cols)),
+                          dtype=bool)
 
 
 def _spread(rng, n):
@@ -184,20 +187,22 @@ class InequalityCase:
                 f"coordinate(s) {'/'.join(self.point_names)}")
         return tuple(arr[:, j] for j in range(arr.shape[1]))
 
+    def _conditions(self, split, cols):
+        """(text, mask) per domain condition, in order: finite coordinates,
+        then each rule; a point is in the domain where every mask holds."""
+        yield ("point coordinates must be finite",
+               functools.reduce(operator.and_, map(np.isfinite, cols)))
+        for rule in self._point_rules:
+            yield f"requires {rule[0]}", _holds(rule, split, cols)
+
     def domain_mask(self, params, pts) -> np.ndarray:
         """Vectorized domain predicate; never errors on point values."""
         split = self.split_params(params)
         reason = self._check_params(split)
         if reason is not None:
             raise DomainError(f"{self.id}: {reason}")
-        cols = self._columns(pts)
-        mask = np.ones(cols[0].shape, dtype=bool)
-        for col in cols:
-            mask &= np.isfinite(col)
-        with np.errstate(all="ignore"):
-            for rule in self._point_rules:
-                mask &= _holds(rule, split, cols)
-        return mask
+        return functools.reduce(operator.and_, (
+            ok for _, ok in self._conditions(split, self._columns(pts))))
 
     def domain_violation(self, params, point):
         """None when (params, point) is in the domain, else the first
@@ -206,14 +211,8 @@ class InequalityCase:
         reason = self._check_params(split)
         if reason is not None:
             return reason
-        cols = self._columns([point])
-        if not all(math.isfinite(c[0]) for c in cols):
-            return "point coordinates must be finite"
-        with np.errstate(all="ignore"):
-            for rule in self._point_rules:
-                if not _holds(rule, split, cols)[0]:
-                    return f"requires {rule[0]}"
-        return None
+        return next((text for text, ok in self._conditions(
+            split, self._columns([point])) if not ok[0]), None)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -417,11 +416,11 @@ def _near_diagonal(rng, s, n):
 
 
 def _unit_window(rng, s, n):
-    # z between a+b and 1; empty when a+b >= 1
+    # z between a+b and 1: only z = 1 when a+b = 1, empty when a+b > 1
     lo = s[0] + s[1]
-    if lo >= 1.0:
+    if lo > 1.0:
         raise DomainError(
-            f"INQ56: domain is empty unless a+b < 1, got a+b={lo!r}")
+            f"INQ56: domain is empty unless a+b <= 1, got a+b={lo!r}")
     return rng.uniform(lo, 1.0, (n, 1))
 
 
@@ -697,12 +696,20 @@ def margin(case_id: str, params, point) -> float:
     (or parameter set) falls outside the case's stated domain.
     """
     case = get_case(case_id)
-    violation = case.domain_violation(params, point)
-    if violation is not None:
-        raise DomainError(
-            f"{case.id}: {violation} (params={list(map(float, params))!r}, "
-            f"point={point!r})")
+    _require_point([case], params, point)
     return float(case.margin_values(params, [point])[0])
+
+
+def _require_point(cases, params, point) -> None:
+    """Refuse an asserted point: a DomainError naming the first case whose
+    domain the parameters or the point fall outside, and the violated
+    constraint."""
+    for case in cases:
+        violation = case.domain_violation(params, point)
+        if violation is not None:
+            raise DomainError(
+                f"{case.id}: {violation} (params="
+                f"{list(map(float, params))!r}, point={point!r})")
 
 
 def _domain_points(cases, params, grid) -> np.ndarray:
@@ -789,10 +796,5 @@ def tightness_compare(ids, params, point) -> TightnessResult:
     case's domain."""
     ranked = tightness_sweep(ids, params, [point])
     if not len(ranked):
-        for case in map(get_case, ids):
-            violation = case.domain_violation(params, point)
-            if violation is not None:
-                raise DomainError(
-                    f"{case.id}: {violation} (params="
-                    f"{list(map(float, params))!r}, point={point!r})")
+        _require_point(map(get_case, ids), params, point)
     return ranked

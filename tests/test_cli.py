@@ -10,7 +10,7 @@ import pytest
 import cmgamma.cm_certify as cmc
 import cmgamma.inequalities as iq_mod
 from cmgamma.cli import main
-from cmgamma.errors import ConvergenceError
+from cmgamma.errors import ConvergenceError, DomainError
 from cmgamma.kernels import LogDerivResult
 
 CSV_HEADER = "id,params,point,lhs_log,rhs_log,margin,holds"
@@ -470,14 +470,22 @@ class TestCertify:
 
     def test_inconclusive_exits_three(self, capsys, monkeypatch):
         def broken(fam, z, n):
-            raise ConvergenceError("no convergence", value=math.nan,
-                                   err_estimate=math.inf, evaluations=1)
+            # the real route's (z, n) arrays, none of them converged
+            shape = np.shape(z) + np.shape(n)
+            raise ConvergenceError("no convergence",
+                                   value=np.full(shape, math.nan),
+                                   err_estimate=np.full(shape, math.inf),
+                                   evaluations=1,
+                                   converged=np.zeros(shape, dtype=bool))
         monkeypatch.setattr(cmc, "log_deriv_quadrature", broken)
-        code, _, err = run(capsys, "certify", "--family", "two-param",
-                           "--params", "a=0.5,b=0.7", "--grid", "1:5:4",
-                           "--n-max", "2")
+        code, out, err = run(capsys, "certify", "--family", "two-param",
+                             "--params", "a=0.5,b=0.7", "--grid", "1:5:4",
+                             "--n-max", "2")
         assert code == 3
         assert "inconclusive" in err
+        rows = json.loads(out)["routes"]["log_cm"]["rows"]
+        assert len(rows) == 8  # 4 z x 2 orders
+        assert not any(row["agrees"] for row in rows)
 
     def test_violation_exits_two(self, capsys, monkeypatch):
         def neg(path):
@@ -660,6 +668,72 @@ class TestPointSetChecks:
                        f"a=1,z={z!r}", "--format", "json",
                        "--out", str(g))[0] == 0
             assert json.loads(g.read_text())["rows"] == [row]
+
+
+class TestOnePointSource:
+    """audit and compare take their points from exactly one source, and
+    refuse an asserted point outside the domain with one text."""
+
+    @pytest.mark.parametrize("command, argv, text", [
+        ("compare", ("--id", "INQ56,INQ57_LB", "--params",
+                     "a=0.2,b=0.3,z=0.9", "--grid", "0.6:1:5"),
+         "give exactly one of --grid or an explicit point"),
+        ("compare", ("--id", "INQ56,INQ57_LB", "--params", "a=0.2,b=0.3"),
+         "compare needs --grid or explicit point coordinates in --params"),
+        ("audit", ("--id", "INQ56", "--params", "a=0.2,b=0.3,z=0.9",
+                   "--samples", "3"),
+         "give exactly one of --grid, --samples, or an explicit point"),
+        ("audit", ("--id", "INQ56", "--params", "a=0.2,b=0.3"),
+         "audit needs --grid, --samples, or explicit point coordinates "
+         "in --params"),
+    ], ids=["compare-two", "compare-none", "audit-two", "audit-none"])
+    def test_exactly_one_source(self, capsys, command, argv, text):
+        code, out, err = run(capsys, command, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {text}\n"
+
+    def test_one_asserted_point_text(self, capsys):
+        text = ("SYM_SANDWICH_LB: requires z > a (params=[0.5], "
+                "point=(0.2,))")
+        with pytest.raises(DomainError) as exc:
+            iq_mod.margin("SYM_SANDWICH_LB", (0.5,), (0.2,))
+        assert str(exc.value) == text
+        with pytest.raises(DomainError) as exc:
+            iq_mod.tightness_compare(("SYM_SANDWICH_LB", "SYM_GE1"), (0.5,),
+                                     (0.2,))
+        assert str(exc.value) == text
+        for argv in (("audit", "--id", "SYM_SANDWICH_LB"),
+                     ("compare", "--id", "SYM_SANDWICH_LB,SYM_GE1"),
+                     ("bounds", "sym")):
+            code, out, err = run(capsys, *argv, "--params", "a=0.5,z=0.2")
+            assert (code, out, err) == (1, "", f"error: {text}\n")
+
+
+class TestMajorizedEntryLists:
+    def test_unequal_lengths_refused(self, capsys):
+        # flattened together, 4 + 2 entries would split into 3 and 3
+        code, out, err = run(capsys, "audit", "--id", "MAJOR_GE1",
+                             "--params", "a=3;3;0;2,b=2;2",
+                             "--grid", "3.5:10:4")
+        assert (code, out) == (1, "")
+        assert err == ("error: MAJOR_GE1: a and b must have equal length, "
+                       "got 4 and 2\n")
+
+    def test_equal_lengths_audited(self, capsys):
+        code, _, err = run(capsys, "audit", "--id", "MAJOR_GE1",
+                           "--params", "a=3;1,b=2;2", "--grid", "3.5:10:4")
+        assert code == 0
+        assert "points=4" in err and "all hold" in err
+
+
+def test_inq56_samples_its_one_point_domain(capsys):
+    # a+b = 1 leaves z = 1 alone, which a grid already audits
+    code, out, err = run(capsys, "audit", "--id", "INQ56", "--params",
+                         "a=0.7,b=0.3", "--samples", "3")
+    assert code == 0
+    assert "points=3 skipped=0" in err and "all hold" in err
+    assert [row.split(",")[2] for row in out.splitlines()[1:]] == ["1"] * 3
 
 
 class TestEmptyPointSet:

@@ -463,6 +463,12 @@ class TestSamplers:
         with pytest.raises(DomainError, match="empty"):
             iq.get_case("INQ56").sample_points(rng, (0.7, 0.5), 10)
 
+    def test_one_point_window_sampled(self):
+        # a+b = 1 exactly: z = 1 is the whole domain
+        rng = np.random.default_rng(0)
+        pts = iq.get_case("INQ56").sample_points(rng, (0.7, 0.3), 4)
+        assert pts.tolist() == [[1.0]] * 4
+
 
 class TestUniversalValidityMini:
     def test_all_claims_hold_on_random_points(self):
@@ -477,3 +483,30 @@ class TestUniversalValidityMini:
                 margins = case.margin_values(params, pts)
                 worst = min(worst, float(np.min(margins)))
             assert worst >= -1e-9, (case.id, worst)
+
+
+@pytest.mark.parametrize("case", iq.registry_list(), ids=lambda c: c.id)
+def test_domain_mask_and_violation_agree(case):
+    """Both read one walk over the case's conditions: at random draws, at
+    each rule's bound and at its float neighbours, and at non-finite
+    points, a point is in the mask exactly when no violation is named."""
+    rng = np.random.default_rng(20261020)
+    for _ in range(3):
+        params = draw_params(rng, case)
+        split = case.split_params(params)
+        drawn = case.sample_points(rng, params, 4)
+        probes = [drawn, np.full_like(drawn, np.nan),
+                  np.full_like(drawn, np.inf)]
+        for rule in case._point_rules:
+            j = rule[1]
+            bound = iq._bound(rule, split, tuple(drawn.T))
+            for step in (-np.inf, None, np.inf):
+                pts = drawn.copy()
+                pts[:, j] = bound if step is None else np.nextafter(bound,
+                                                                    step)
+                probes.append(pts)
+        pts = np.concatenate(probes)
+        mask = case.domain_mask(params, pts)
+        assert mask[:len(drawn)].all()
+        assert [case.domain_violation(params, tuple(p)) is None
+                for p in pts.tolist()] == mask.tolist()

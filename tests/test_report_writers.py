@@ -278,7 +278,7 @@ def test_real_certify_matches_per_row_writer(capsys, tmp_path, family,
     code, text, line = run_certify(capsys, tmp_path, "--family", family,
                                    "--params", params, "--grid", grid,
                                    "--n-max", "12")
-    cfg = CertConfig(z_grid=tuple(cli._parse_grid(grid).build()),
+    cfg = CertConfig(z_grid=tuple(cli._parse_grid(grid)),
                      n_max=12)
     ref, combined = certify_reference(fam, certify_log_cm(fam, cfg),
                                       certify_cm_finite_diff(fam, cfg))

@@ -5,6 +5,8 @@ import pathlib
 import shutil
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
@@ -86,3 +88,43 @@ def test_csv_differences_by_column():
     for b in ("x,y\n1,2\n4,5\n", "x,y,z\n1,2,3\n", "x,y,z\n1,2\n4,5,6\n"):
         same_outputs.csv_differences(a, b, counts)
     assert counts == {"csv": 3}
+
+
+def test_several_workloads_one_summary_line_each(monkeypatch, capsys):
+    # no op runs: each tree's run is faked, and compare's op 1 differs in
+    # its exit code on the right tree
+    calls = []
+
+    def fake_run_tree(tree, workload, seeds, cwd):
+        calls.append((tree, workload, tuple(seeds)))
+        rc = 1 if (tree, workload) == ("right", "compare") else 0
+        return {seed: [{"argv": [workload, "0"], "rc": 0, "stdout": "",
+                        "stderr": "", "sha256": None},
+                       {"argv": [workload, "1"], "rc": rc, "stdout": "",
+                        "stderr": "", "sha256": None}]
+                for seed in seeds}
+
+    monkeypatch.setattr(same_outputs, "run_tree", fake_run_tree)
+    argv = ["left", "right", "--workload", "audit", "compare", "certify",
+            "--seeds", "1", "2"]
+    assert same_outputs.main(argv) == 1
+    assert [c[1] for c in calls] == ["audit"] * 2 + ["compare"] * 2 \
+        + ["certify"] * 2
+    assert {c[2] for c in calls} == {(1, 2)}
+    assert capsys.readouterr().out.splitlines() == [
+        "audit seeds [1, 2]: 4 ops, 0 differ",
+        "compare seed 1: op 1 ['compare', '1'] differ in rc",
+        "compare seed 2: op 1 ['compare', '1'] differ in rc",
+        "compare seeds [1, 2]: 4 ops, 2 differ",
+        "certify seeds [1, 2]: 4 ops, 0 differ",
+    ]
+    argv[3:6] = ["audit", "certify"]
+    assert same_outputs.main(argv) == 0
+
+
+def test_an_unknown_workload_is_refused(monkeypatch, capsys):
+    monkeypatch.setattr(same_outputs, "run_tree", None)
+    with pytest.raises(SystemExit):
+        same_outputs.main(["l", "r", "--workload", "audit", "nope",
+                           "--seeds", "1"])
+    assert "invalid choice: 'nope'" in capsys.readouterr().err

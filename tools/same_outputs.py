@@ -1,6 +1,6 @@
 """Check that two source trees give the same benchmark outputs, op by op.
 
-For one workload and some seeds, every op of ``perfbench/workloads.generate``
+For some workloads and seeds, every op of ``perfbench/workloads.generate``
 runs in-process through ``cmgamma.cli.main(argv + ["--out", FILE])``, as
 the benchmark's worker runs it: once against each tree, each tree in a
 fresh interpreter that imports ``cmgamma`` from ``TREE/src`` alone.  The
@@ -9,9 +9,12 @@ carried from one op to the next shows as well.  ``perfbench/`` is imported
 read-only from this repository.  Run from anywhere::
 
     python3 tools/same_outputs.py PARENT CHANGE --workload audit --seeds 1 2 3
+    python3 tools/same_outputs.py PARENT CHANGE \
+        --workload audit compare certify --seeds 1 2 3 101
 
 Every op whose exit code, standard output, standard error or report
-sha256 differ is listed; the exit status is 1 if any differ, else 0.
+sha256 differ is listed, and each workload ends in one summary line; the
+exit status is 1 if any op of any workload differs, else 0.
 Where the two reports of an op differ in their hashes, the values that
 differ are then counted over all such ops.  In JSON reports they count by
 JSON path, list items sharing their list's path plus ``[]``:
@@ -180,34 +183,40 @@ def report_differences(dirs, diffs) -> collections.Counter:
     return counts
 
 
+def compare_workload(left, right, workload, seeds) -> bool:
+    """Run one workload's ops against both trees and print what differs,
+    then one summary line; True when every op is the same."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = [os.path.join(tmp, side) for side in ("left", "right")]
+        runs = []
+        for tree, cwd in zip((left, right), dirs):
+            os.mkdir(cwd)
+            runs.append(run_tree(tree, workload, seeds, cwd))
+        diffs = differences(*runs)
+        counts = report_differences(dirs, diffs)
+    n_ops = sum(len(rows) for rows in runs[0].values())
+    for seed, i, op_argv, fields in diffs:
+        where = "the generated ops" if i is None else f"op {i} {op_argv}"
+        print(f"{workload} seed {seed}: {where} differ in "
+              f"{', '.join(fields)}")
+    for path, count in sorted(counts.items()):
+        print(f"{path}: {count}")
+    print(f"{workload} seeds {seeds}: {n_ops} ops, {len(diffs)} differ")
+    return not diffs
+
+
 def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         names = [w["name"] for w in json.load(fh)["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("left", help="first source tree (holds src/cmgamma)")
     ap.add_argument("right", help="second source tree")
-    ap.add_argument("--workload", required=True,
-                    choices=names)
+    ap.add_argument("--workload", required=True, nargs="+", choices=names)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     args = ap.parse_args(argv)
-    with tempfile.TemporaryDirectory() as tmp:
-        dirs = [os.path.join(tmp, side) for side in ("left", "right")]
-        runs = []
-        for tree, cwd in zip((args.left, args.right), dirs):
-            os.mkdir(cwd)
-            runs.append(run_tree(tree, args.workload, args.seeds, cwd))
-        diffs = differences(*runs)
-        counts = report_differences(dirs, diffs)
-    n_ops = sum(len(rows) for rows in runs[0].values())
-    for seed, i, op_argv, fields in diffs:
-        where = "the generated ops" if i is None else f"op {i} {op_argv}"
-        print(f"{args.workload} seed {seed}: {where} differ in "
-              f"{', '.join(fields)}")
-    for path, count in sorted(counts.items()):
-        print(f"{path}: {count}")
-    print(f"{args.workload} seeds {args.seeds}: {n_ops} ops, "
-          f"{len(diffs)} differ")
-    return 1 if diffs else 0
+    same = [compare_workload(args.left, args.right, workload, args.seeds)
+            for workload in args.workload]
+    return 0 if all(same) else 1
 
 
 if __name__ == "__main__":
