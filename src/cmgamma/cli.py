@@ -18,7 +18,9 @@ which round-trips doubles exactly.  A report's row template is filled
 4,096 rows at a time and each chunk is written as it is made, so its
 memory does not grow with the row count.  The sampling seed resolves as
 ``--seed`` flag, then config file, then the ``CMGAMMA_SEED`` environment
-variable, then 42.
+variable, then 42.  A ``--config`` file's keys are the subcommand's flags
+(``n_max`` for ``--n-max``), each parsed by that subcommand's parser; a
+key it does not read is an error, and a flag on the command line wins.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +41,7 @@ from .cm_certify import CertConfig, certify_cm_finite_diff, certify_log_cm
 from .errors import DomainError, UsageError
 from .kernels import Majorized, MultiParam, Symmetric, TwoParam
 
-__all__ = ["RunConfig", "main", "cmd_audit", "cmd_certify", "cmd_bounds",
-           "cmd_compare"]
+__all__ = ["main", "cmd_audit", "cmd_certify", "cmd_bounds", "cmd_compare"]
 
 _DEFAULT_SEED = 42
 _NUDGE = 1e-9
@@ -53,12 +53,6 @@ _FAMILY_KINDS = {
     "majorized": (Majorized, ("a[]", "b[]")),
     "symmetric": (Symmetric, ("a",)),
 }
-
-# a --config value passes its flag's check: text, or a number for a numeric
-# flag, read by the flag's type; any other key is text
-_CONFIG_TYPES = {"samples": int, "seed": int, "n_max": int, "tol": float,
-                 "fd_step": float}
-_CONFIG_CHOICES = {"family": sorted(_FAMILY_KINDS), "format": ("csv", "json")}
 
 # bounds targets: primary ids, reference ids; the coordinates are the
 # first primary case's parameters and point
@@ -81,24 +75,7 @@ def _fmt_list(vals) -> str:
     return ";".join(_fmt(v) for v in vals)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    ids: tuple = ()
-    family: str | None = None
-    target: str | None = None
-    params: dict | None = None
-    grid: np.ndarray | None = None
-    samples: int | None = None
-    seed: int = _DEFAULT_SEED
-    out: str | None = None
-    fmt: str | None = None
-    tol: float = iq.HOLDS_TOL
-    n_max: int = 8
-    fd_step: float = 1e-2
-
-
-# -- config parsing -----------------------------------------------------------
+# -- command line -------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
     # exit code 1 on bad flags, message on stderr, no SystemExit(2)
@@ -106,7 +83,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_params(text: str) -> dict:
+def _parse_params(text) -> dict:
     """'a=0.5,b=0.7' -> {'a': 0.5, 'b': 0.7}; ';' separates list entries."""
     out = {}
     if not text:
@@ -156,151 +133,142 @@ def _parse_grid(text: str) -> np.ndarray:
     return (np.geomspace if spacing == "log" else np.linspace)(lo, hi, count)
 
 
-def _resolve_seed(flag_val, config_val):
-    for v in (flag_val, config_val, os.environ.get("CMGAMMA_SEED")):
-        if v is None:
-            continue
-        try:
-            return int(v)
-        except (TypeError, ValueError):
-            raise UsageError(f"seed must be an integer, got {v!r}") from None
-    return _DEFAULT_SEED
-
-
-def _build_config(args) -> RunConfig:
-    filecfg = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                filecfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {args.config!r}: {exc}")
-        if not isinstance(filecfg, dict):
-            raise UsageError("config file must hold a JSON object")
-
-    def from_file(key):
-        val = filecfg.get(key)
-        if val is None or (key == "params" and isinstance(val, dict)):
-            return val
-        kind = _CONFIG_TYPES.get(key, str)
-        bad = UsageError(f"config {key!r}: malformed value {val!r}")
-        if not (isinstance(val, str)
-                or kind is not str and type(val) in (int, float)):
-            raise bad
-        try:
-            val = kind(str(val))
-        except ValueError:
-            raise bad from None
-        if val not in _CONFIG_CHOICES.get(key, (val,)):
-            raise UsageError(f"config {key!r}: {val!r} is not one of "
-                             f"{', '.join(_CONFIG_CHOICES[key])}")
-        return val
-
-    def pick(flag, key, default=None):
-        val = flag if flag is not None else from_file(key)
-        return default if val is None else val
-
-    ids_text = pick(getattr(args, "id", None), "id")
-    ids = tuple(s.strip() for s in ids_text.split(",") if s.strip()) \
-        if ids_text else ()
-    params_val = pick(args.params, "params")
-    if isinstance(params_val, dict):
-        params = dict(params_val)
-    else:
-        params = _parse_params(params_val or "")
-    # a point source given as a flag displaces any config point source
-    flag_grid = getattr(args, "grid", None)
-    flag_samples = getattr(args, "samples", None)
-    if flag_grid is not None or flag_samples is not None:
-        grid_val, samples = flag_grid, flag_samples
-    else:
-        grid_val, samples = from_file("grid"), from_file("samples")
-    grid = _parse_grid(grid_val) if grid_val else None
-    if samples is not None and samples < 1:
-        raise UsageError(f"sample count must be >= 1, got {samples}")
-    tol = pick(args.tol, "tol", iq.HOLDS_TOL)
-    if not (math.isfinite(tol) and tol > 0):
-        raise UsageError(f"tolerance must be positive, got {tol!r}")
-    n_max = pick(getattr(args, "n_max", None), "n_max", 8)
-    fd_step = pick(getattr(args, "fd_step", None), "fd_step", 1e-2)
-    fmt = pick(args.format, "format")
-    return RunConfig(
-        command=args.command,
-        ids=ids,
-        family=pick(getattr(args, "family", None), "family"),
-        target=getattr(args, "target", None) or from_file("target"),
-        params=params,
-        grid=grid,
-        samples=samples,
-        seed=_resolve_seed(getattr(args, "seed", None), from_file("seed")),
-        out=pick(args.out, "out"),
-        fmt=fmt,
-        tol=tol,
-        n_max=n_max,
-        fd_step=fd_step,
-    )
-
-
 @functools.cache
-def _make_parser() -> _Parser:
-    # built once per process: parse_args returns a fresh namespace and no
-    # action keeps state between calls
+def _make_parser():
+    """The parser, and by subcommand its parser and its flags' actions by
+    dest, which is also the flag's ``--config`` key.  Built once per
+    process: parse_args returns a fresh namespace and no action keeps state
+    between calls."""
     parser = _Parser(prog="cmgamma",
                      description="gamma-ratio monotonicity and inequality "
                                  "audit toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
     # each subcommand registers only the flags it reads, so a stray flag
     # is a usage error rather than silently ignored
-    def common(sp, grid=True):
-        sp.add_argument("--params", default=None,
-                        help="name=value pairs, comma separated; use ';' "
-                             "between entries of a list value")
+    def subcommand(name, help, grid=True, tol=True, fmt=None):
+        sp = sub.add_parser(name, help=help)
+        actions = {}
+        commands[name] = (sp, actions)
+        sp.add_argument("--config", help="JSON config file; flags win on "
+                                         "conflict")
+
+        def flag(*names, **kw):
+            action = sp.add_argument(*names, **kw)
+            actions[action.dest] = action
+
+        flag("--params", help="name=value pairs, comma separated; use ';' "
+                              "between entries of a list value")
         if grid:
-            sp.add_argument("--grid", default=None,
-                            help="min:max:count[:log]")
-        sp.add_argument("--out", default=None, help="output file path")
-        sp.add_argument("--format", default=None, choices=("csv", "json"))
-        sp.add_argument("--tol", type=float, default=None,
-                        help="margin tolerance (default 1e-9)")
-        sp.add_argument("--config", default=None,
-                        help="JSON config file; flags win on conflict")
+            flag("--grid", help="min:max:count[:log]")
+        flag("--out", help="output file path")
+        flag("--format", default=fmt, choices=("csv", "json"))
+        if tol:
+            flag("--tol", type=float, default=iq.HOLDS_TOL,
+                 help="margin tolerance (default %(default)g)")
+        return flag
 
-    sp = sub.add_parser("audit", help="sweep one inequality, emit margins")
-    sp.add_argument("--id", default=None, help="inequality id")
-    common(sp)
-    sp.add_argument("--samples", type=int, default=None,
-                    help="number of random in-domain points")
-    sp.add_argument("--seed", default=None,
-                    help="sampling seed (default: CMGAMMA_SEED or 42)")
+    flag = subcommand("audit", "sweep one inequality, emit margins",
+                      fmt="csv")
+    flag("--id", help="inequality id")
+    flag("--samples", type=int, help="number of random in-domain points")
+    flag("--seed", type=int,
+         help=f"sampling seed (default: CMGAMMA_SEED or {_DEFAULT_SEED})")
 
-    sp = sub.add_parser("certify",
-                        help="certify complete monotonicity of a family")
-    common(sp)
-    sp.add_argument("--family", default=None, choices=sorted(_FAMILY_KINDS))
-    sp.add_argument("--n-max", dest="n_max", type=int, default=None)
-    sp.add_argument("--fd-step", dest="fd_step", type=float, default=None)
+    flag = subcommand("certify", "certify complete monotonicity of a family")
+    flag("--family", choices=sorted(_FAMILY_KINDS))
+    flag("--n-max", dest="n_max", type=int, default=CertConfig.n_max)
+    flag("--fd-step", dest="fd_step", type=float,
+         default=CertConfig.fd_step)
 
-    sp = sub.add_parser("bounds",
-                        help="show a value next to its registered bounds")
-    sp.add_argument("target", nargs="?", default=None,
-                    help="which bounded quantity to show: "
-                         + "|".join(sorted(_BOUNDS_TARGETS)))
-    common(sp, grid=False)
+    flag = subcommand("bounds", "show a value next to its registered bounds",
+                      grid=False, tol=False)
+    # suppressed: a command line without a target keeps the config's
+    flag("target", nargs="?", default=argparse.SUPPRESS,
+         help="which bounded quantity to show: "
+              + "|".join(sorted(_BOUNDS_TARGETS)))
 
-    sp = sub.add_parser("compare", help="rank bounds sharing one LHS")
-    sp.add_argument("--id", default=None,
-                    help="comma-separated inequality ids")
-    common(sp)
-    return parser
+    flag = subcommand("compare", "rank bounds sharing one LHS", tol=False,
+                      fmt="csv")
+    flag("--id", help="comma-separated inequality ids")
+    return parser, commands
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """One command line's namespace: its flags, then the ``--config``
+    file's keys, each parsed as its flag's text by the subcommand's
+    parser, then the flags' defaults.  A config value is text, or a number
+    for a numeric flag; ``params`` may be an object, whose lists are
+    ';'-joined entries."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _make_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            filecfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config {args.config!r}: {exc}")
+    if not isinstance(filecfg, dict):
+        raise UsageError("config file must hold a JSON object")
+    sp, actions = commands[args.command]
+    config = argparse.Namespace(command=args.command)
+    for key, val in filecfg.items():
+        action = actions.get(key)
+        if key == "params" and isinstance(val, dict):
+            # a trailing ';' keeps a one-entry list a list
+            val = ",".join(f"{name}=" + (";".join(map(str, v)) + ";"
+                                         if isinstance(v, list) else str(v))
+                           for name, v in val.items())
+        try:
+            if action is None:
+                raise UsageError(f"not a flag of {args.command}")
+            if not (isinstance(val, str) or action.type in (int, float)
+                    and type(val) in (int, float)):
+                raise UsageError(f"malformed value {val!r}")
+            opt = action.option_strings
+            parsed = sp.parse_args([f"{opt[0]}={val}"] if opt
+                                   else ["--", val])
+        except UsageError as exc:
+            raise UsageError(f"config {key!r}: {exc}") from None
+        setattr(config, key, getattr(parsed, key))
+    # a point source given as a flag displaces any config point source
+    if getattr(args, "grid", None) is not None \
+            or getattr(args, "samples", None) is not None:
+        vars(config).pop("grid", None)
+        vars(config).pop("samples", None)
+    # the subcommand's parser, not the top one: a subparser's defaults
+    # would overwrite the config's values
+    return sp.parse_args(argv[argv.index(args.command) + 1:],
+                         namespace=config)
 
 
 # -- shared helpers -----------------------------------------------------------
 
+def _ids(args) -> tuple:
+    return tuple(s.strip() for s in (args.id or "").split(",") if s.strip())
+
+
+def _seed(args) -> int:
+    """The sampling seed: ``--seed`` or the config's, then CMGAMMA_SEED,
+    then 42; NumPy takes no negative seed."""
+    seed = (os.environ.get("CMGAMMA_SEED", _DEFAULT_SEED)
+            if args.seed is None else args.seed)
+    try:
+        seed = int(seed)
+    except ValueError:
+        raise UsageError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _take(mapping, names, owner) -> list:
-    """Pop names from a name=value mapping, in order, as floats; a name
-    ending in "[]" is an entry list and stays a list.  Nothing else may be
-    left in the mapping."""
+    """Pop names from a name=value mapping, in order; a name ending in "[]"
+    is an entry list and stays a list.  Nothing else may be left in the
+    mapping."""
     vals = []
     for name in names:
         key = name.rstrip("[]")
@@ -313,21 +281,17 @@ def _take(mapping, names, owner) -> list:
             val = val if isinstance(val, list) else [val]
         elif isinstance(val, list):
             raise UsageError(f"{owner}: {key!r} takes one real, not a list")
-        try:
-            vals.append([float(v) for v in val] if isinstance(val, list)
-                        else float(val))
-        except (TypeError, ValueError):
-            raise UsageError(f"{owner}: malformed {key!r}: {val!r}") from None
+        vals.append(val)
     if mapping:
         raise UsageError(
             f"unknown parameter {sorted(mapping)[0]!r} for {owner}")
     return vals
 
 
-def _case_params_and_point(case, mapping):
-    """Split a name=value mapping into case parameters and an optional
-    explicit point (when any point coordinate is present)."""
-    mapping = dict(mapping or {})
+def _case_params_and_point(case, args):
+    """Split ``--params`` into case parameters and an optional explicit
+    point (when any point coordinate is present)."""
+    mapping = _parse_params(args.params)
     coords = case.point_names if set(case.point_names) & set(mapping) else ()
     vals = _take(mapping, case.param_names + coords, case.id)
     params = vals[:len(case.param_names)]
@@ -355,24 +319,28 @@ def _grid_points(case, params, axis):
     return pts, int(fix.sum())
 
 
-def _point_set(case, params, explicit_point, cfg):
+def _point_set(case, params, explicit_point, args, seed=None):
     """A command's points, one per row, and how many of them were nudged,
     from exactly one source: the explicit point, ``--grid`` or, for audit,
-    ``--samples``; ``case`` fixes the point names and the sampler."""
-    audit = cfg.command == "audit"
+    ``--samples`` drawn with ``seed``; ``case`` fixes the point names and
+    the sampler."""
+    grid = _parse_grid(args.grid) if args.grid else None
+    samples = getattr(args, "samples", None)
+    if samples is not None and samples < 1:
+        raise UsageError(f"sample count must be >= 1, got {samples}")
+    audit = args.command == "audit"
     flags = "--grid, --samples, or" if audit else "--grid or"
-    given = sum(x is not None for x in (explicit_point, cfg.grid,
-                                        cfg.samples if audit else None))
+    given = sum(x is not None for x in (explicit_point, grid, samples))
     if given != 1:
         raise UsageError(f"give exactly one of {flags} an explicit point"
-                         if given else f"{cfg.command} needs {flags} "
+                         if given else f"{args.command} needs {flags} "
                          "explicit point coordinates in --params")
     if explicit_point is not None:
         return [explicit_point], 0
-    if cfg.grid is not None:
-        return _grid_points(case, params, cfg.grid)
-    return case.sample_points(np.random.default_rng(cfg.seed), params,
-                              cfg.samples), 0
+    if grid is not None:
+        return _grid_points(case, params, grid)
+    return case.sample_points(np.random.default_rng(seed), params,
+                              samples), 0
 
 
 def _check_kept(results, cases, params, pts, explicit_point):
@@ -519,20 +487,23 @@ def _json_text(payload):
 
 # -- subcommands ---------------------------------------------------------------
 
-def cmd_audit(cfg: RunConfig) -> int:
-    if len(cfg.ids) != 1:
+def cmd_audit(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise UsageError(f"tolerance must be positive, got {args.tol!r}")
+    seed, ids = _seed(args), _ids(args)
+    if len(ids) != 1:
         raise UsageError("audit needs exactly one --id")
-    case = iq.get_case(cfg.ids[0])
-    params, explicit_point = _case_params_and_point(case, cfg.params)
+    case = iq.get_case(ids[0])
+    params, explicit_point = _case_params_and_point(case, args)
     reason = case.params_ok(params)
     if reason is not None:
         raise DomainError(f"{case.id}: {reason}")
-    pts, nudged = _point_set(case, params, explicit_point, cfg)
+    pts, nudged = _point_set(case, params, explicit_point, args, seed)
     res = iq.sweep(case.id, params, pts)
     _check_kept(res, [case], params, pts, explicit_point)
 
     skipped = len(pts) - len(res)
-    holds = res.margin >= -cfg.tol
+    holds = res.margin >= -args.tol
     all_hold = bool(holds.all())
     # Python's min over the margins, not argmin: a NaN margin is the worst
     # only when first
@@ -541,11 +512,10 @@ def cmd_audit(cfg: RunConfig) -> int:
     worst_margin, worst_point = (None, None) if worst is None else \
         (float(res.margin[worst]), res.points[worst].tolist())
 
-    fmt = cfg.fmt or "csv"
-    if fmt == "csv":
+    if args.format == "csv":
         _emit(_csv("id,params,point,lhs_log,rhs_log,margin,holds",
                    f"{res.id},{_fmt_list(res.params)},", res.points,
-                   [res.lhs_log, res.rhs_log, res.margin], holds), cfg.out)
+                   [res.lhs_log, res.rhs_log, res.margin], holds), args.out)
     else:
         records = _Rows(lambda mark: {
             "id": res.id, "params": list(res.params),
@@ -554,41 +524,41 @@ def cmd_audit(cfg: RunConfig) -> int:
             "margin": mark(res.margin), "holds": mark(holds)})
         payload = {
             "command": "audit", "id": case.id, "params": list(params),
-            "tol": cfg.tol, "seed": cfg.seed, "records": records,
+            "tol": args.tol, "seed": seed, "records": records,
             "summary": {
                 "points": len(res), "skipped": skipped, "nudged": nudged,
                 "all_hold": all_hold, "min_margin": worst_margin,
                 "worst_point": worst_point,
             },
         }
-        _emit(_json_text(payload), cfg.out)
+        _emit(_json_text(payload), args.out)
 
     worst_text = (f" min_margin={_fmt(worst_margin)} "
                   f"worst_point={_fmt_list(worst_point)}") \
         if worst is not None else ""
     _summary(f"audit id={case.id} points={len(res)} skipped={skipped}"
              f" nudged={nudged}{worst_text} "
-             f"{'all hold' if all_hold else 'VIOLATION'}", cfg.out)
+             f"{'all hold' if all_hold else 'VIOLATION'}", args.out)
     return 0 if all_hold else 2
 
 
-def _family_from_config(cfg: RunConfig):
-    if not cfg.family:
+def _family(args):
+    if not args.family:
         raise UsageError("certify needs --family "
                          f"({'|'.join(sorted(_FAMILY_KINDS))})")
-    ctor, names = _FAMILY_KINDS[cfg.family]
-    return ctor(*_take(dict(cfg.params or {}), names,
-                       f"family {cfg.family!r}"))
+    ctor, names = _FAMILY_KINDS[args.family]
+    return ctor(*_take(_parse_params(args.params), names,
+                       f"family {args.family!r}"))
 
 
-def cmd_certify(cfg: RunConfig) -> int:
-    if cfg.fmt == "csv":
+def cmd_certify(args) -> int:
+    if args.format == "csv":
         raise UsageError("certify emits a JSON report; use --format json")
-    fam = _family_from_config(cfg)
-    if cfg.grid is None:
+    fam = _family(args)
+    if not args.grid:
         raise UsageError("certify needs --grid min:max:count[:log]")
-    cert_cfg = CertConfig(z_grid=tuple(cfg.grid), n_max=cfg.n_max,
-                          tol=cfg.tol, fd_step=cfg.fd_step)
+    cert_cfg = CertConfig(z_grid=tuple(_parse_grid(args.grid)),
+                          n_max=args.n_max, tol=args.tol, fd_step=args.fd_step)
     log_report = certify_log_cm(fam, cert_cfg)
     fd_report = certify_cm_finite_diff(fam, cert_cfg)
     verdicts = (log_report.verdict, fd_report.verdict)
@@ -608,25 +578,26 @@ def cmd_certify(cfg: RunConfig) -> int:
         route = payload["routes"][key] = report.to_dict()
         route["rows"] = _Rows(lambda mark: {
             name: mark(col) for name, col in route["rows"].items()})
-    _emit(_json_text(payload), cfg.out)
+    _emit(_json_text(payload), args.out)
     _summary(f"certify family={fam.kind} verdict={combined} "
              f"(log-cm {log_report.verdict}, finite-diff "
-             f"{fd_report.verdict})", cfg.out)
+             f"{fd_report.verdict})", args.out)
     return {"certified": 0, "violated": 2, "inconclusive": 3}[combined]
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
-    if cfg.target not in _BOUNDS_TARGETS:
+def cmd_bounds(args) -> int:
+    target = getattr(args, "target", None)
+    if target not in _BOUNDS_TARGETS:
         raise UsageError(
             f"bounds needs a target ({'|'.join(sorted(_BOUNDS_TARGETS))})"
-            + (f", got {cfg.target!r}" if cfg.target else ""))
-    if cfg.fmt == "csv":
+            + (f", got {target!r}" if target else ""))
+    if args.format == "csv":
         raise UsageError("bounds prints text or JSON; use --format json")
-    primary_ids, reference_ids = _BOUNDS_TARGETS[cfg.target]
+    primary_ids, reference_ids = _BOUNDS_TARGETS[target]
     head = iq.get_case(primary_ids[0])
     coord_names = head.param_names + head.point_names
-    coords = dict(zip(coord_names, _take(dict(cfg.params or {}),
-                                         coord_names, f"bounds {cfg.target}")))
+    coords = dict(zip(coord_names, _take(_parse_params(args.params),
+                                         coord_names, f"bounds {target}")))
 
     rows = []
     true_value = None
@@ -653,18 +624,18 @@ def cmd_bounds(cfg: RunConfig) -> int:
     ordered = ([r for r in rows if r[1] == "ge"]
                + [None]
                + [r for r in rows if r[1] == "le"])
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = {
-            "command": "bounds", "target": cfg.target, "params": coords,
+            "command": "bounds", "target": target, "params": coords,
             "true": true_value,
             "bounds": [
                 {"id": rid, "side": side_name[d], "value": val,
                  **({"out_of_domain": msg} if msg else {})}
                 for rid, d, val, msg in rows],
         }
-        _emit(_json_text(payload), cfg.out)
+        _emit(_json_text(payload), args.out)
     else:
-        lines = [f"target={cfg.target} "
+        lines = [f"target={target} "
                  + " ".join(f"{k}={_fmt(v)}" for k, v in coords.items())]
         for row in ordered:
             if row is None:
@@ -674,34 +645,34 @@ def cmd_bounds(cfg: RunConfig) -> int:
             shown = _fmt(val) if val is not None else f"out of domain: {msg}"
             ref = " (reference)" if rid in reference_ids else ""
             lines.append(f"  {side_name[d]:6s} {shown:24s} {rid}{ref}")
-        _emit(["\n".join(lines) + "\n"], cfg.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    if len(cfg.ids) < 2:
+def cmd_compare(args) -> int:
+    ids = _ids(args)
+    if len(ids) < 2:
         raise UsageError("compare needs --id with two or more "
                          "comma-separated ids")
-    head = iq.get_case(cfg.ids[0])
-    params, explicit_point = _case_params_and_point(head, cfg.params)
+    head = iq.get_case(ids[0])
+    params, explicit_point = _case_params_and_point(head, args)
 
-    pts, nudged = _point_set(head, params, explicit_point, cfg)
-    res = iq.tightness_sweep(cfg.ids, params, pts)
-    _check_kept(res, list(map(iq.get_case, cfg.ids)), params, pts,
+    pts, nudged = _point_set(head, params, explicit_point, args)
+    res = iq.tightness_sweep(ids, params, pts)
+    _check_kept(res, list(map(iq.get_case, ids)), params, pts,
                 explicit_point)
     skipped = len(pts) - len(res)
     rhs = _exp_sides(res.rhs_log, res.ids, res.points)
     ranked = np.asarray(res.ids)[res.order]
 
-    fmt = cfg.fmt or "csv"
-    if fmt == "csv":
+    if args.format == "csv":
         # checked with np.exp; written with math.exp, whose bits the CSV's
         # LHS always had
         _exp_sides(res.lhs_log, res.ids, res.points)
         _emit(_csv(",".join(["params", "point", "lhs", *res.ids, "tightest"]),
                    f"{_fmt_list(res.params)},", res.points,
                    [np.fromiter(map(math.exp, res.lhs_log.tolist()), float),
-                    *rhs], ranked[0]), cfg.out)
+                    *rhs], ranked[0]), args.out)
     else:
         by_rank = [np.take_along_axis(v, res.order, axis=0)
                    for v in (res.rhs_log, rhs)]
@@ -715,14 +686,14 @@ def cmd_compare(cfg: RunConfig) -> int:
                          "rhs": mark(by_rank[1][r])}
                         for r in range(len(res.ids))]})
         payload = {
-            "command": "compare", "ids": list(cfg.ids),
+            "command": "compare", "ids": list(ids),
             "params": list(params), "rows": rows,
             "summary": {"points": len(res), "skipped": skipped,
                         "nudged": nudged},
         }
-        _emit(_json_text(payload), cfg.out)
-    _summary(f"compare ids={','.join(cfg.ids)} points={len(res)} "
-             f"skipped={skipped} nudged={nudged}", cfg.out)
+        _emit(_json_text(payload), args.out)
+    _summary(f"compare ids={','.join(ids)} points={len(res)} "
+             f"skipped={skipped} nudged={nudged}", args.out)
     return 0
 
 
@@ -731,11 +702,9 @@ _DISPATCH = {"audit": cmd_audit, "certify": cmd_certify,
 
 
 def main(argv=None) -> int:
-    parser = _make_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _build_config(args)
-        return _DISPATCH[cfg.command](cfg)
+        args = _parse_args(argv)
+        return _DISPATCH[args.command](args)
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

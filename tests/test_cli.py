@@ -286,6 +286,20 @@ class TestSeedResolution:
         assert code == 1
         assert "seed" in err
 
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    def test_negative_seed(self, capsys, tmp_path, monkeypatch, source):
+        # NumPy refuses a negative seed with a traceback of its own
+        monkeypatch.delenv("CMGAMMA_SEED", raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -5}))
+        extra = {"flag": ("--seed", "-5"), "config": ("--config", str(cfg)),
+                 "env": ()}[source]
+        if source == "env":
+            monkeypatch.setenv("CMGAMMA_SEED", "-5")
+        code, out, err = run(capsys, *self.SAMPLE_ARGS, *extra)
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be >= 0, got -5\n"
+
 
 class TestConfigFile:
     def test_config_drives_run(self, capsys, tmp_path):
@@ -352,13 +366,67 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("params", [{"a": "x", "b": 1},
                                         {"a": [1, 2], "b": 1},
-                                        {"a": 1, "b": 1, "z": None}])
+                                        {"a": 1, "b": 1, "z": None},
+                                        {"a": 10 ** 400, "b": 1, "z": 2}])
     def test_config_param_not_real(self, capsys, tmp_path, params):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"id": "INQ1", "params": params}))
         code, _, err = run(capsys, "audit", "--config", str(cfg))
         assert code == 1
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    # a key that is not a flag of the subcommand is refused: one that no
+    # subcommand reads, a nested config, and audit's flags on compare
+    @pytest.mark.parametrize("config,key", [
+        ({"bogus": 1}, "bogus"),
+        ({"config": "other.json"}, "config"),
+        ({"samples": 5, "n_max": 3, "bogus": 1}, "samples"),
+    ])
+    def test_key_not_a_flag(self, capsys, tmp_path, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, "compare", "--id",
+                             "INQ58,INQ58_BASE_RATIO", "--params", "a=1,z=4",
+                             "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == f"error: config {key!r}: not a flag of compare\n"
+
+    def test_flags_over_config_over_defaults(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "family": "symmetric", "params": {"a": 0.5}, "grid": "1:10:3",
+            "n_max": 2, "format": "json"}))
+
+        def rows(*extra):
+            code, out, _ = run(capsys, "certify", "--config", str(cfg),
+                               *extra)
+            assert code == 0
+            return len(json.loads(out)["routes"]["log_cm"]["rows"])
+
+        assert rows() == 3 * 2
+        assert rows("--n-max", "3") == 3 * 3
+
+    @pytest.mark.parametrize("argv,target", [
+        ((), "sym"), (("wallis", "--params", "z=0"), "wallis")])
+    def test_bounds_target_from_config(self, capsys, tmp_path, argv, target):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"target": "sym", "params": "a=0.5,z=2"}))
+        code, out, _ = run(capsys, "bounds", *argv, "--config", str(cfg))
+        assert code == 0
+        assert out.startswith(f"target={target} ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("compare", "--id", "INQ58,INQ58_BASE_RATIO", "--params", "a=1",
+     "--grid", "3:4:2"),
+    ("bounds", "wallis", "--params", "z=0"),
+], ids=lambda argv: argv[0])
+def test_tol_only_where_read(capsys, argv):
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, "--tol", "5")
+    assert (code, out) == (1, "")
+    assert "--tol" in err
+
 
 class TestCertify:
     def test_overflowing_log_gamma_is_an_error(self, capsys, tmp_path):
