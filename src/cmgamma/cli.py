@@ -217,12 +217,10 @@ def _parse_args(argv) -> argparse.Namespace:
     config = argparse.Namespace(command=args.command)
     for key, val in filecfg.items():
         action = actions.get(key)
-        if key == "params" and isinstance(val, dict):
-            # a trailing ';' keeps a one-entry list a list
-            val = ",".join(f"{name}=" + (";".join(map(str, v)) + ";"
-                                         if isinstance(v, list) else str(v))
-                           for name, v in val.items())
         try:
+            if key == "params" and isinstance(val, dict):
+                val = ",".join(f"{name}={_param_text(v)}"
+                               for name, v in val.items())
             if action is None:
                 raise UsageError(f"not a flag of {args.command}")
             if not (isinstance(val, str) or action.type in (int, float)
@@ -243,6 +241,23 @@ def _parse_args(argv) -> argparse.Namespace:
     # would overwrite the config's values
     return sp.parse_args(argv[argv.index(args.command) + 1:],
                          namespace=config)
+
+
+def _param_text(value) -> str:
+    """A ``--config`` ``params`` value as ``--params`` text.  A list's
+    entries are ';'-joined, with a trailing ';' that keeps a one-entry list
+    a list; a string must be one number or a ';' list, so that it cannot
+    add parameters."""
+    if isinstance(value, list):
+        return ";".join(map(str, value)) + ";"
+    if isinstance(value, str):
+        try:
+            if [float(v) for v in value.split(";") if v.strip()]:
+                return value
+        except ValueError:
+            pass
+        raise UsageError(f"malformed value {value!r}")
+    return str(value)
 
 
 # -- shared helpers -----------------------------------------------------------

@@ -19,8 +19,8 @@ The two routes share the table, its exact gaps and integer moments, and
 the recurrence lnG(x + 1) = lnG(x) + ln x, and nothing else: the polygamma
 route reads :mod:`cmgamma.specfun`; the quadrature route reads the Abel sum
 :meth:`RatioFamily.abel` and the recurrence's closed-form terms, and uses
-only exp, expm1, products and powers, which is what makes cross-checking
-them meaningful.  The kernel is described once, by the
+only exp, expm1, log1p, products and powers, which is what makes
+cross-checking them meaningful.  The kernel is described once, by the
 family's exact term list (:attr:`RatioFamily.terms`): integer exponents
 over a power-of-two denominator, equal exponents merged and zero
 coefficients dropped.  The kernel values, the quadrature integrand, the
@@ -641,11 +641,19 @@ def log_deriv_polygamma(fam: RatioFamily, z, n) -> LogDerivResult:
     return _route_result(z, n, shape, sign * value, err, "polygamma")
 
 
-# Most (z, step) pairs whose recurrence terms are formed at once, and most
-# steps per z, about 0.1 s of work: a family whose exponents spread wider
-# than 2^17 runs the rule below its floor at its lowest z, where both point
-# counts can miss the kernel's fast terms alike.
-_STEP_CHUNK, _MAX_STEPS = 1 << 12, 1 << 18
+# Recurrence steps a z takes one by one; the rest of its k steps are summed
+# by Euler-Maclaurin, whose terms past B_16 are then below 1e-18 of the
+# tail's value at every order up to 12.
+_HEAD = 32
+# (n)_(2m-1) B_2m / (2m)! for m = 1..9, row n the order: the Euler-Maclaurin
+# coefficient of the derivative of order 2m - 1 of u^-n; m = 9 is left out
+# and bounds the rest.
+_EM = np.array([[math.perm(n + 2 * m - 2, 2 * m - 1) * num
+                 / (den * math.factorial(2 * m))
+                 for m, (num, den) in enumerate(
+                     ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66),
+                      (-691, 2730), (7, 6), (-3617, 510), (43867, 798)), 1)]
+                for n in range(N_MAX_ORDER + 1)])
 
 
 def log_deriv_quadrature(fam: RatioFamily, z, n) -> LogDerivResult:
@@ -653,18 +661,21 @@ def log_deriv_quadrature(fam: RatioFamily, z, n) -> LogDerivResult:
 
     With y = z - d_m, d_m the top exponent of the merged kernel terms (the
     integrand's own decay rate), and spread = x_m - x_1, a pair first moves
-    up k = max(0, ceil(max(2, 2 spread) - y)) steps, at most 2^18, of
-    lnG(x + 1) = lnG(x) + ln x:
+    up k = max(0, ceil(max(2, 2 spread) - y)) steps of lnG(x + 1) = lnG(x)
+    + ln x, however many:
 
         (-1)^n (ln f)^(n)(z) = (-1)^n (ln f)^(n)(z + k)
                                + (n-1)! sum_(i<k) sum_j c_j (z - d_j + i)^-n.
 
-    The k terms are closed form (:func:`_shift_sum`).  The integrand
-    e^(-(y + k) t) A(t) t^(n-1) / (1 - e^-t), with A(t) = e^(-x_m t) K(t)
-    from :meth:`RatioFamily.abel`, then takes the integrator's
-    Gauss-Laguerre rule at rate y + k.  Both parts read the table's exact
-    gaps and integer moments, never the rounded arguments z - d_j, and use
-    only exp, expm1, products and powers, never :mod:`cmgamma.specfun`.
+    The k terms are closed form (:func:`_shift_sum`): at most _HEAD of them
+    one by one, and the rest by an Euler-Maclaurin sum whose first omitted
+    term bounds its remainder, so their work does not grow with k.  The
+    integrand e^(-(y + k) t) A(t) t^(n-1) / (1 - e^-t), with A(t) =
+    e^(-x_m t) K(t) from :meth:`RatioFamily.abel`, then takes the
+    integrator's Gauss-Laguerre rule at rate y + k.  Both parts read the
+    table's exact gaps and integer moments, never the rounded arguments z -
+    d_j, and use only exp, expm1, log1p, products and powers, never
+    :mod:`cmgamma.specfun`.
     y is (z + hi) + lo over the two parts of the exact d_m, as in
     :meth:`RatioFamily.psi_sum`.  A family whose terms all cancel gives 0;
     a tiny kernel stays lifted by 2^lift until the last product.
@@ -686,7 +697,7 @@ def log_deriv_quadrature(fam: RatioFamily, z, n) -> LogDerivResult:
     spread, lift, _ = fam._taylor
     hi, lo = fam._near[0][0], fam._near[1][0]
     y = (zs + hi) + lo
-    k = np.clip(np.ceil(max(2.0, 2.0 * spread) - y), 0.0, _MAX_STEPS)
+    k = np.maximum(np.ceil(max(2.0, 2.0 * spread) - y), 0.0)
     rate = y + k
     steps, steps_err = _shift_sum(fam, y, k, orders)
 
@@ -716,7 +727,8 @@ def _shift_sum(fam, y, k, orders):
     """(value, err), each shaped (z, n): the recurrence terms (n-1)!
     sum_(i<k) T_n(y + i) of :func:`log_deriv_quadrature`, T_n(u) = sum_j
     c_j (u + delta_j)^-n over the offsets delta_j = x_m - x_j, and a bound
-    on their error.  Per argument u and order n:
+    on their error.  A z takes its first min(k, _HEAD) terms one by one, per
+    argument u and order n:
 
     * where spread > u / (4 (16 + n)), Abel pairs: T_n(u) = sum_j S_j
       (b_j^n - b_(j-1)^n) over the reciprocals b_j of the ascending
@@ -727,58 +739,122 @@ def _shift_sum(fam, y, k, orders):
       on the exact moments mu_p about x_m, p = 1..12, whose term p = 13,
       doubled, bounds the rest.
 
-    Each term carries 2^lift, from its gap or its moment, until the end.
-    The terms of each z add into its own sum from i = k - 1 down to 0, so
+    Past the head, sum_(_HEAD<=i<k) is E(y + _HEAD) - E(y + k), E(u) =
+    sum_(i>=0) T_n(u + i), by :func:`_pair_tail` on each Abel pair.  Every
+    term runs over all orders and pairs at once, each term carries 2^lift,
+    from its gap or its moment, until the end, and each z adds its tail
+    first and then its head terms from i = min(k, _HEAD) - 1 down to 0, so
     that the small ones add up first and a batch equals its scalar calls
-    bit for bit.  The work runs in chunks of _STEP_CHUNK (z, i) pairs.
+    bit for bit.
     """
     den, _, terms = fam.terms
     spread, lift, _ = fam._taylor
-    suffix = fam._near[2]
     xs = [x for x, _ in reversed(terms)]
     delta = np.array([_ratio(xs[0] - x, den) for x in xs])
     # the pairs whose suffix sum is not 0, and their lifted exact gaps
-    cols = np.flatnonzero(suffix[1:])
+    cols = np.flatnonzero(fam._near[2][1:])
+    weight = fam._near[2][cols + 1]
     gap = np.array([_ratio(xs[j] - xs[j + 1] << lift, den) for j in cols])
-    coefs = np.array([_ratio((-1) ** p * mu << lift,
-                             den ** p * math.factorial(p))
-                      for p, mu in enumerate(fam._moments)][1:])
-    facts = np.array([math.factorial(v - 1) for v in orders], dtype=float)
-    sums = np.zeros((3, len(orders), y.size))  # value, magnitude, truncation
-    # pair number q runs over every (z, i), z after z, i descending
-    ends, total = np.cumsum(k.astype(np.int64)), int(k.sum())
-    for s in range(0, total, _STEP_CHUNK):
-        q = np.arange(s, min(s + _STEP_CHUNK, total))
+    n = np.array(orders)
+    # value, magnitude and truncation per z
+    sums = np.zeros((y.size, 3, n.size))
+    tail = k > _HEAD
+    if tail.any():
+        sums[tail] = _pair_tail(np.stack([y[tail] + _HEAD, y[tail] + k[tail]]),
+                                delta, cols, gap, weight, n, lift)
+    head = np.minimum(k, _HEAD)
+    # pair number q runs over every (z, i) of the heads, z after z, i
+    # descending
+    ends, total = np.cumsum(head.astype(np.int64)), int(head.sum())
+    if total:
+        q = np.arange(total)
         own = np.searchsorted(ends, q, side="right")
         b = 1.0 / ((y[own] + (ends[own] - 1 - q))[:, None] + delta)
         x, lower, upper = b[:, 0], b[:, cols], b[:, cols + 1]
         slope = -gap * lower * upper
-        # h = sum_(i<n) upper^i lower^(n-1-i) and pw = x^n, order by order
-        h, low_n, pw = np.zeros_like(lower), np.ones_like(lower), 1.0
-        for p in range(1, max(orders) + 1):
-            h, low_n, pw = upper * h + low_n, low_n * lower, pw * x
-            for jn in [j for j, v in enumerate(orders) if v == p]:
-                val = mag = np.zeros_like(x)
-                for j in range(cols.size):
-                    term = suffix[cols[j] + 1] * (slope[:, j] * h[:, j])
-                    val, mag = val + term, mag + np.abs(term)
-                trunc = np.zeros_like(x)
-                moment = 4.0 * (16 + p) * spread * x <= 1.0
-                if moment.any():
-                    c = coefs * _POCH[p]
-                    poly, pabs = c[-2], abs(c[-2])
-                    for cp in c[-3::-1]:
-                        poly, pabs = poly * x + cp, pabs * x + abs(cp)
-                    x4 = (x * x) * (x * x)
-                    val = np.where(moment, poly * x * pw, val)
-                    mag = np.where(moment, pabs * x * pw, mag)
-                    trunc = np.where(moment, 2.0 * abs(c[-1])
-                                     * (x4 * x4 * x4 * x * pw), 0.0)
-                for row, part in zip(sums[:, jn], (val, mag, trunc)):
-                    np.add.at(row, own, part)
-    value, mag, trunc = sums.swapaxes(1, 2) * facts
-    err = _U * (_SUM_ULPS + np.array(orders) + k[:, None]) * mag + trunc
+        # h = sum_(i<n) upper^i lower^(n-1-i) and pw = x^n, per order
+        h = _pair_powers(lower, upper, n.max())[n - 1]
+        pw = np.cumprod(np.broadcast_to(x, (n.max(),) + x.shape), axis=0)[
+            n - 1]
+        val = mag = np.zeros_like(pw)
+        for j in range(cols.size):
+            term = weight[j] * (slope[:, j] * h[..., j])
+            val, mag = val + term, mag + np.abs(term)
+        trunc = np.zeros_like(pw)
+        moment = 4.0 * (16 + n[:, None]) * spread * x <= 1.0
+        if moment.any():
+            # (-1)^p (n)_p mu_p / p!, p = 1..13, lifted
+            c = np.array([_ratio((-1) ** p * mu << lift,
+                                 den ** p * math.factorial(p))
+                          for p, mu in enumerate(fam._moments)][1:]) \
+                * _POCH[n]
+            poly, pabs = c[:, -2:-1], abs(c[:, -2:-1])
+            for p in range(c.shape[1] - 3, -1, -1):
+                cp = c[:, p:p + 1]
+                poly, pabs = poly * x + cp, pabs * x + abs(cp)
+            x4 = (x * x) * (x * x)
+            val = np.where(moment, poly * x * pw, val)
+            mag = np.where(moment, pabs * x * pw, mag)
+            trunc = np.where(moment, 2.0 * abs(c[:, -1:])
+                             * (x4 * x4 * x4 * x * pw), 0.0)
+        np.add.at(sums, own, np.stack([val, mag, trunc], axis=1).swapaxes(
+            0, 2))
+    facts = np.array([math.factorial(v - 1) for v in orders], dtype=float)
+    value, mag, trunc = sums.swapaxes(0, 1) * facts
+    # a head alone makes k additions; a tail adds fewer than _HEAD roundings
+    # to those of its head
+    err = _U * (_SUM_ULPS + n + np.minimum(k, 2 * _HEAD)[:, None]) * mag \
+        + trunc
     return np.ldexp(value, -lift), np.ldexp(err, -lift)
+
+
+def _pair_powers(lower, upper, count):
+    """h_p = sum_(i<p) upper^i lower^(p-1-i) for p = 1..count, stacked on a
+    new first axis: upper^p - lower^p = (upper - lower) h_p."""
+    out = np.empty((count,) + lower.shape)
+    h, low = np.zeros_like(lower), np.ones_like(lower)
+    for p in range(count):
+        h, low = upper * h + low, low * lower
+        out[p] = h
+    return out
+
+
+def _pair_tail(u, delta, cols, gap, weight, n, lift):
+    """(value, magnitude, truncation) of E(u[0]) - E(u[1]), shaped (z, 3,
+    n), where E(u) = sum_(i>=0) sum_j S_j ((a_j + g_j + i)^-n - (a_j +
+    i)^-n) over the Abel pairs of :func:`_shift_sum`, a_j = u + delta_j and
+    g_j the pair's exact gap.  Per pair, with D_p = a^-p - (a + g)^-p =
+    g b b' h_p as in the head (b, b' the reciprocals of a and a + g),
+    Euler-Maclaurin (DLMF 2.10.1) gives
+
+        sum_(i>=0) ((a + i)^-n - (a + g + i)^-n) = I + D_n / 2
+            + sum_(m=1..8) (n)_(2m-1) B_2m / (2m)! D_(n+2m-1),
+
+    I = log1p(g / a) for n = 1 and D_(n-1) / (n - 1) above, each piece a
+    sum of positive terms linear in g.  Every derivative of the pair is of
+    one sign, so the term m = 9 bounds the remainder; it is doubled.  a >=
+    _HEAD >= 32 keeps that term below 1e-18 of the sum.  The tail runs
+    only where 2 spread > _HEAD, far above the moments' range."""
+    b = 1.0 / (u[..., None] + delta)
+    lower, upper = b[..., cols], b[..., cols + 1]
+    # -D_p for p = 1..n + 17, stacked (p, end, z, pair)
+    d = -gap * lower * upper * _pair_powers(lower, upper, n.max() + 17)
+    gl = gap * lower
+    first = -(gl if lift else np.log1p(gl))
+    whole = np.where((n == 1)[:, None, None, None], first,
+                     d[np.maximum(n - 2, 0)]
+                     / np.maximum(n - 1, 1)[:, None, None, None])
+    em = _EM[n][:, :, None, None, None] * d[
+        n[:, None] + 2 * np.arange(1, 10) - 2]
+    pieces = np.concatenate([whole[:, None], d[n - 1][:, None] / 2.0,
+                             em[:, :8]], axis=1)
+    # (value, magnitude, truncation) per (order, end, z), pairs summed
+    w = np.stack([weight, abs(weight), abs(weight)])[:, None, None, None]
+    out = (np.stack([pieces.sum(axis=1), abs(pieces).sum(axis=1),
+                     2.0 * abs(em[:, 8])]) * w).sum(axis=-1)
+    # the value at the first end less that at the second; bounds add
+    out = out[:, :, 0] + [[[-1.0]], [[1.0]], [[1.0]]] * out[:, :, 1]
+    return out.transpose(2, 0, 1)
 
 
 def _validate_order(n) -> None:

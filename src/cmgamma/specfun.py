@@ -6,7 +6,9 @@ coefficients.  That gives uniform accuracy across the whole positive axis
 without pulling in an external special-function library, and keeps this
 module independent from the quadrature route used elsewhere in the package
 (the two are cross-checked against each other, so they must not share
-code).
+code).  Each step of the shift is one full-array operation: a point that
+has already reached its threshold adds +0.0 and stays put, so every point
+sees the same additions, in the same order, as if stepped alone.
 
 All functions accept scalars or numpy arrays and are elementwise over
 arrays.  Arguments at poles (nonpositive reals for ``log_gamma``,
@@ -91,8 +93,10 @@ def _shift_up(x, threshold: int, term):
 
     Returns (work, acc, scalar): the shifted values in x's shape, at least
     1-d, the sum of ``term(w)`` over the values w stepped past, and whether
-    x was a scalar.  x + threshold >= threshold for any positive x, so
-    ``threshold`` masked steps always suffice.
+    x was a scalar.  Each step takes ``term`` of the whole array, and an
+    entry already at the threshold adds +0.0 to its sum and 0 to its value,
+    so no step gathers or scatters a subset.  x + threshold >= threshold for
+    any positive x, so ``threshold`` steps always suffice.
     """
     arr, scalar = _as_positive_array(x, "x")
     work = np.atleast_1d(arr.copy())
@@ -101,8 +105,8 @@ def _shift_up(x, threshold: int, term):
         m = work < threshold
         if not m.any():
             break
-        acc[m] += term(work[m])
-        work[m] += 1.0
+        acc += np.where(m, term(work), 0.0)
+        work += m
     return work, acc, scalar
 
 
@@ -192,7 +196,9 @@ def polygamma(n, x):
         orders, an array of shape ``(k,) + np.shape(x)`` whose row i equals
         ``polygamma(n[i], x)`` bit for bit: the orders share one shift-up
         sequence x, x + 1, ..., and each order adds its own terms
-        w^-(n+1) below its own threshold and runs its own series.
+        w^-(n+1) below its own threshold and runs its own series.  Each
+        step forms w^-(n+1) for every (order, point) at once; a pair past
+        its threshold adds +0.0 and keeps its argument.
 
     The series coefficients of each order are computed once and cached.
     A value that overflows double precision raises DomainError naming its
@@ -204,7 +210,7 @@ def polygamma(n, x):
     col = np.array(orders, dtype=float)[:, None]
     coef, fac = (np.array(v) for v in zip(*map(_polygamma_coef, orders)))
     fac = fac[:, None]
-    expo = np.broadcast_to(-(col + 1.0), (len(orders), w.size))
+    expo = -(col + 1.0)
     work = np.repeat(w[None, :], len(orders), axis=0)
     shift = np.zeros_like(work)
     with np.errstate(over="ignore"):
@@ -214,9 +220,8 @@ def polygamma(n, x):
             m = w < 10.0 + col
             if not m.any():
                 break
-            stepped = np.broadcast_to(w, m.shape)[m]
-            shift[m] += stepped ** expo[m]
-            work[m] = stepped + 1.0
+            shift += np.where(m, w ** expo, 0.0)
+            work += m
             w = w + 1.0
         u = 1.0 / (work * work)
         s = np.zeros_like(work)

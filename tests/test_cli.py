@@ -364,6 +364,17 @@ class TestConfigFile:
         assert err.startswith(f"error: config {key!r}: ")
         assert len(err.splitlines()) == 1
 
+    def test_config_param_text_cannot_add_parameters(self, capsys,
+                                                     tmp_path):
+        # "1,b=1" as --params text would give the case a b it was not given
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"id": "INQ1",
+                                   "params": {"a": "1,b=1", "z": 2}}))
+        code, out, err = run(capsys, "audit", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("error: config 'params': ")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("params", [{"a": "x", "b": 1},
                                         {"a": [1, 2], "b": 1},
                                         {"a": 1, "b": 1, "z": None},

@@ -409,7 +409,8 @@ class TestExactTermOracle:
         assert abs(q.signed_value - ref) <= q.err_estimate
 
     def test_recurrence_steps_run_in_bounded_memory(self):
-        # about 600,000 (z, step) pairs, formed a chunk at a time
+        # about 600,000 recurrence steps, of which each z forms its first
+        # 32 one by one and sums the rest by Euler-Maclaurin
         fam = TwoParam(0.001, 1e5)
         zs = domain_lower_bound(fam) + np.array([1e-3, 0.1, 1.0])
         tracemalloc.start()
@@ -420,8 +421,9 @@ class TestExactTermOracle:
             tracemalloc.stop()
         assert peak < 1 << 22
 
-    def test_steps_per_z_are_capped(self, monkeypatch):
-        # y = 0.5 would need about 2e9 recurrence steps; y = 3e9 needs none
+    def test_steps_per_z_are_uncapped(self, monkeypatch):
+        # y = 0.5 takes all of its 2 spread + 1/2 recurrence steps, most of
+        # them in the tail; y = 3e9 needs none
         seen = []
         real = kernels._shift_sum
 
@@ -433,7 +435,59 @@ class TestExactTermOracle:
         fam = TwoParam(1e9, 0.5)
         log_deriv_quadrature(fam, domain_lower_bound(fam)
                              + np.array([0.5, 3e9]), [1])
-        assert seen == [[kernels._MAX_STEPS, 0.0]]
+        assert seen == [[2e9 + 1.0, 0.0]]
+
+    def test_wide_spread_past_the_former_cap(self):
+        # 2e9 recurrence steps: with steps capped at 2^18 the rule ran
+        # below its floor and read 5.0012500e-4 with an estimate of 1.5e-14
+        fam = TwoParam(1e9, 0.5)
+        z = domain_lower_bound(fam) + 1e3
+        q = log_deriv_quadrature(fam, z, 1)
+        with mpmath.workdps(60):
+            ref = -mpmath.fsum(c * mpmath.psi(0, mpmath.mpf(z) - d)
+                               for c, _, d in _mp_terms(fam))
+        assert abs(q.signed_value - ref) <= 1e-12 * abs(ref)
+        assert abs(q.signed_value - ref) <= q.err_estimate
+
+    # exponent spreads from 2e-13 to 1e9: no steps, moments, a head of
+    # steps alone, and head plus Euler-Maclaurin tail
+    @pytest.mark.parametrize("fam", [
+        TwoParam(1e-13, 1e-13), TwoParam(0.5, 1e-13), TwoParam(3.0, 5.0),
+        TwoParam(8.0, 9.0), TwoParam(30.0, 50.0), Symmetric(2e3),
+        TwoParam(0.001, 1e5), MultiParam((1e6, 0.5, 3.0)),
+        TwoParam(1e9, 0.5)], ids=repr)
+    def test_estimates_cover_at_every_spread(self, fam):
+        den, r, terms = fam.terms
+        zs = (terms[-1][0] + r) / den + np.geomspace(1e-4, 1e3, 8)
+        ns = list(range(1, N_MAX_ORDER + 1))
+        q = log_deriv_quadrature(fam, zs, ns)
+        with mpmath.workdps(60):
+            terms = _mp_terms(fam)
+            for i, z in enumerate(zs):
+                for j, n in enumerate(ns):
+                    ref = (-1) ** n * mpmath.fsum(
+                        c * mpmath.psi(n - 1, mpmath.mpf(z) - d)
+                        for c, _, d in terms)
+                    err = abs(q.signed_value[i, j] - ref)
+                    assert err <= 1e-12 * abs(ref), (z, n)
+                    assert err <= q.err_estimate[i, j], (z, n)
+
+    # head only (y >= 2 spread - 32), head plus tail, and the moments of
+    # a tiny spread, with unsorted and repeated orders
+    @pytest.mark.parametrize("fam, offsets", [
+        (TwoParam(30.0, 50.0), (1e-3, 0.7, 120.0, 150.0, 500.0)),
+        (TwoParam(8.0, 9.0), (1e-4, 1.0, 2.5, 30.0)),
+        (Symmetric(1e-6), (1e-5, 0.3, 3.0)),
+    ], ids=["spread-80", "spread-17", "moments"])
+    def test_order_lists_equal_scalar_calls(self, fam, offsets):
+        zs = domain_lower_bound(fam) + np.array(offsets)
+        orders = [5, 1, 5, 12]
+        q = log_deriv_quadrature(fam, zs, orders)
+        for i, z in enumerate(zs):
+            for j, n in enumerate(orders):
+                one = log_deriv_quadrature(fam, float(z), n)
+                assert q.signed_value[i, j] == one.signed_value, (z, n)
+                assert q.err_estimate[i, j] == one.err_estimate, (z, n)
 
     @pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=repr)
     def test_polygamma_vs_mpmath(self, fam):

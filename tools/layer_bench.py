@@ -1,0 +1,106 @@
+"""Time the two bottom layers of cmgamma on fixed draws; print one JSON line.
+
+Run from anywhere, for this tree or another checkout's sources::
+
+    python3 tools/layer_bench.py
+    python3 tools/layer_bench.py --tree PARENT
+
+``specfun`` reports values per second, each the median over 5 rounds:
+
+``log_gamma``, ``digamma``   4,096 points log-uniform in [1e-3, 1e6]
+                             (seed 21); a value is one point
+``polygamma``                orders 1..23 on the first 64 of those points;
+                             a value is one (order, point)
+
+``quad`` times ``log_deriv_quadrature`` on TwoParam(0.001, 1e5) at
+lower_bound + geomspace(1e-4, 1e-1, 20) and orders 1..12, whose recurrence
+shift spans up to 2e5 steps per z (median of 3 calls, in ms).  Beside each
+timing, ``max_rel_err`` is the largest relative error against mpmath at 40
+digits: on 64 of the points for ``specfun``, on all 240 values for ``quad``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+import time
+
+import mpmath
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _seconds(call, rounds):
+    """Median seconds per call over ``rounds`` rounds of >= 0.05 s each."""
+    loops, t = 1, 0.0
+    while t < 0.05:
+        start = time.perf_counter()
+        for _ in range(loops):
+            call()
+        t, loops = time.perf_counter() - start, loops * 2
+    loops //= 2
+    times = []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        for _ in range(loops):
+            call()
+        times.append((time.perf_counter() - start) / loops)
+    return statistics.median(times)
+
+
+def _rel(got, want):
+    return max(float(abs(g - w) / abs(w)) for g, w in zip(got, want))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tree", default=ROOT,
+                        help="checkout whose src/ is imported (default: "
+                             "this one)")
+    tree = parser.parse_args(argv).tree
+    sys.path.insert(0, os.path.join(os.path.abspath(tree), "src"))
+    from cmgamma import kernels, specfun
+
+    mpmath.mp.dps = 40
+    x = 10.0 ** np.random.default_rng(21).uniform(-3.0, 6.0, 4096)
+    orders, few = np.arange(1, 24), x[:64]
+    refs = {"log_gamma": [mpmath.loggamma(v) for v in few],
+            "digamma": [mpmath.psi(0, v) for v in few]}
+    out = {"tree": os.path.abspath(tree), "specfun": {}}
+    for name in ("log_gamma", "digamma"):
+        fn = getattr(specfun, name)
+        out["specfun"][name] = {
+            "points_per_s": x.size / _seconds(lambda: fn(x), 5),
+            "max_rel_err": _rel(fn(few), refs[name])}
+    got = specfun.polygamma(orders, few)
+    out["specfun"]["polygamma"] = {
+        "points_per_s": got.size / _seconds(
+            lambda: specfun.polygamma(orders, few), 5),
+        "max_rel_err": max(_rel(row, [mpmath.psi(int(n), v) for v in few])
+                           for n, row in zip(orders, got))}
+
+    fam = kernels.TwoParam(0.001, 1e5)
+    den, r, terms = fam.terms
+    zs = fam.lower_bound() + np.geomspace(1e-4, 1e-1, 20)
+    ns = list(range(1, 13))
+    q = kernels.log_deriv_quadrature(fam, zs, ns).signed_value
+    want = [(-1) ** n * mpmath.fsum(
+        c * mpmath.psi(n - 1, mpmath.mpf(z) - mpmath.mpf(xj + r) / den)
+        for xj, c in terms) for z in zs for n in ns]
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        kernels.log_deriv_quadrature(fam, zs, ns)
+        times.append(time.perf_counter() - start)
+    out["quad"] = {"wide_spread_ms": 1e3 * statistics.median(times),
+                   "max_rel_err": _rel(q.ravel(), want)}
+    print(json.dumps(out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
