@@ -129,6 +129,8 @@ _MOMENT_TERMS, _PAIR_TERMS = 11, 8
 # Unit roundoff, and the roundings of the term magnitudes that bound a sum
 # S_n's error: its polygamma values, their arguments and its additions.
 _U, _SUM_ULPS = 2.0 ** -53, 16.0
+# The smallest normal double.
+_TINY = float(np.finfo(float).tiny)
 # The smallest argument at which a near-field sum is taken: there the top
 # order it can ask, psi^(m) with m = 12 + _MOMENT_TERMS - 1, is about
 # m! x^-(m+1) <= DBL_MAX / e.  Below it a pair takes its plain difference.
@@ -407,7 +409,8 @@ class RatioFamily:
 
         Here F_n = psi^(n-1).  err is _SUM_ULPS roundings of the term
         magnitudes plus twice the terms a sum leaves out, bounded from the
-        last one kept by |psi^(m+1)(x)| <= (m+1) |psi^(m)(x)| / x.
+        last one kept by |psi^(m+1)(x)| <= (m+1) |psi^(m)(x)| / x, and no
+        less than _SUM_ULPS roundings of a subnormal.
         """
         z, n = np.asarray(z, dtype=float), np.asarray(n)
         den, r, terms = self.terms
@@ -448,6 +451,9 @@ class RatioFamily:
         if rows.any():
             out[:, rows] = np.where(near[rows], self._near_sum(z[rows], n),
                                     out[:, rows])
+        # below the smallest normal double a rounding errs by up to half
+        # the subnormal spacing, _U * _TINY, whatever the magnitudes
+        out[1] = np.maximum(out[1], _SUM_ULPS * _U * _TINY)
         return out
 
     def _near_sum(self, z, n):

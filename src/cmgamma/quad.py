@@ -6,13 +6,16 @@ decay rate.  It has one rule: Gauss-Laguerre in s = r t, whose nodes and
 weights come from ``np.polynomial.laguerre.laggauss`` (Golub and Welsch
 1969).  The 16-point and the 32-point rules run on their own nodes, 48 in
 all whatever r is, and each component reports the 32-point value, with
-error max(|Q_16 - Q_32|, eps |Q_32|) + D |Q_32|.  D is the 32-point rule's
-own moment defect, max over k < 32 of |sum w s^k / k! - 1|, about 3.7e-14:
-``laggauss`` normalises its weights by their sum, so the rule misses even
-the polynomials that it should integrate exactly.  A component whose error
-is above a relative 1e-10, or above the smallest normal double, below
-which a value has no relative precision, has not converged; there is no
-other rule to try.  The rule never samples t = 0.
+error max(|Q_16 - Q_32|, eps |Q_32|) + D |Q_32|, floored at 1 + W / r
+subnormal spacings, W the sum of the 32-point weights: samples below the
+smallest normal double round by a fixed spacing, which no relative term
+sees.  D is the 32-point rule's own moment defect, max over k < 32 of
+|sum w s^k / k! - 1|, about 3.7e-14: ``laggauss`` normalises its weights
+by their sum, so the rule misses even the polynomials that it should
+integrate exactly.  A component whose error is above a relative 1e-10, or
+above the smallest normal double, below which a value has no relative
+precision, has not converged; there is no other rule to try.  The rule
+never samples t = 0.
 
 An integrand may be vector valued: one component per entry of an array of
 decay rates of any shape, each evaluated on its own row of nodes.  Calls
@@ -164,6 +167,11 @@ def integrate_half_line(f: Callable, decay_rate) -> QuadResult:
     value = quads[:, -1]
     err = (np.maximum(np.abs(quads[:, 0] - value), _EPS * np.abs(value))
            + defect * np.abs(value))
+    # a sample or product below the smallest normal double errs by up to
+    # half the subnormal spacing _EPS * _TINY: (W / 2 + 16) / r over the
+    # 32-point rule's W = sum w and 32 products, and half for the division
+    err = np.maximum(err, _EPS * _TINY * (1.0 + weights[-1].sum()
+                                          / grid.reshape(-1)))
     ok = err <= np.maximum(_REL_TOL * np.abs(value), _TINY)
 
     def shaped(arr):

@@ -6,9 +6,19 @@ coefficients.  That gives uniform accuracy across the whole positive axis
 without pulling in an external special-function library, and keeps this
 module independent from the quadrature route used elsewhere in the package
 (the two are cross-checked against each other, so they must not share
-code).  Each step of the shift is one full-array operation: a point that
-has already reached its threshold adds +0.0 and stays put, so every point
-sees the same additions, in the same order, as if stepped alone.
+code).
+
+The shift is a ladder: rows x, x + 1, (x + 1) + 1, ..., each made from the
+row before by adding 1.0 (x + k would round differently), one column per
+point.  A point's step terms (ln w, 1/w or w^-(n+1)) come from the rows
+below its threshold, and its shifted argument is the first row at or above
+it.  A call whose ladder, (steps + 1) x orders x points, holds at most
+``_MAX_LADDER`` = 2^12 values forms it, its masks and its terms as whole
+arrays in a fixed number of NumPy calls.  A larger call walks the same rows
+one full-array step at a time, since the ladder's column-wise accumulates
+cost more there than the steps' calls; the choice follows the input size
+alone.  Either way a point's terms add in step order, a point past its
+threshold adds +0.0, and every point gets the bits it would get alone.
 
 All functions accept scalars or numpy arrays and are elementwise over
 arrays.  Arguments at poles (nonpositive reals for ``log_gamma``,
@@ -88,26 +98,59 @@ def _maybe_scalar(arr, scalar: bool):
     return float(arr) if scalar else arr
 
 
-def _shift_up(x, threshold: int, term):
-    """Validate x > 0 and step every entry up by 1 until it is >= threshold.
+# Most values a shift forms at once as a ladder, (steps + 1) x orders x
+# points.  The ladder's two accumulates run along its columns one column at
+# a time, so past about 4k values (some 370 points of log_gamma) a step at a
+# time is faster.
+_MAX_LADDER = 1 << 12
 
-    Returns (work, acc, scalar): the shifted values in x's shape, at least
-    1-d, the sum of ``term(w)`` over the values w stepped past, and whether
-    x was a scalar.  Each step takes ``term`` of the whole array, and an
-    entry already at the threshold adds +0.0 to its sum and 0 to its value,
-    so no step gathers or scatters a subset.  x + threshold >= threshold for
-    any positive x, so ``threshold`` steps always suffice.
+
+def _shift_up(w, limit, term):
+    """Step the 1-d points w up by 1 until each is >= each threshold.
+
+    ``limit`` is a (k, 1) column of thresholds and ``term`` maps points
+    shaped (..., k or 1, points) to their step terms shaped (..., k,
+    points).  Returns (work, acc), each (k, points): for each threshold the
+    first ladder row at or above it, and the sum, in step order, of
+    ``term`` over the rows below it.
+
+    The smallest point takes the most steps, and Python floats round as
+    NumPy's do, so the count below is exact; it is at most the largest
+    threshold, which x + threshold reaches for any positive x.  A ladder
+    within ``_MAX_LADDER`` is built and summed by ``np.add.accumulate``,
+    which adds along its axis in order, r[i] = r[i-1] + a[i], as a step
+    does; its sum starts at the first term rather than at 0.0 plus it,
+    the same bits, as no term is -0.0.  Otherwise, and when no point
+    steps, the rows are walked one full-array step at a time.
     """
-    arr, scalar = _as_positive_array(x, "x")
-    work = np.atleast_1d(arr.copy())
+    top, steps = float(limit.max()), 0
+    lo = float(w.min(initial=top))
+    while lo < top:
+        lo, steps = lo + 1.0, steps + 1
+    if 0 < steps and (steps + 1) * limit.size * w.size <= _MAX_LADDER:
+        rungs = np.ones((steps + 1, w.size))
+        rungs[0] = w
+        np.add.accumulate(rungs, axis=0, out=rungs)
+        below = rungs[:, None] < limit
+        terms = np.where(below, term(rungs[:, None]), 0.0)
+        acc = np.add.accumulate(terms, axis=0)[-1]
+        return rungs[below.sum(axis=0), np.arange(w.size)], acc
+    work = np.repeat(w[None], limit.size, axis=0)
     acc = np.zeros_like(work)
-    for _ in range(threshold):
-        m = work < threshold
-        if not m.any():
-            break
-        acc += np.where(m, term(work), 0.0)
-        work += m
-    return work, acc, scalar
+    for _ in range(steps):
+        below = work < limit
+        acc += np.where(below, term(work), 0.0)
+        work += below
+    return work, acc
+
+
+def _shift_to_ten(x, term):
+    """Validate x > 0 and shift it up to 10: (work, acc, scalar) from
+    :func:`_shift_up`, each 1-d, and whether x was a scalar."""
+    arr, scalar = _as_positive_array(x, "x")
+    with np.errstate(over="ignore"):
+        work, acc = _shift_up(arr.ravel(), np.array([[10.0]]), term)
+    return work[0], acc[0], scalar
 
 
 def _shaped(out, x, scalar: bool):
@@ -151,8 +194,8 @@ def log_gamma(x):
         ln Gamma(x), elementwise.  A value that overflows double precision
         (x above about 2.5e305) raises DomainError.
     """
+    work, shift, scalar = _shift_to_ten(x, np.log)
     with np.errstate(over="ignore"):
-        work, shift, scalar = _shift_up(x, 10, np.log)
         out = _log_gamma_asymptotic(work) - shift
     return _shaped(_finite(out, x, "log_gamma"), x, scalar)
 
@@ -163,8 +206,8 @@ def digamma(x):
     Same shift-plus-series scheme as :func:`log_gamma`, using
     ``psi(x) = psi(x+1) - 1/x`` to reach the asymptotic regime.
     """
+    work, shift, scalar = _shift_to_ten(x, lambda w: 1.0 / w)
     with np.errstate(over="ignore"):
-        work, shift, scalar = _shift_up(x, 10, lambda w: 1.0 / w)
         u = 1.0 / (work * work)
         s = np.zeros_like(work)
         for k in reversed(range(_NTERMS)):
@@ -196,33 +239,25 @@ def polygamma(n, x):
         orders, an array of shape ``(k,) + np.shape(x)`` whose row i equals
         ``polygamma(n[i], x)`` bit for bit: the orders share one shift-up
         sequence x, x + 1, ..., and each order adds its own terms
-        w^-(n+1) below its own threshold and runs its own series.  Each
-        step forms w^-(n+1) for every (order, point) at once; a pair past
-        its threshold adds +0.0 and keeps its argument.
+        w^-(n+1) below its own threshold and runs its own series.  Up to
+        ``_MAX_LADDER`` values, w^-(n+1) is formed for every (step, order,
+        point) of the ladder in one power; past it, for every (order,
+        point) once per step.  A pair past its threshold adds +0.0 and
+        keeps its argument.
 
-    The series coefficients of each order are computed once and cached.
-    A value that overflows double precision raises DomainError naming its
-    order and x.
+    The series coefficients of every order are computed once, on the first
+    call.  A value that overflows double precision raises DomainError
+    naming its order and x.
     """
     orders = _orders(n)
     arr, scalar = _as_positive_array(x, "x")
-    w = np.atleast_1d(arr).ravel()
     col = np.array(orders, dtype=float)[:, None]
-    coef, fac = (np.array(v) for v in zip(*map(_polygamma_coef, orders)))
-    fac = fac[:, None]
+    table = _polygamma_coef()[np.array(orders) - 1]
+    coef, fac = table[:, :-1], table[:, -1:]
     expo = -(col + 1.0)
-    work = np.repeat(w[None, :], len(orders), axis=0)
-    shift = np.zeros_like(work)
     with np.errstate(over="ignore"):
-        # x + threshold >= threshold for any positive x, so the largest
-        # threshold's count of steps always suffices
-        for _ in range(10 + max(orders)):
-            m = w < 10.0 + col
-            if not m.any():
-                break
-            shift += np.where(m, w ** expo, 0.0)
-            work += m
-            w = w + 1.0
+        work, shift = _shift_up(arr.ravel(), 10.0 + col,
+                                lambda w: w ** expo)
         u = 1.0 / (work * work)
         s = np.zeros_like(work)
         for k in reversed(range(_NTERMS)):
@@ -257,11 +292,16 @@ def _orders(n) -> list:
 
 
 @functools.cache
-def _polygamma_coef(n: int):
-    """Series coefficients B_2k C(2k+n-1, 2k) of order n, and (n-1)!."""
-    return (tuple(_BERN[k] * float(math.comb(2 * (k + 1) + n - 1, 2 * (k + 1)))
-                  for k in range(_NTERMS)),
-            float(math.factorial(n - 1)))
+def _polygamma_coef():
+    """Row n - 1 for each order n in 1..120: the series coefficients
+    B_2k C(2k+n-1, 2k) of order n, then (n-1)!; read-only."""
+    table = np.array([[_BERN[k] * float(math.comb(2 * (k + 1) + n - 1,
+                                                   2 * (k + 1)))
+                       for k in range(_NTERMS)]
+                      + [float(math.factorial(n - 1))]
+                      for n in range(1, 121)])
+    table.flags.writeable = False
+    return table
 
 
 def log_beta(a, b):

@@ -559,6 +559,20 @@ class TestExactTermOracle:
                               for c, _, d in _mp_terms(fam))
         assert abs(q - ref) <= 1e-6 * abs(ref)
 
+    @pytest.mark.parametrize("route", [log_deriv_quadrature,
+                                       log_deriv_polygamma])
+    @pytest.mark.parametrize("n", [7, 12])
+    def test_subnormal_value_estimate_covers(self, route, n):
+        # the values (5.4e-312, 3.8e-317) are subnormal, so their relative
+        # roundings underflow; the estimate is floored at a few spacings
+        fam = TwoParam(1e-300, 20.0)
+        res = route(fam, 119.0, n)
+        with mpmath.workdps(700):
+            ref = (-1) ** n * mpmath.fsum(
+                c * mpmath.psi(n - 1, 119 - d) for c, _, d in _mp_terms(fam))
+        assert 0.0 < abs(res.signed_value) < 2.2250738585072014e-308
+        assert abs(res.signed_value - ref) <= res.err_estimate <= 1e-321
+
     @pytest.mark.parametrize("fam,offset,n", [
         (TwoParam(1.0, 2.2250738585e-313), 0.05078125, 7),
         (TwoParam(0.5, 5e-324), 0.05, 10),

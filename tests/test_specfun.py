@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cmgamma.specfun as specfun
 from cmgamma.errors import DomainError
 from cmgamma.specfun import (
     digamma,
@@ -190,6 +191,94 @@ class TestShapes:
         rows = polygamma(np.array(orders), xs)
         for row, n in zip(rows, orders):
             assert row.tobytes() == polygamma(n, xs).tobytes()
+
+
+# -- the ladder against the per-step loop -------------------------------------
+
+def loop_shift(w, limit, term):
+    """The reference shift: one full-array step at a time, a point past a
+    threshold adding +0.0 and keeping its argument, until none is below."""
+    work = np.repeat(w[None, :], len(limit), axis=0)
+    acc = np.zeros_like(work)
+    for _ in range(int(limit.max())):
+        m = w < limit
+        if not m.any():
+            break
+        acc += np.where(m, term(w), 0.0)
+        work += m
+        w = w + 1.0
+    return work, acc
+
+
+def outcome(call):
+    """A call's bytes, or the text of the DomainError it raises."""
+    try:
+        return np.asarray(call()).tobytes()
+    except DomainError as exc:
+        return str(exc)
+
+
+def _draws(size, lo, hi, seed=7):
+    return 10.0 ** np.random.default_rng(seed).uniform(lo, hi, size)
+
+
+# the largest ladders within _MAX_LADDER values, and one point more: from
+# x = 1e-3, log_gamma and digamma take 10 steps, orders 1..23 take 33
+_LADDER = specfun._MAX_LADDER
+_SIDES = [(_LADDER // 11, None), (_LADDER // 11 + 1, None),
+          (_LADDER // (34 * 23), 23), (_LADDER // (34 * 23) + 1, 23)]
+
+
+class TestLadderMatchesLoop:
+    """Every value, and every overflow's message, equals that of the same
+    call with the reference loop in place of :func:`specfun._shift_up`."""
+
+    @staticmethod
+    def check(monkeypatch, calls):
+        new = [outcome(c) for c in calls]
+        with monkeypatch.context() as m:
+            m.setattr(specfun, "_shift_up", loop_shift)
+            ref = [outcome(c) for c in calls]
+        assert new == ref
+
+    @pytest.mark.parametrize("size", [1, 5, 52, 455, 4096])
+    @pytest.mark.parametrize("lo,hi", [(-300.0, 300.0),
+                                       (-3.0, math.log10(30.0))])
+    def test_log_uniform_draws(self, monkeypatch, size, lo, hi):
+        x = _draws(size, lo, hi)
+        orders = [np.arange(1, 24), np.array([5, 1, 5, 12, 1, 23]),
+                  np.array([120]), 3]
+        self.check(monkeypatch, [lambda: log_gamma(x), lambda: digamma(x)]
+                   + [lambda n=n: polygamma(n, x) for n in orders])
+
+    @pytest.mark.parametrize("size,orders", _SIDES,
+                             ids=["log-ladder", "log-loop", "poly-ladder",
+                                  "poly-loop"])
+    def test_both_sides_of_the_size_rule(self, monkeypatch, size, orders):
+        x = _draws(size, -3.0, 1.5, seed=size)
+        x[0] = 1e-3
+        calls = ([lambda: log_gamma(x), lambda: digamma(x)] if orders is None
+                 else [lambda: polygamma(np.arange(1, orders + 1), x)])
+        self.check(monkeypatch, calls)
+
+    @pytest.mark.parametrize("cap", [0, 1 << 30], ids=["loop", "ladder"])
+    @pytest.mark.parametrize("size", [1, 5, 455])
+    def test_either_path_alone(self, monkeypatch, cap, size):
+        monkeypatch.setattr(specfun, "_MAX_LADDER", cap)
+        x = _draws(size, -3.0, 1.5, seed=size)
+        n = np.array([2, 23, 2, 1])
+        self.check(monkeypatch, [lambda: log_gamma(x), lambda: digamma(x),
+                                 lambda: polygamma(n, x)])
+
+    @pytest.mark.parametrize("call", [
+        lambda: polygamma(119, 1e-3),
+        lambda: polygamma(np.array([1, 2, 119, 120]), np.array([5.0, 1e-3])),
+        lambda: digamma(1e-320),
+        lambda: digamma(np.full((2, 2), 1e-320)),
+        lambda: log_gamma(np.array([2.0, 1e308])),
+    ], ids=["psi119", "orders", "digamma", "digamma-2d", "log_gamma"])
+    def test_overflow_names_the_same_x(self, monkeypatch, call):
+        self.check(monkeypatch, [call])
 
 
 # -- domain rejection ----------------------------------------------------------

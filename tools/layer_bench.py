@@ -9,14 +9,19 @@ Run from anywhere, for this tree or another checkout's sources::
 
 ``log_gamma``, ``digamma``   4,096 points log-uniform in [1e-3, 1e6]
                              (seed 21); a value is one point
+``log_gamma_8``, ``_52``     the first 8 or 52 of those points, where a
+(and ``digamma_*``)          call's fixed cost shows
 ``polygamma``                orders 1..23 on the first 64 of those points;
                              a value is one (order, point)
+``polygamma_2_23x5``         orders 2..23 on the first 5 points, the size
+                             of a certify call
 
 ``quad`` times ``log_deriv_quadrature`` on TwoParam(0.001, 1e5) at
 lower_bound + geomspace(1e-4, 1e-1, 20) and orders 1..12, whose recurrence
 shift spans up to 2e5 steps per z (median of 3 calls, in ms).  Beside each
 timing, ``max_rel_err`` is the largest relative error against mpmath at 40
-digits: on 64 of the points for ``specfun``, on all 240 values for ``quad``.
+digits: on up to 64 of each row's points for ``specfun``, on all 240
+values for ``quad``.
 """
 
 from __future__ import annotations
@@ -73,15 +78,20 @@ def main(argv=None) -> int:
     out = {"tree": os.path.abspath(tree), "specfun": {}}
     for name in ("log_gamma", "digamma"):
         fn = getattr(specfun, name)
-        out["specfun"][name] = {
-            "points_per_s": x.size / _seconds(lambda: fn(x), 5),
-            "max_rel_err": _rel(fn(few), refs[name])}
-    got = specfun.polygamma(orders, few)
-    out["specfun"]["polygamma"] = {
-        "points_per_s": got.size / _seconds(
-            lambda: specfun.polygamma(orders, few), 5),
-        "max_rel_err": max(_rel(row, [mpmath.psi(int(n), v) for v in few])
-                           for n, row in zip(orders, got))}
+        for key, pts in ((name, x), (f"{name}_8", x[:8]),
+                         (f"{name}_52", x[:52])):
+            out["specfun"][key] = {
+                "points_per_s": pts.size / _seconds(lambda: fn(pts), 5),
+                "max_rel_err": _rel(fn(pts[:64]), refs[name])}
+    for key, ns, pts in (("polygamma", orders, few),
+                         ("polygamma_2_23x5", orders[1:], x[:5])):
+        got = specfun.polygamma(ns, pts)
+        out["specfun"][key] = {
+            "points_per_s": got.size / _seconds(
+                lambda: specfun.polygamma(ns, pts), 5),
+            "max_rel_err": max(
+                _rel(row, [mpmath.psi(int(n), v) for v in pts])
+                for n, row in zip(ns, got))}
 
     fam = kernels.TwoParam(0.001, 1e5)
     den, r, terms = fam.terms
