@@ -13,14 +13,17 @@ Exit codes: 0 success / everything holds; 1 usage, config, or domain
 error; 2 a violation was found; 3 certification inconclusive.
 
 Output is deterministic: identical configuration (including seed) yields
-byte-identical files.  Floats are serialized with 17 significant digits,
-which round-trips doubles exactly.  A report's row template is filled
-4,096 rows at a time and each chunk is written as it is made, so its
-memory does not grow with the row count.  The sampling seed resolves as
-``--seed`` flag, then config file, then the ``CMGAMMA_SEED`` environment
-variable, then 42.  A ``--config`` file's keys are the subcommand's flags
-(``n_max`` for ``--n-max``), each parsed by that subcommand's parser; a
-key it does not read is an error, and a flag on the command line wins.
+byte-identical files.  Floats round-trip exactly: CSV writes them with
+17 significant digits, JSON as ``json.dumps`` does, the shortest text that
+reads back to the same double (``"tol": 1e-09``).  A report's row template
+is filled 4,096 rows at a time and each chunk is written as it is made, so
+its memory does not grow with the row count.  The sampling seed resolves
+as ``--seed`` flag, then config file, then the ``CMGAMMA_SEED``
+environment variable, then 42.  A command line that starts with a
+subcommand is read once, by that subcommand's parser.  A ``--config``
+file's keys are the subcommand's flags (``n_max`` for ``--n-max``), each
+parsed by that subcommand's parser; a key it does not read is an error,
+and a flag on the command line wins.
 """
 
 from __future__ import annotations
@@ -203,7 +206,13 @@ def _parse_args(argv) -> argparse.Namespace:
     ';'-joined entries."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _make_parser()
-    args = parser.parse_args(argv)
+    if not argv[:1] or argv[0] not in commands:
+        # help, or no subcommand first: the top parser exits or raises
+        parser.parse_args(argv)
+    # the subcommand's parser alone, so the command line is read once
+    command, rest = argv[0], argv[1:]
+    sp, actions = commands[command]
+    args = sp.parse_args(rest, namespace=argparse.Namespace(command=command))
     if args.config is None:
         return args
     try:
@@ -213,8 +222,7 @@ def _parse_args(argv) -> argparse.Namespace:
         raise UsageError(f"cannot read config {args.config!r}: {exc}")
     if not isinstance(filecfg, dict):
         raise UsageError("config file must hold a JSON object")
-    sp, actions = commands[args.command]
-    config = argparse.Namespace(command=args.command)
+    config = argparse.Namespace(command=command)
     for key, val in filecfg.items():
         action = actions.get(key)
         try:
@@ -222,7 +230,7 @@ def _parse_args(argv) -> argparse.Namespace:
                 val = ",".join(f"{name}={_param_text(v)}"
                                for name, v in val.items())
             if action is None:
-                raise UsageError(f"not a flag of {args.command}")
+                raise UsageError(f"not a flag of {command}")
             if not (isinstance(val, str) or action.type in (int, float)
                     and type(val) in (int, float)):
                 raise UsageError(f"malformed value {val!r}")
@@ -237,10 +245,8 @@ def _parse_args(argv) -> argparse.Namespace:
             or getattr(args, "samples", None) is not None:
         vars(config).pop("grid", None)
         vars(config).pop("samples", None)
-    # the subcommand's parser, not the top one: a subparser's defaults
-    # would overwrite the config's values
-    return sp.parse_args(argv[argv.index(args.command) + 1:],
-                         namespace=config)
+    # the flags over the config's values; defaults fill what neither gave
+    return sp.parse_args(rest, namespace=config)
 
 
 def _param_text(value) -> str:

@@ -782,13 +782,25 @@ def tightness_sweep(ids, params, grid) -> TightnessResult:
         lhs, head_rhs = head.sides(flat_params, kept)
         rhs_logs = np.array([head_rhs] + [case.rhs(flat_params, kept)
                                           for case in cases[1:]])
-    # sorted, not argsort: its order for ties and NaN is the ranking's
-    ranks = [sorted(range(len(ids)), key=col.__getitem__,
-                    reverse=head.direction == "ge")
-             for col in rhs_logs.T.tolist()]
-    order = np.array(ranks, dtype=np.intp).reshape(-1, len(ids)).T
     return TightnessResult(ids, head.lhs_key, head.direction, flat_params,
-                           kept, lhs, rhs_logs, order)
+                           kept, lhs, rhs_logs,
+                           _ranking(rhs_logs, head.direction))
+
+
+def _ranking(rhs_logs, direction) -> np.ndarray:
+    """``order``: per column of ``rhs_logs``, the row indices tightest
+    first, as ``sorted(rows, key=rhs, reverse=direction == "ge")`` gives
+    them.  One stable argsort over the rows, of the negated RHS for "ge",
+    keeps tied rows in row order, as that ``sorted`` does.  A column that
+    holds NaN, which no real run makes (``_values`` refuses it), is ranked
+    by ``sorted`` itself, whose order for NaN is the ranking's."""
+    ge = direction == "ge"
+    order = np.argsort(-rhs_logs if ge else rhs_logs, axis=0, kind="stable")
+    for k in np.flatnonzero(np.isnan(rhs_logs).any(axis=0)).tolist():
+        col = rhs_logs[:, k].tolist()
+        order[:, k] = sorted(range(len(col)), key=col.__getitem__,
+                             reverse=ge)
+    return order
 
 
 def tightness_compare(ids, params, point) -> TightnessResult:

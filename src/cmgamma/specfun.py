@@ -116,14 +116,16 @@ def _shift_up(w, limit, term):
 
     The smallest point takes the most steps, and Python floats round as
     NumPy's do, so the count below is exact; it is at most the largest
-    threshold, which x + threshold reaches for any positive x.  A ladder
+    threshold, which x + threshold reaches for any positive x.  That
+    threshold is read as a Python float off the column's list, which
+    costs less than a NumPy reduction on these few values.  A ladder
     within ``_MAX_LADDER`` is built and summed by ``np.add.accumulate``,
     which adds along its axis in order, r[i] = r[i-1] + a[i], as a step
     does; its sum starts at the first term rather than at 0.0 plus it,
     the same bits, as no term is -0.0.  Otherwise, and when no point
     steps, the rows are walked one full-array step at a time.
     """
-    top, steps = float(limit.max()), 0
+    top, steps = max(limit.ravel().tolist()), 0
     lo = float(w.min(initial=top))
     while lo < top:
         lo, steps = lo + 1.0, steps + 1
@@ -144,12 +146,17 @@ def _shift_up(w, limit, term):
     return work, acc
 
 
+# the one threshold of log_gamma and digamma, as a (1, 1) column; read-only
+_TEN = np.full((1, 1), 10.0)
+_TEN.flags.writeable = False
+
+
 def _shift_to_ten(x, term):
     """Validate x > 0 and shift it up to 10: (work, acc, scalar) from
     :func:`_shift_up`, each 1-d, and whether x was a scalar."""
     arr, scalar = _as_positive_array(x, "x")
     with np.errstate(over="ignore"):
-        work, acc = _shift_up(arr.ravel(), np.array([[10.0]]), term)
+        work, acc = _shift_up(arr.ravel(), _TEN, term)
     return work[0], acc[0], scalar
 
 

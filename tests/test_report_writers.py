@@ -8,6 +8,7 @@ with ``sorted`` ranking the bounds at each point.  Crafted columns hold
 the values whose text is easy to get wrong, and ties between bounds.
 """
 
+import dataclasses
 import json
 import math
 
@@ -127,6 +128,73 @@ def test_ranking_is_sorted_order(monkeypatch, name):
         expect = sorted(range(len(res.ids)), key=col.__getitem__,
                         reverse=res.direction == "ge")
         assert res.order[:, k].tolist() == expect
+
+
+# values whose ranking is easy to get wrong: signed zeros, subnormals and
+# infinities, beside ordinary values that often repeat
+RANK_POOL = [-0.0, 0.0, TINY, -TINY, 2.5e-310, -2.5e-310, INF, -INF,
+             1.0, -1.0, 1e300, -3.5]
+RANK_BASE = iq.get_case("INQ58")
+
+
+def rhs_draw(rng, m, n):
+    """An m x n RHS matrix from RANK_POOL and normal draws, with ties
+    forced: whole rows repeated and single values copied along columns."""
+    rhs = np.where(rng.random((m, n)) < 0.6,
+                   rng.choice(RANK_POOL, size=(m, n)),
+                   rng.normal(size=(m, n)))
+    for i in range(1, m):
+        if rng.random() < 0.3:  # an equal row
+            rhs[i] = rhs[rng.integers(i)]
+    for k in range(n):
+        if m > 1 and rng.random() < 0.5:  # a tie within one column
+            i, j = rng.choice(m, size=2, replace=False)
+            rhs[i, k] = rhs[j, k]
+    return rhs
+
+
+def ranked_crafted(monkeypatch, direction, rhs):
+    """tightness_sweep's result over crafted RHS rows, one synthetic bound
+    per row, all of one direction."""
+    cases = {f"S{i}": dataclasses.replace(RANK_BASE, id=f"S{i}",
+                                          direction=direction)
+             for i in range(len(rhs))}
+    monkeypatch.setattr(iq, "get_case", cases.__getitem__)
+    n = np.shape(rhs)[1]
+    points = [[3.0 + k] for k in range(n)] if n else np.empty((0, 1))
+    return crafted_compare(monkeypatch, tuple(cases), "a=1", points,
+                           [0.0] * n, rhs)[0]
+
+
+def sorted_order(rhs, direction):
+    return [sorted(range(len(col)), key=col.__getitem__,
+                   reverse=direction == "ge")
+            for col in np.asarray(rhs).T.tolist()]
+
+
+@pytest.mark.parametrize("direction", ["ge", "le"])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_argsort_ranking_is_sorted_order(monkeypatch, direction, m):
+    # one stable argsort over the ids axis ranks as sorted does per point,
+    # ties in id order, on NaN-free columns of every kind
+    rng = np.random.default_rng(100 * m + (direction == "ge"))
+    for n in (0, 1, 7, 60, 400):
+        rhs = rhs_draw(rng, m, n)
+        res = ranked_crafted(monkeypatch, direction, rhs)
+        assert res.order.shape == (m, n)
+        assert res.order.T.tolist() == sorted_order(rhs, direction)
+
+
+@pytest.mark.parametrize("direction", ["ge", "le"])
+def test_nan_column_keeps_sorted_order(monkeypatch, direction):
+    # NaN columns are ranked by sorted itself, beside argsort-ranked ones
+    rng = np.random.default_rng(5)
+    rhs = rhs_draw(rng, 4, 50)
+    rhs[rng.random(rhs.shape) < 0.2] = NAN
+    rhs[:, 0] = [NAN, 1.0, NAN, 0.5]
+    res = ranked_crafted(monkeypatch, direction, rhs)
+    assert np.isnan(rhs).any(axis=0).sum() > 10
+    assert res.order.T.tolist() == sorted_order(rhs, direction)
 
 
 def test_big_lhs_log_in_json(capsys, tmp_path, monkeypatch):

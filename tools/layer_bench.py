@@ -1,4 +1,4 @@
-"""Time the two bottom layers of cmgamma on fixed draws; print one JSON line.
+"""Time cmgamma layer by layer on fixed inputs; print one JSON line.
 
 Run from anywhere, for this tree or another checkout's sources::
 
@@ -22,6 +22,13 @@ shift spans up to 2e5 steps per z (median of 3 calls, in ms).  Beside each
 timing, ``max_rel_err`` is the largest relative error against mpmath at 40
 digits: on up to 64 of each row's points for ``specfun``, on all 240
 values for ``quad``.
+
+``inequalities`` times ``tightness_sweep`` of INQ58, INQ58_BASE_RATIO and
+INQ58_BASE_SHIFT at a = 1 on geomspace(2.5, 1e4, 2000) (points per
+second, median of 5 rounds), with the largest relative error of 64 of its
+LHS values against mpmath.  ``cli`` times ``_parse_args`` over the argvs
+of the compare workload at seed 1 (microseconds per command line, median
+of 5 rounds; a negative control's usage error counts as parsed).
 """
 
 from __future__ import annotations
@@ -68,7 +75,10 @@ def main(argv=None) -> int:
                              "this one)")
     tree = parser.parse_args(argv).tree
     sys.path.insert(0, os.path.join(os.path.abspath(tree), "src"))
-    from cmgamma import kernels, specfun
+    sys.path.insert(1, os.path.join(ROOT, "perfbench"))
+    import workloads
+    from cmgamma import cli, inequalities, kernels, specfun
+    from cmgamma.errors import UsageError
 
     mpmath.mp.dps = 40
     x = 10.0 ** np.random.default_rng(21).uniform(-3.0, 6.0, 4096)
@@ -108,6 +118,28 @@ def main(argv=None) -> int:
         times.append(time.perf_counter() - start)
     out["quad"] = {"wide_spread_ms": 1e3 * statistics.median(times),
                    "max_rel_err": _rel(q.ravel(), want)}
+
+    ids = ("INQ58", "INQ58_BASE_RATIO", "INQ58_BASE_SHIFT")
+    grid = np.geomspace(2.5, 1e4, 2000)
+    res = inequalities.tightness_sweep(ids, (1.0,), grid)
+    pick = np.linspace(0, len(res) - 1, 64).astype(int)
+    want = [mpmath.loggamma(z) + mpmath.loggamma(z - 2) - 2 * mpmath.loggamma(
+        z - 1) for z in map(mpmath.mpf, res.points[pick, 0].tolist())]
+    out["inequalities"] = {"tightness_sweep": {
+        "points_per_s": len(grid) / _seconds(
+            lambda: inequalities.tightness_sweep(ids, (1.0,), grid), 5),
+        "max_rel_err": _rel(res.lhs_log[pick], want)}}
+
+    argvs = [op["argv"] for op in workloads.generate("compare", 1)]
+
+    def parse_all():
+        for argv in argvs:
+            try:
+                cli._parse_args(argv)
+            except UsageError:
+                pass
+    out["cli"] = {"parse_us": 1e6 * _seconds(parse_all, 5) / len(argvs),
+                  "argvs": len(argvs)}
     print(json.dumps(out))
     return 0
 
