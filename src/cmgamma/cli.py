@@ -15,9 +15,11 @@ error; 2 a violation was found; 3 certification inconclusive.
 Output is deterministic: identical configuration (including seed) yields
 byte-identical files.  Floats round-trip exactly: CSV writes them with
 17 significant digits, JSON as ``json.dumps`` does, the shortest text that
-reads back to the same double (``"tol": 1e-09``).  A report's row template
-is filled 4,096 rows at a time and each chunk is written as it is made, so
-its memory does not grow with the row count.  The sampling seed resolves
+reads back to the same double (``"tol": 1e-09``).  One writer,
+``_json_block``, writes every JSON report, to the bytes that
+``json.dumps(indent=2)`` gives.  A report's row template is filled 4,096
+rows at a time and each chunk is written as it is made, so its memory does
+not grow with the row count.  The sampling seed resolves
 as ``--seed`` flag, then config file, then the ``CMGAMMA_SEED``
 environment variable, then 42.  A command line that starts with a
 subcommand is read once, by that subcommand's parser.  A ``--config``
@@ -479,17 +481,9 @@ _json_str = json.encoder.encode_basestring_ascii
 def _json_text(payload):
     """``json.dumps(payload, indent=2, allow_nan=True)`` and a newline, a
     chunk at a time, where each :class:`_Rows` in the payload stands for
-    its list.  The payload is rendered with a mark in place of each list
-    (see :func:`_with_rows`)."""
+    its list (see :func:`_with_rows`)."""
     lists = []
-
-    def hold(rows):
-        lists.append(rows)
-        return f"@rows{len(lists) - 1}@"
-
-    return _with_rows(
-        json.dumps(payload, indent=2, allow_nan=True, default=hold) + "\n",
-        lists)
+    return _with_rows(_json_block(payload, "\n", lists) + "\n", lists)
 
 
 def _json_scalar(v) -> str:
@@ -501,31 +495,34 @@ def _json_scalar(v) -> str:
     return json.dumps(v)
 
 
-def _json_block(v, pad: str) -> str:
+def _json_block(v, pad: str, lists) -> str:
     """``json.dumps(v, indent=2)`` of nested dicts with string keys, lists
     and scalars, with ``pad`` (a newline and the indent of v's first line)
-    before each later line."""
+    before each later line.  A :class:`_Rows` is written as the mark
+    ``"@rows<k>@"`` and appended to ``lists`` as list k, with the pad of
+    its rows."""
     inner = pad + "  "
+    if isinstance(v, _Rows):
+        lists.append((v, inner))
+        return f'"@rows{len(lists) - 1}@"'
     if isinstance(v, dict) and v:
         return "{" + ",".join(f"{inner}{_json_scalar(k)}: "
-                              + _json_block(x, inner)
+                              + _json_block(x, inner, lists)
                               for k, x in v.items()) + pad + "}"
     if isinstance(v, (list, tuple)) and v:
-        return "[" + ",".join(inner + _json_block(x, inner)
+        return "[" + ",".join(inner + _json_block(x, inner, lists)
                               for x in v) + pad + "]"
     return _json_scalar(v)
 
 
 def _with_rows(tail, lists):
     """The JSON text ``tail``, a chunk at a time, with list k of ``lists``
-    (a :class:`_Rows`) written where ``"@rows<k>@"`` stands: one row is
-    rendered with a mark where each value of a column goes, then filled
-    once per row."""
-    for k, rows in enumerate(lists):
+    (a :class:`_Rows` and the pad of its rows) written where
+    ``"@rows<k>@"`` stands: one row is rendered with a mark where each
+    value of a column goes, then filled once per row."""
+    for k, (rows, pad) in enumerate(lists):
         head, tail = tail.split(f'"@rows{k}@"')
-        line = head[head.rfind("\n") + 1:]
-        pad = "\n" + line[:len(line) - len(line.lstrip())] + "  "
-        parts = _MARK.split(_json_block(rows.template, pad))
+        parts = _MARK.split(_json_block(rows.template, pad, lists))
         row = "%s".join(p.replace("%", "%%") for p in parts[::2]) + "," + pad
         cols = [rows.cols[int(i)] for i in parts[1::2]]
         n = len(cols[0])
@@ -538,66 +535,6 @@ def _with_rows(tail, lists):
         if n:
             yield pad[:-2] + "]"
     yield tail
-
-
-# certify's report as json.dumps(payload, indent=2) writes it, its row
-# lists marked: filled from the fields of CertReport.to_dict, in order, in
-# place of the pure-Python encoder that an indent takes.
-_CERTIFY = """{
-  "command": "certify",
-  "family": %s,
-  "verdict": %s,
-  "routes": {
-    "log_cm": {
-      "family": %s,
-      "method": %s,
-      "verdict": %s,
-      "tol": %s,
-      "worst": {
-        "z": %s,
-        "n": %s,
-        "value": %s
-      },
-      "kernel_scan": {
-        "min": %s,
-        "argmin_t": %s
-      },
-      "rows": "@rows0@"
-    },
-    "finite_diff": {
-      "family": %s,
-      "method": %s,
-      "verdict": %s,
-      "tol": %s,
-      "worst": {
-        "z": %s,
-        "n": %s,
-        "value": %s
-      },
-      "fd_step": %s,
-      "fd_scale": %s,
-      "rows": "@rows1@"
-    }
-  }
-}
-"""
-
-
-def _certify_text(family: dict, verdict: str, routes):
-    """certify's JSON report, a chunk at a time, from the family, the
-    combined verdict and the log-cm and finite-diff ``to_dict()``."""
-    log_cm, fd = routes
-    fields = [_json_block(family, "\n  "), _json_scalar(verdict)]
-    for route, extra in ((log_cm, log_cm["kernel_scan"].values()),
-                         (fd, (fd["fd_step"], fd["fd_scale"]))):
-        fields.append(_json_block(route["family"], "\n      "))
-        fields += map(_json_scalar, [route["method"], route["verdict"],
-                                     route["tol"], *route["worst"].values(),
-                                     *extra])
-    return _with_rows(_CERTIFY % tuple(fields), [
-        _Rows(lambda mark, cols=route["rows"]: {
-            name: mark(col) for name, col in cols.items()})
-        for route in routes])
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -683,9 +620,16 @@ def cmd_certify(args) -> int:
         combined = "inconclusive"
     else:
         combined = "certified"
-    _emit(_certify_text({"kind": fam.kind, **fam.params_dict()}, combined,
-                        [log_report.to_dict(), fd_report.to_dict()]),
-          args.out)
+    routes = {}
+    for name, report in (("log_cm", log_report), ("finite_diff", fd_report)):
+        route = routes[name] = report.to_dict()
+        cols = route["rows"]
+        route["rows"] = _Rows(lambda mark: {
+            field: mark(col) for field, col in cols.items()})
+    payload = {"command": "certify",
+               "family": {"kind": fam.kind, **fam.params_dict()},
+               "verdict": combined, "routes": routes}
+    _emit(_json_text(payload), args.out)
     _summary(f"certify family={fam.kind} verdict={combined} "
              f"(log-cm {log_report.verdict}, finite-diff "
              f"{fd_report.verdict})", args.out)

@@ -18,9 +18,9 @@ integral form and a polygamma series form.  Certification here means:
 
 Verdicts are ``certified``, ``violated``, or ``inconclusive`` (the routes
 disagree beyond that allowance, so neither is trusted).
-A report keeps its values as columns: the log-cm route one
-:class:`LogCmRow` per (z, n) pair, the finite-difference route a (z, n)
-array of margins.
+A report's ``rows`` hold the log-cm route's :class:`LogCmRow` tuples, one
+per (z, n) pair, and the finite-difference route keeps a (z, n) array of
+margins; :meth:`CertReport.to_dict` turns either into columns.
 
 Every family's kernel is sum e^(a_i t) - sum e^(b_i t) over its numerator
 exponents a and denominator exponents b, which is nonnegative for every

@@ -334,21 +334,36 @@ class RatioFamily:
 
     @cached_property
     def _taylor(self):
-        """(spread, lift, coefs): every |(x_j - x_m) t| <= 1/16 where spread
-        t <= 1/16, and there 2^lift A(t) = polyval(coefs, t), each 2^lift
-        mu_p / p! rounded once from the exact integer moment mu_p = sum_j
-        c_j (x_j - x_m)^p about the top exponent x_m.  lift is _LIFT if
-        every mu_p / p! is below 2^-_LIFT, else 0."""
+        """(spread, lift, moments, delta, cols, weight, gap), built once for
+        :meth:`abel` and :func:`_shift_sum`; (0.0, 0, [0.0]) if all terms
+        cancel.  Every |(x_j - x_m) t| <= 1/16 where spread t <= 1/16, and
+        there 2^lift A(t) = polyval(moments[_TAYLOR_TERMS::-1], t).
+        moments[p] is 2^lift (-1)^p mu_p / (den^p p!), rounded once from
+        the exact integer moment mu_p = sum_j c_j (x_j - x_m)^p about the
+        top exponent x_m; lift is _LIFT if each of them to p = _TAYLOR_TERMS
+        is below 2^-_LIFT, else 0.  delta holds the offsets x_m - x_j,
+        descending in x_j; cols the Abel pairs whose suffix sum is not 0,
+        weight those sums and gap their exact gaps times 2^lift."""
         den, _, terms = self.terms
         if not terms:
             return 0.0, 0, [0.0]
-        moments = list(zip([(-1) ** p * mu for p, mu in
-                            enumerate(self._moments[:_TAYLOR_TERMS + 1])],
-                           (den ** p * math.factorial(p)
-                            for p in range(_TAYLOR_TERMS + 1))))
-        lift = _LIFT if all(abs(mu) << _LIFT < s for mu, s in moments) else 0
-        coefs = [_ratio(mu << lift, s) for mu, s in reversed(moments)]
-        return (terms[-1][0] - terms[0][0]) / den, lift, coefs
+        moments = [((-1) ** p * mu, den ** p * math.factorial(p))
+                   for p, mu in enumerate(self._moments)]
+        lift = _LIFT if all(abs(mu) << _LIFT < s for mu, s in
+                            moments[:_TAYLOR_TERMS + 1]) else 0
+        # the shift sum reads the moments past the Taylor terms only where
+        # spread < 1/34; from spread 1 on they may overflow, and stay NaN
+        wide = terms[-1][0] - terms[0][0] >= den
+        moments = np.array([
+            math.nan if wide and p > _TAYLOR_TERMS else _ratio(mu << lift, s)
+            for p, (mu, s) in enumerate(moments)])
+        xs = [x for x, _ in reversed(terms)]
+        cols = np.flatnonzero(self._near[2][1:])
+        return ((xs[0] - xs[-1]) / den, lift, moments,
+                np.array([_ratio(xs[0] - x, den) for x in xs]), cols,
+                self._near[2][cols + 1],
+                np.array([_ratio(xs[j] - xs[j + 1] << lift, den)
+                          for j in cols]))
 
     def abel(self, t):
         """2^lift A(t), where A(t) = e^(-x_m t) K(t), x_m is the top exponent
@@ -366,7 +381,7 @@ class RatioFamily:
         den, _, terms = self.terms
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
-        spread, lift, coefs = self._taylor
+        spread, lift, moments = self._taylor[:3]
         top, partial = (terms[-1][0] if terms else 0), 0
         for (x0, c0), (x1, _) in zip(terms, terms[1:]):
             partial += c0
@@ -377,7 +392,7 @@ class RatioFamily:
             out += rise * np.exp((x1 - top) / den * t)
         near = spread * t <= 0.0625
         if near.any():
-            out[near] = np.polyval(coefs, t[near])
+            out[near] = np.polyval(moments[_TAYLOR_TERMS::-1], t[near])
         return out
 
     def kernel(self, t):
@@ -700,7 +715,7 @@ def log_deriv_quadrature(fam: RatioFamily, z, n) -> LogDerivResult:
     if not fam.terms[2]:  # every factor cancels: f = 1
         value, err = np.zeros((2, zs.size, len(orders)))
         return _route_result(z, n, shape, value, err, "quadrature")
-    spread, lift, _ = fam._taylor
+    spread, lift = fam._taylor[:2]
     hi, lo = fam._near[0][0], fam._near[1][0]
     y = (zs + hi) + lo
     k = np.maximum(np.ceil(max(2.0, 2.0 * spread) - y), 0.0)
@@ -753,14 +768,7 @@ def _shift_sum(fam, y, k, orders):
     that the small ones add up first and a batch equals its scalar calls
     bit for bit.
     """
-    den, _, terms = fam.terms
-    spread, lift, _ = fam._taylor
-    xs = [x for x, _ in reversed(terms)]
-    delta = np.array([_ratio(xs[0] - x, den) for x in xs])
-    # the pairs whose suffix sum is not 0, and their lifted exact gaps
-    cols = np.flatnonzero(fam._near[2][1:])
-    weight = fam._near[2][cols + 1]
-    gap = np.array([_ratio(xs[j] - xs[j + 1] << lift, den) for j in cols])
+    spread, lift, moments, delta, cols, weight, gap = fam._taylor
     n = np.array(orders)
     # value, magnitude and truncation per z
     sums = np.zeros((y.size, 3, n.size))
@@ -790,10 +798,7 @@ def _shift_sum(fam, y, k, orders):
         moment = 4.0 * (16 + n[:, None]) * spread * x <= 1.0
         if moment.any():
             # (-1)^p (n)_p mu_p / p!, p = 1..13, lifted
-            c = np.array([_ratio((-1) ** p * mu << lift,
-                                 den ** p * math.factorial(p))
-                          for p, mu in enumerate(fam._moments)][1:]) \
-                * _POCH[n]
+            c = moments[1:] * _POCH[n]
             poly, pabs = c[:, -2:-1], abs(c[:, -2:-1])
             for p in range(c.shape[1] - 3, -1, -1):
                 cp = c[:, p:p + 1]

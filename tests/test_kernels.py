@@ -188,6 +188,28 @@ class TestKernel:
         with pytest.raises(DomainError):
             kernel_value(TwoParam(0.5, 0.7), -1.0)
 
+    @pytest.mark.parametrize("fam", [
+        TwoParam(0.5, 0.7), MultiParam((1.0, 2.0, 3.0)), Symmetric(0.3),
+        TwoParam(1e-13, 1.0), Symmetric(1e-3)], ids=repr)
+    def test_lifted_moments_are_rounded_once(self, fam):
+        # each 2^lift (-1)^p mu_p / (den^p p!) rounded once from the exact
+        # moments; those past the Taylor terms exist below spread 1
+        den, _, terms = fam.terms
+        spread, lift, moments = fam._taylor[:3]
+        want = [float(Fraction(sum(c * (terms[-1][0] - x) ** p
+                                   for x, c in terms) * (-1) ** p << lift,
+                               den ** p * math.factorial(p)))
+                for p in range(len(moments))]
+        count = len(moments) if spread < 1.0 else 11
+        assert moments[:count].tolist() == want[:count]
+        assert np.isnan(moments[count:]).all()
+
+    def test_unread_moments_of_a_wide_spread_do_not_overflow(self):
+        # mu_13 / 13! of a spread of 2e25 is past double precision, but
+        # only a spread below 1/34 reads it
+        fam = Symmetric(1e25)
+        assert 0.0 < kernel_value(fam, 1e-30) < 1e-9
+
 
 class TestKernelOracle:
     TS = (1e-8, 1e-6, 1e-4, 1e-2, 0.3, 1.0, 8.0)

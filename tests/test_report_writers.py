@@ -1,4 +1,5 @@
-"""The compare and certify writers give the bytes of per-row writers.
+"""The compare, certify and bounds writers give the bytes of per-row
+writers.
 
 ``cmgamma compare`` and ``cmgamma certify`` write their reports a column
 at a time.  The references below build the same reports one row at a
@@ -6,6 +7,8 @@ time, as the per-row writers did: ``_fmt`` per CSV value, and
 ``json.dumps(payload, indent=2, allow_nan=True)`` over one dict per row,
 with ``sorted`` ranking the bounds at each point.  Crafted columns hold
 the values whose text is easy to get wrong, and ties between bounds.
+``cmgamma bounds`` has no row list; its JSON is checked against
+``json.dumps`` of the same payload.
 """
 
 import dataclasses
@@ -239,14 +242,27 @@ def test_real_compare_matches_per_row_writer(capsys, tmp_path, fmt, argv):
                      compare_reference(res, fmt, len(pts), nudged))
 
 
-@pytest.mark.parametrize("n", [0, 1, 3])
-def test_json_writer_fills_rows_at_any_depth(n):
-    # row lists at two depths, empty or not, with "%" in the fixed text
-    xs, flags = SPECIAL[:n], [k % 2 == 0 for k in range(n)]
+# fixed parts of a payload: row lists at two depths with "%" in the fixed
+# text, and one row list beside every kind of scalar and empty container
+HEADS = {
+    "nested": lambda rows: {"top": rows(),
+                            "deep": {"list": [1, {"rows": rows()}]},
+                            "after": "%s"},
+    "scalars": lambda rows: {"empty": [[], {}], "none": None,
+                             "truths": [True, False],
+                             "int": 123456789012345678901234567890,
+                             "floats": [-0.0, NAN, INF, -INF, TINY, BIG],
+                             "text": "é\n\"", "rows": rows()},
+}
 
-    def payload(rows):
-        return {"top": rows(), "deep": {"list": [1, {"rows": rows()}]},
-                "after": "%s"}
+
+@pytest.mark.parametrize("n, head", [
+    *(pytest.param(n, "nested", id=str(n)) for n in (0, 1, 3)),
+    *(pytest.param(n, "scalars", id=f"scalars-{n}") for n in (0, 1, 3))])
+def test_json_writer_fills_rows_at_any_depth(n, head):
+    # row lists, empty or not, in each head
+    xs, flags = SPECIAL[:n], [k % 2 == 0 for k in range(n)]
+    payload = HEADS[head]
 
     def columns():
         return cli._Rows(lambda mark: {
@@ -265,7 +281,8 @@ def test_json_writer_fills_rows_at_any_depth(n):
 def test_json_writer_in_three_row_chunks(monkeypatch, n):
     # no row, part of a chunk, one whole chunk, and several chunks
     monkeypatch.setattr(iq, "_CHUNK", 3)
-    test_json_writer_fills_rows_at_any_depth(n)
+    for head in HEADS:
+        test_json_writer_fills_rows_at_any_depth(n, head)
 
 
 @pytest.mark.parametrize("last", [[False, True, True], ["A", "%s", "B"]],
@@ -284,6 +301,48 @@ def test_csv_writer_in_three_row_chunks(monkeypatch, n, dim, last):
             for p, *vals, text in zip(points.tolist(), *cols, texts)]
     assert len(chunks) == 1 + -(-n // 3)
     assert "".join(chunks) == "\n".join(["h,%", *rows]) + "\n"
+
+
+# -- bounds ----------------------------------------------------------------
+
+def bounds_reference(target, coords):
+    """The bounds report as json.dumps writes it, its values taken from
+    the registry: ln sides, exp'd as bounds prints them."""
+    primary, reference = cli._BOUNDS_TARGETS[target]
+    true, rows = None, []
+    for case_id in primary + reference:
+        case = iq.get_case(case_id)
+        params = tuple(coords[n] for n in case.param_names)
+        point = tuple(coords[n] for n in case.point_names)
+        row = {"id": case_id,
+               "side": {"ge": "lower", "le": "upper"}[case.direction]}
+        violation = case.domain_violation(params, point)
+        if violation is not None:
+            rows.append({**row, "value": None, "out_of_domain": violation})
+            continue
+        lhs, rhs = case.sides(params, [point])
+        true = math.exp(lhs[0]) if true is None else true
+        rows.append({**row, "value": float(np.exp(rhs)[0])})
+    payload = {"command": "bounds", "target": target, "params": coords,
+               "true": true, "bounds": rows}
+    return json.dumps(payload, indent=2, allow_nan=True) + "\n"
+
+
+@pytest.mark.parametrize("target, params", [
+    ("wallis", "z=3"), ("wallis", "z=0"), ("wallis-shift", "z=3"),
+    ("sym", "a=0.5,z=2"), ("half", "z=2.5"), ("beta", "a=0.5,b=0.7"),
+    ("beta", "a=2,b=3"), ("dup", "a=0.5"), ("inq58", "a=1,z=4"),
+    ("inq58", "a=0.5,z=1.5")])
+def test_bounds_json_matches_json_dumps(capsys, tmp_path, target, params):
+    # beta at a > 1 and inq58 at z < 2 hold an out_of_domain reference
+    out = tmp_path / "report.json"
+    assert main(["bounds", target, "--params", params, "--format", "json",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    coords = {k: float(v) for k, v in
+              (kv.split("=") for kv in params.split(","))}
+    assert_same_text(out.read_text(encoding="utf-8"),
+                     bounds_reference(target, coords))
 
 
 # -- certify ---------------------------------------------------------------

@@ -29,11 +29,17 @@ second, median of 5 rounds), with the largest relative error of 64 of its
 LHS values against mpmath.  ``cli`` times ``_parse_args`` over the argvs
 of the compare workload at seed 1 (microseconds per command line, median
 of 5 rounds; a negative control's usage error counts as parsed).
+``serialize`` times ``cli.main``, output discarded, in microseconds per
+command line (median of 5 rounds): ``certify`` on TwoParam(0.5, 0.7) at
+8 z and n_max 6, its two routes patched to return reports made once, so
+that parsing and the 48-row JSON report are timed; ``bounds`` for
+``bounds wallis --params z=3 --format json``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
@@ -77,7 +83,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(os.path.abspath(tree), "src"))
     sys.path.insert(1, os.path.join(ROOT, "perfbench"))
     import workloads
-    from cmgamma import cli, inequalities, kernels, specfun
+    from cmgamma import cli, cm_certify, inequalities, kernels, specfun
     from cmgamma.errors import UsageError
 
     mpmath.mp.dps = 40
@@ -140,6 +146,23 @@ def main(argv=None) -> int:
                 pass
     out["cli"] = {"parse_us": 1e6 * _seconds(parse_all, 5) / len(argvs),
                   "argvs": len(argvs)}
+
+    fam = kernels.TwoParam(0.5, 0.7)
+    cfg = cm_certify.CertConfig(z_grid=tuple(np.linspace(1.0, 8.0, 8)),
+                                n_max=6)
+    reports = (cm_certify.certify_log_cm(fam, cfg),
+               cm_certify.certify_cm_finite_diff(fam, cfg))
+    cli.certify_log_cm = lambda f, c: reports[0]
+    cli.certify_cm_finite_diff = lambda f, c: reports[1]
+    serialize = {
+        "certify": ["certify", "--family", "two-param", "--params",
+                    "a=0.5,b=0.7", "--grid", "1:8:8", "--n-max", "6"],
+        "bounds": ["bounds", "wallis", "--params", "z=3", "--format", "json"]}
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null), \
+            contextlib.redirect_stderr(null):
+        out["serialize"] = {
+            f"{name}_us": 1e6 * _seconds(lambda: cli.main(argv), 5)
+            for name, argv in serialize.items()}
     print(json.dumps(out))
     return 0
 
