@@ -400,7 +400,7 @@ class RatioFamily:
         it overflows to +-inf only where the kernel does."""
         den, _, terms = self.terms
         t = np.asarray(t, dtype=float)
-        top = terms[-1][0] / den if terms else 0.0
+        top = _ratio(terms[-1][0], den) if terms else 0.0
         with np.errstate(over="ignore"):
             out = np.exp(top * t) * np.ldexp(self.abel(t), -self._taylor[1])
         return float(out) if out.ndim == 0 else out

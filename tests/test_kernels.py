@@ -16,6 +16,7 @@ from cmgamma.kernels import (
     LogDerivResult,
     Majorized,
     MultiParam,
+    RatioFamily,
     Symmetric,
     TwoParam,
     domain_lower_bound,
@@ -363,6 +364,17 @@ VALUE_FAMILIES = [
 ]
 
 
+# row tables of the inequality sides: binom-core, whose coefficients sum to
+# -1, and INQ58's gamma-square table at a = 1
+ROW_TABLES = [
+    RatioFamily("rows", (("rows", "binom-core"),),
+                ((1.0, (-0.5, -0.7, 1.0)), (-1.0, (-0.5, 1.0)),
+                 (-1.0, (-0.7, 1.0)))),
+    RatioFamily("rows", (("rows", "gamma-square"),),
+                ((1.0, ()), (1.0, (-2.0,)), (-2.0, (-1.0,)))),
+]
+
+
 def _mp_terms(fam):
     """(c_j, x_j, d_j) of the family's exact kernel terms, in mpmath: K(t)
     = sum_j c_j e^(x_j t) and the route sums c_j psi^(n-1)(z - d_j)."""
@@ -542,7 +554,7 @@ class TestExactTermOracle:
         assert err <= 1e-8 * abs(ref)
         assert err <= p.err_estimate
 
-    @pytest.mark.parametrize("fam", VALUE_FAMILIES, ids=repr)
+    @pytest.mark.parametrize("fam", VALUE_FAMILIES + ROW_TABLES, ids=repr)
     def test_log_f_vs_mpmath(self, fam):
         # n = 0 from the domain edge to past the large-z series threshold,
         # with an error bound that covers the true error
@@ -659,8 +671,11 @@ class TestValidation:
         # a gap of one ulp of 1e300, are exact integers past double precision
         wide = Majorized((1e306, 0.0), (5e305, 5e305))
         ulp = Majorized((1e300,), (math.nextafter(1e300, 0.0),))
+        # the top exponent 2e308 of MultiParam((1e308, 1e308)) as well
+        top = MultiParam((1e308, 1e308))
         for call in (lambda: kernel_value(wide, 1.0),
-                     lambda: log_f(ulp, 1e300 + 1e290)):
+                     lambda: log_f(ulp, 1e300 + 1e290),
+                     lambda: kernel_value(top, 1.0)):
             with pytest.raises(DomainError, match="^an exact moment of the "
                                                   "table overflows"):
                 call()

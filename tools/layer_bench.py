@@ -23,6 +23,15 @@ timing, ``max_rel_err`` is the largest relative error against mpmath at 40
 digits: on up to 64 of each row's points for ``specfun``, on all 240
 values for ``quad``.
 
+``polygamma_route`` times ``log_deriv_polygamma`` on TwoParam(0.5, 0.7),
+MultiParam((0.2, 0.5, 0.9)) and Symmetric(1e-6), each at lower_bound +
+geomspace(1e-3, 1e3, 6) and orders 1..12 in one call (microseconds per
+call, median of 5 rounds), with the largest relative error of its 216
+values against mpmath.  ``log_f_chunk`` times ``log_f`` on INQ58's
+gamma-square table at a = 1 over 4,096 points lower_bound + 10^U(-3, 2)
+(seed 22; points per second, median of 5 rounds), with the largest
+relative error of 64 of them.
+
 ``inequalities`` times ``tightness_sweep`` of INQ58, INQ58_BASE_RATIO and
 INQ58_BASE_SHIFT at a = 1 on geomspace(2.5, 1e4, 2000) (points per
 second, median of 5 rounds), with the largest relative error of 64 of its
@@ -109,14 +118,19 @@ def main(argv=None) -> int:
                 _rel(row, [mpmath.psi(int(n), v) for v in pts])
                 for n, row in zip(ns, got))}
 
+    def exact(fam, zs, n):
+        """(-1)^n S_n at each z against the exact terms, n = 0 for ln f."""
+        den, r, terms = fam.terms
+        return [(-1) ** n * mpmath.fsum(
+            c * (mpmath.loggamma(w) if n == 0 else mpmath.psi(n - 1, w))
+            for x, c in terms
+            for w in [mpmath.mpf(z) - mpmath.mpf(x + r) / den]) for z in zs]
+
     fam = kernels.TwoParam(0.001, 1e5)
-    den, r, terms = fam.terms
     zs = fam.lower_bound() + np.geomspace(1e-4, 1e-1, 20)
     ns = list(range(1, 13))
     q = kernels.log_deriv_quadrature(fam, zs, ns).signed_value
-    want = [(-1) ** n * mpmath.fsum(
-        c * mpmath.psi(n - 1, mpmath.mpf(z) - mpmath.mpf(xj + r) / den)
-        for xj, c in terms) for z in zs for n in ns]
+    want = [v for row in zip(*(exact(fam, zs, n) for n in ns)) for v in row]
     times = []
     for _ in range(3):
         start = time.perf_counter()
@@ -125,12 +139,32 @@ def main(argv=None) -> int:
     out["quad"] = {"wide_spread_ms": 1e3 * statistics.median(times),
                    "max_rel_err": _rel(q.ravel(), want)}
 
+    calls, errs = {}, []
+    for fam in (kernels.TwoParam(0.5, 0.7),
+                kernels.MultiParam((0.2, 0.5, 0.9)),
+                kernels.Symmetric(1e-6)):
+        zs = fam.lower_bound() + np.geomspace(1e-3, 1e3, 6)
+        got = kernels.log_deriv_polygamma(fam, zs, ns).signed_value
+        errs += [_rel(got[:, j], exact(fam, zs, n)) for j, n in enumerate(ns)]
+        calls[repr(fam)] = 1e6 * _seconds(
+            lambda: kernels.log_deriv_polygamma(fam, zs, ns), 5)
+    out["polygamma_route"] = {"us_per_call": calls, "max_rel_err": max(errs)}
+
+    square = kernels.RatioFamily("rows", (), ((1.0, ()), (1.0, (-2.0,)),
+                                              (-2.0, (-1.0,))))
+    zs = square.lower_bound() + 10.0 ** np.random.default_rng(22).uniform(
+        -3.0, 2.0, 4096)
+    got = kernels.log_f(square, zs)
+    out["log_f_chunk"] = {
+        "points_per_s": zs.size / _seconds(lambda: kernels.log_f(square, zs),
+                                           5),
+        "max_rel_err": _rel(got[:64], exact(square, zs[:64], 0))}
+
     ids = ("INQ58", "INQ58_BASE_RATIO", "INQ58_BASE_SHIFT")
     grid = np.geomspace(2.5, 1e4, 2000)
     res = inequalities.tightness_sweep(ids, (1.0,), grid)
     pick = np.linspace(0, len(res) - 1, 64).astype(int)
-    want = [mpmath.loggamma(z) + mpmath.loggamma(z - 2) - 2 * mpmath.loggamma(
-        z - 1) for z in map(mpmath.mpf, res.points[pick, 0].tolist())]
+    want = exact(square, res.points[pick, 0].tolist(), 0)
     out["inequalities"] = {"tightness_sweep": {
         "points_per_s": len(grid) / _seconds(
             lambda: inequalities.tightness_sweep(ids, (1.0,), grid), 5),
