@@ -257,13 +257,14 @@ def certify_log_cm(fam: RatioFamily, config: CertConfig) -> CertReport:
     the polygamma series route, each called once for the whole grid: the
     quadrature integrates every pair in one vector-valued pass of its
     fixed rule, and the series makes at most one ``digamma`` call and two
-    ``polygamma`` calls for the whole grid.  The verdict is
-    ``certified`` when all values clear ``-tol`` and the routes agree
-    within ``max(1e-8 * |polygamma|, 1e-9)``; an agreed value below
-    ``-tol`` gives ``violated``; disagreement beyond the allowance, or a
-    quadrature that did not converge, gives ``inconclusive``.  The kernel
-    scan in the report is a diagnostic: the exact certifiability gate
-    already proves K >= 0.
+    ``polygamma`` calls for the whole grid when the table's coefficients
+    sum to zero, as in the four families, and one more of each otherwise.
+    The verdict is ``certified`` when all values clear ``-tol`` and the
+    routes agree within ``max(1e-8 * |polygamma|, 1e-9)``; an agreed value
+    below ``-tol`` gives ``violated``; disagreement beyond the allowance,
+    or a quadrature that did not converge, gives ``inconclusive``.  The
+    kernel scan in the report is a diagnostic: the exact certifiability
+    gate already proves K >= 0.
 
     Raises
     ------

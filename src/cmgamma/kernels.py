@@ -654,7 +654,9 @@ def log_deriv_polygamma(fam: RatioFamily, z, n) -> LogDerivResult:
 
     z may be an array of points and n an array of orders; the result then
     holds one value per (z, n) pair, shaped ``np.shape(z) + np.shape(n)``,
-    from at most one ``digamma`` and two ``polygamma`` calls.
+    from at most one ``digamma`` and two ``polygamma`` calls when the
+    table's coefficients sum to zero, as in the four families; otherwise
+    the far field's total term adds one call of each.
     """
     zs, orders, shape = _route_grid(fam, z, n)
     value, err = fam.psi_sum(zs, orders)

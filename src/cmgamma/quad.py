@@ -2,20 +2,25 @@
 
 The integrator targets Laplace-type integrands: finite at 0+, and e^(-r t)
 times a function smooth on the scale of 1/r, where r is the integrand's own
-decay rate.  It has one rule: Gauss-Laguerre in s = r t, whose nodes and
-weights come from ``np.polynomial.laguerre.laggauss`` (Golub and Welsch
-1969).  The 16-point and the 32-point rules run on their own nodes, 48 in
-all whatever r is, and each component reports the 32-point value, with
-error max(|Q_16 - Q_32|, eps |Q_32|) + D |Q_32|, floored at 1 + W / r
-subnormal spacings, W the sum of the 32-point weights: samples below the
-smallest normal double round by a fixed spacing, which no relative term
-sees.  D is the 32-point rule's own moment defect, max over k < 32 of
-|sum w s^k / k! - 1|, about 3.7e-14: ``laggauss`` normalises its weights
-by their sum, so the rule misses even the polynomials that it should
-integrate exactly.  A component whose error is above a relative 1e-10, or
-above the smallest normal double, below which a value has no relative
-precision, has not converged; there is no other rule to try.  The rule
-never samples t = 0.
+decay rate.  It has one rule: Gauss-Laguerre in s = r t, whose nodes s
+and weights W = w e^s are written below as doubles, each rounded once
+from 60 digits by ``tools/gl_rule.py``.  The 16-point and the 32-point
+rules run on their own nodes, 48 in all whatever r is, and each component
+reports the 32-point value Q_32 = sum W f(s / r) / r, with error
+
+    |Q_16 - Q_32| + D |Q_32| + 40 u sum |W f(s / r)| / r,
+
+floored at 1 + W / r subnormal spacings, W the sum of the 32-point
+weights: samples below the smallest normal double round by a fixed
+spacing, which no relative term sees.  D is the moment defect of the
+stored 32-point rule, max over k < 32 of |sum W e^-s s^k / k! - 1|, taken
+at 60 digits: 1.6e-16.  The last term allows each term of the sum 40
+roundings of u = eps / 2: 32 in the sum itself, its product and up to 31
+additions, and 8 in its sample, the node's division by r and the
+integrand's own operations.  A component whose error is above a relative
+1e-10, or above the smallest normal double, below which a value has no
+relative precision, has not converged; there is no other rule to try.
+The rule never samples t = 0.
 
 An integrand may be vector valued: one component per entry of an array of
 decay rates of any shape, each evaluated on its own row of nodes.  Calls
@@ -27,7 +32,6 @@ must accept numpy arrays.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,8 +49,55 @@ _EPS = float(np.finfo(float).eps)
 _REL_TOL = 1e-10
 _TINY = float(np.finfo(float).tiny)
 
-# Point counts of the Gauss-Laguerre rules.
-_GL_POINTS = (16, 32)
+# The rules, one (nodes, weights) pair per point count, each value rounded
+# once from 60 digits; and the last rule's moment defect as stored.
+# BEGIN constants written by tools/gl_rule.py
+_GL_RULES = (
+    (  # 16 points: nodes, then weights
+        (0.08764941047892784, 0.46269632891508083, 1.141057774831227,
+         2.1292836450983805, 3.4370866338932067, 5.078018614549768,
+         7.070338535048234, 9.438314336391938, 12.21422336886616,
+         15.441527368781617, 19.180156856753136, 23.515905693991908,
+         28.57872974288214, 34.58339870228662, 41.94045264768833,
+         51.70116033954332),
+        (0.22503631486424724, 0.5258360527623425, 0.831961391687087,
+         1.1460992409637516, 1.4717513169668086, 1.813134687381348,
+         2.1755175196946075, 2.565762750165029, 2.993215086371375,
+         3.4712344831020903, 4.020044086444669, 4.672516607732854,
+         5.487420657986153, 6.5853612332892135, 8.276357984364234,
+         11.824277551658435),
+    ),
+    (  # 32 points: nodes, then weights
+        (0.04448936583326702, 0.23452610951961853, 0.5768846293018864,
+         1.0724487538178176, 1.7224087764446454, 2.5283367064257947,
+         3.4922132730219944, 4.616456769749767, 5.903958504174244,
+         7.358126733186241, 8.982940924212595, 10.783018632539973,
+         12.763697986742725, 14.931139755522556, 17.292454336715316,
+         19.855860940336054, 22.630889013196775, 25.628636022459247,
+         28.862101816323474, 32.346629153964734, 36.10049480575197,
+         40.14571977153944, 44.509207995754934, 49.22439498730864,
+         54.33372133339691, 59.89250916213402, 65.97537728793505,
+         72.68762809066271, 80.18744697791352, 88.7353404178924,
+         98.82954286828397, 111.7513980979377),
+        (0.11418710576810485, 0.2660652168976152, 0.418793137324853,
+         0.5725328464998047, 0.7276487883809714, 0.8845367193402497,
+         1.043618875892077, 1.2053492741523526, 1.3702213385217812,
+         1.5387772564686448, 1.7116193526864572, 1.889424063449484,
+         2.0729593402465336, 2.2631066339969634, 2.460889072488236,
+         2.667508126397117, 2.8843920929220417, 3.113261327039586,
+         3.3562176925958025, 3.615869856484269, 3.8955130449485496,
+         4.199394104711586, 4.533114978534361, 4.9042702876112445,
+         5.323500972023666, 5.8063332142336215, 6.3766146741596526,
+         7.0735265807072425, 7.9676935092959, 9.20504033127819,
+         11.163013090767873, 15.390180415260643),
+    ),
+)
+_GL_DEFECT = 1.6248553593129247e-16
+# END constants written by tools/gl_rule.py
+
+# Roundings of u = eps / 2 allowed per term of the 32-point sum (see the
+# module notes).
+_ROUNDINGS = 40
 
 # Most integrand values requested in one call: a rate array asking for
 # more is split between rows of its first axis, so each call's memory stays
@@ -70,24 +121,21 @@ class QuadResult:
 
 @functools.cache
 def _gl_rule():
-    """(nodes, weights, defect) of the rule, read-only: the Gauss-Laguerre
-    nodes s of every point count in _GL_POINTS, concatenated; one row of
-    weights per count, w e^s at its own nodes and 0 elsewhere, so that row
-    i against the values of the integrand itself gives its rule; and the
-    last rule's moment defect max_(k<m) |sum w s^k / k! - 1|, each moment
-    summed exactly."""
-    rules = [np.polynomial.laguerre.laggauss(m) for m in _GL_POINTS]
-    nodes = np.concatenate([s for s, _ in rules])
-    weights = np.zeros((len(rules), nodes.size))
+    """(nodes, weights, defect) of the rule, read-only: the nodes s of
+    every rule in _GL_RULES, concatenated; one row of weights per rule,
+    its W at its own nodes and 0 elsewhere, over the integrand's values
+    followed by their magnitudes, so that row i against them gives rule i,
+    and a last row the 32-point sum of the magnitudes; and the last rule's
+    moment defect."""
+    nodes = np.concatenate([s for s, _ in _GL_RULES])
+    weights = np.zeros((len(_GL_RULES) + 1, 2 * nodes.size))
     start = 0
-    for row, (s, w) in zip(weights, rules):
-        row[start:start + s.size] = w * np.exp(s)
-        start += s.size
+    for row, (s, w) in zip(weights, _GL_RULES):
+        row[start:start + len(s)] = w
+        start += len(s)
+    weights[-1, nodes.size:] = weights[-2, :nodes.size]
     nodes.flags.writeable = weights.flags.writeable = False
-    s, w = rules[-1]
-    defect = max(abs(math.fsum(w * s ** k) / math.factorial(k) - 1.0)
-                 for k in range(s.size))
-    return nodes, weights, defect
+    return nodes, weights, _GL_DEFECT
 
 
 def _require_finite(vals, t) -> None:
@@ -162,14 +210,15 @@ def integrate_half_line(f: Callable, decay_rate) -> QuadResult:
         _require_finite(vals, t.reshape(vals.shape))
         # one dot product per component, so a component's sums do not
         # depend on the batch around it
-        quads.extend(np.dot(weights, row) for row in vals)
+        quads.extend(np.dot(weights, row) for row in
+                     np.concatenate((vals, np.abs(vals)), axis=1))
     quads = np.array(quads) / grid.reshape(-1, 1)
-    value = quads[:, -1]
-    err = (np.maximum(np.abs(quads[:, 0] - value), _EPS * np.abs(value))
-           + defect * np.abs(value))
+    value, mag = quads[:, 1], quads[:, 2]
+    err = (np.abs(quads[:, 0] - value) + defect * np.abs(value)
+           + _ROUNDINGS * _EPS / 2 * mag)
     # a sample or product below the smallest normal double errs by up to
     # half the subnormal spacing _EPS * _TINY: (W / 2 + 16) / r over the
-    # 32-point rule's W = sum w and 32 products, and half for the division
+    # 32-point rule's weight sum W and 32 products, and half for the division
     err = np.maximum(err, _EPS * _TINY * (1.0 + weights[-1].sum()
                                           / grid.reshape(-1)))
     ok = err <= np.maximum(_REL_TOL * np.abs(value), _TINY)

@@ -386,9 +386,11 @@ def _mp_terms(fam):
 class TestExactTermOracle:
     @staticmethod
     def _check_quadrature(fam, zs, rel):
-        """Every order up to the cap at every z within rel of mpmath."""
+        """Every order up to the cap at every z within rel of mpmath, and
+        within its own error estimate."""
         ns = list(range(1, N_MAX_ORDER + 1))
-        q = log_deriv_quadrature(fam, zs, ns).signed_value
+        res = log_deriv_quadrature(fam, zs, ns)
+        q = res.signed_value
         with mpmath.workdps(60):
             terms = _mp_terms(fam)
             for i, z in enumerate(zs):
@@ -396,7 +398,9 @@ class TestExactTermOracle:
                     ref = (-1) ** n * mpmath.fsum(
                         c * mpmath.psi(n - 1, mpmath.mpf(z) - d)
                         for c, _, d in terms)
-                    assert abs(q[i, j] - ref) <= rel * abs(ref), (z, n)
+                    err = abs(q[i, j] - ref)
+                    assert err <= rel * abs(ref), (z, n)
+                    assert err <= res.err_estimate[i, j], (z, n)
 
     @pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=repr)
     def test_quadrature_vs_mpmath(self, fam):
@@ -409,7 +413,7 @@ class TestExactTermOracle:
         # from z - bound >= 1 on, where few or no recurrence steps run
         zs = [domain_lower_bound(fam) + d
               for d in (1.0, 3.0, 10.0, 100.0, 1e3, 1e6, 1e9, 1e12)]
-        self._check_quadrature(fam, zs, 1e-12)
+        self._check_quadrature(fam, zs, 1e-14)
 
     @pytest.mark.parametrize("fam", SHIFT_FAMILIES, ids=repr)
     def test_recurrence_steps_vs_mpmath(self, fam):
@@ -431,9 +435,9 @@ class TestExactTermOracle:
         assert abs(q.signed_value - ref) <= q.err_estimate
 
     def test_estimate_covers_the_rules_weight_error(self):
-        # the 32-point weights miss their moments by about 3.7e-14, which
-        # here is more than |Q_16 - Q_32|: a true error of 4.0e-14 against
-        # an estimate of 4.2e-15 without the weight term
+        # weights that missed their moments by 3.7e-14 erred here by
+        # 3.1e-14 relative, ten times |Q_16 - Q_32|; the stored rule errs
+        # by 6.7e-16, which the estimate must cover as well
         fam, z, n = TwoParam(0.5, 0.7), 3.9275937203149383, 11
         q = log_deriv_quadrature(fam, z, n)
         with mpmath.workdps(60):

@@ -1,6 +1,10 @@
 """Half-line quadrature: closed-form integrals, error honesty, failure path."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,3 +283,34 @@ class TestVectorIntegrand:
         fs = (self.FS[0], lambda t: 1.0 / (t - node))
         with np.errstate(divide="ignore"), pytest.raises(DomainError):
             integrate_half_line(_stacked(fs), np.array([1.0, 1.0]))
+
+
+class TestStoredRule:
+    """The rule's constants are written in quad.py, not computed."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def test_generator_gives_the_stored_bits(self):
+        sys.path.insert(0, str(self.ROOT / "tools"))
+        try:
+            import gl_rule
+        finally:
+            sys.path.pop(0)
+        # every literal is the shortest repr of its double, so equal text
+        # is equal bits
+        assert gl_rule.source() in Path(quad_mod.__file__).read_text()
+
+    def test_certify_does_not_import_numpy_polynomial(self):
+        env = dict(os.environ)
+        src = str(Path(quad_mod.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys\n"
+                "from cmgamma import cli\n"
+                "cli.main(['certify', '--family', 'two-param', '--params',"
+                " 'a=0.5,b=0.7', '--grid', '1:8:8', '--n-max', '6'])\n"
+                "print('numpy.polynomial' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"

@@ -21,7 +21,12 @@ lower_bound + geomspace(1e-4, 1e-1, 20) and orders 1..12, whose recurrence
 shift spans up to 2e5 steps per z (median of 3 calls, in ms).  Beside each
 timing, ``max_rel_err`` is the largest relative error against mpmath at 40
 digits: on up to 64 of each row's points for ``specfun``, on all 240
-values for ``quad``.
+values for ``quad``.  ``quad`` also reports ``rule_defect``, the moment
+defect that its rule adds to every error estimate (``quad._gl_rule()``),
+and ``far_field_max_rel_err``, the largest relative error of
+``log_deriv_quadrature`` on TwoParam(0.5, 0.7), MultiParam((0.2, 0.5,
+0.9)) and Symmetric(1e-6), each at lower_bound + (1, 10, 1e3, 1e6, 1e12)
+and orders 1..12, against mpmath at 60 digits.
 
 ``polygamma_route`` times ``log_deriv_polygamma`` on TwoParam(0.5, 0.7),
 MultiParam((0.2, 0.5, 0.9)) and Symmetric(1e-6), each at lower_bound +
@@ -92,7 +97,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(os.path.abspath(tree), "src"))
     sys.path.insert(1, os.path.join(ROOT, "perfbench"))
     import workloads
-    from cmgamma import cli, cm_certify, inequalities, kernels, specfun
+    from cmgamma import cli, cm_certify, inequalities, kernels, quad, specfun
     from cmgamma.errors import UsageError
 
     mpmath.mp.dps = 40
@@ -136,13 +141,22 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         kernels.log_deriv_quadrature(fam, zs, ns)
         times.append(time.perf_counter() - start)
+    fams = (kernels.TwoParam(0.5, 0.7), kernels.MultiParam((0.2, 0.5, 0.9)),
+            kernels.Symmetric(1e-6))
+    far = []
+    for fam in fams:
+        zs = fam.lower_bound() + np.array([1.0, 10.0, 1e3, 1e6, 1e12])
+        got = kernels.log_deriv_quadrature(fam, zs, ns).signed_value
+        with mpmath.workdps(60):  # 30 digits cancel at 1e12
+            far += [_rel(got[:, j], exact(fam, zs, n))
+                    for j, n in enumerate(ns)]
     out["quad"] = {"wide_spread_ms": 1e3 * statistics.median(times),
-                   "max_rel_err": _rel(q.ravel(), want)}
+                   "max_rel_err": _rel(q.ravel(), want),
+                   "rule_defect": quad._gl_rule()[2],
+                   "far_field_max_rel_err": max(far)}
 
     calls, errs = {}, []
-    for fam in (kernels.TwoParam(0.5, 0.7),
-                kernels.MultiParam((0.2, 0.5, 0.9)),
-                kernels.Symmetric(1e-6)):
+    for fam in fams:
         zs = fam.lower_bound() + np.geomspace(1e-3, 1e3, 6)
         got = kernels.log_deriv_polygamma(fam, zs, ns).signed_value
         errs += [_rel(got[:, j], exact(fam, zs, n)) for j, n in enumerate(ns)]
